@@ -98,7 +98,3 @@ def extract_blobs(mask: np.ndarray, min_area: int = DEFAULT_MIN_AREA) -> list[Re
     rects.sort(key=lambda r: (r.y, r.x))
     return rects
 
-
-def mask_to_frame(mask: np.ndarray) -> Frame:
-    """Mask rendered as a 0/255 image for PGM debugging dumps."""
-    return Frame((mask.astype(np.uint8) * 255))

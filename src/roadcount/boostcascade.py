@@ -7,6 +7,14 @@ the cell's footprint-site count so every component lies in [0, 1]. Stumps
 threshold single components; stages are AdaBoost-weighted stump sums with a
 calibrated pass threshold; the cascade rejects a window at the first failing
 stage.
+
+Training and detection share one feature path. An integral image (a stack
+of crops in training, one frame in detection) gives one rank map per block
+geometry, and window_features counts each (cell, geometry) histogram for a
+whole grid of window origins at once. Training takes every chunk of the
+crops at origin (0, 0); detection takes, per frame and scale, only the
+chunks some stump reads. _stage_scores then scores all windows of a stage
+together.
 """
 
 from __future__ import annotations
@@ -14,9 +22,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import (
     RANK_HISTOGRAM_BINS,
@@ -24,7 +33,6 @@ from .features import (
     RankTable,
     build_rank_table,
     mb_lbp_code_map,
-    mb_lbp_histogram,
 )
 from .imaging import Frame, IntegralImage, Rect, integral, round_half_up
 
@@ -178,8 +186,9 @@ def _best_stump(
     return stump, float(col_err[col])
 
 
-def _stump_predict(stump: Stump, xs: np.ndarray) -> np.ndarray:
-    base = np.where(xs[:, stump.feature_index] < stump.threshold, -1, 1)
+def _stump_predict(stump: Stump, values: np.ndarray) -> np.ndarray:
+    """Stump output for each value of its feature."""
+    base = np.where(values < stump.threshold, -1, 1)
     return stump.polarity * base
 
 
@@ -220,7 +229,7 @@ def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClass
         err = min(max(err, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
-        predictions = _stump_predict(stump, xs)
+        predictions = _stump_predict(stump, xs[:, stump.feature_index])
         weights = weights * np.exp(-alpha * labels * predictions)
         weights /= weights.sum()
     return StrongClassifier(stumps=tuple(stumps), stage_threshold=0.0)
@@ -275,42 +284,84 @@ def _scaled_geometries(model: CascadeModel, win_w: int, win_h: int) -> list[Bloc
     return out
 
 
-def window_features(model: CascadeModel, ii: IntegralImage, window: Rect) -> np.ndarray:
-    """Feature vector of one window: per (cell, geometry) normalized rank histograms."""
-    if window.right > ii.width or window.bottom > ii.height:
-        raise ValueError(f"window {window} exceeds {ii.width}x{ii.height} image")
-    cells = _cell_rects(window, model.grid)
-    geoms = _scaled_geometries(model, window.w, window.h)
-    vec = np.empty(model.feature_count)
-    pos = 0
-    for cell in cells:
-        for g in geoms:
-            hist = mb_lbp_histogram(ii, cell, g, model.rank_table)
-            sites = (cell.w - g.footprint_w + 1) * (cell.h - g.footprint_h + 1)
-            vec[pos : pos + RANK_HISTOGRAM_BINS] = hist / sites
-            pos += RANK_HISTOGRAM_BINS
-    return vec
+def window_features(
+    model: CascadeModel,
+    rank_maps: Mapping[BlockGeometry, np.ndarray],
+    win_w: int,
+    win_h: int,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    chunks: Iterable[int] | None = None,
+) -> np.ndarray:
+    """Rank histograms of the win_w x win_h windows at every origin (xs[i], ys[j]).
+
+    `rank_maps` maps each block geometry to the rank bins of all its
+    footprints, `rank_table.bins[mb_lbp_code_map(ii, g)]`, over one image or
+    a stack of them (leading axes). Chunk c = cell * geometries + geometry
+    is the cell's 64-bin histogram divided by its footprint-site count. The
+    result has shape stack + (len(ys), len(xs), 64 * len(chunks)), the k-th
+    chunk of `chunks` in components [64k, 64k + 64); with the default, all
+    chunks in order, the last axis is the window's feature vector. Windows
+    must lie inside the image.
+    """
+    cells = _cell_rects(Rect(0, 0, win_w, win_h), model.grid)
+    geoms = _scaled_geometries(model, win_w, win_h)
+    if chunks is None:
+        chunks = range(len(cells) * len(geoms))
+    stack = next(iter(rank_maps.values())).shape[:-2] if rank_maps else ()
+    grid = (len(ys), len(xs))
+    n_windows = math.prod(stack + grid)
+    offsets = np.arange(n_windows)[:, None] * RANK_HISTOGRAM_BINS
+    out = np.empty(stack + grid + (len(chunks) * RANK_HISTOGRAM_BINS,))
+    for k, chunk in enumerate(chunks):
+        cell = cells[chunk // len(geoms)]
+        g = geoms[chunk % len(geoms)]
+        span_w = cell.w - g.footprint_w + 1
+        span_h = cell.h - g.footprint_h + 1
+        blocks = sliding_window_view(rank_maps[g], (span_h, span_w), axis=(-2, -1))
+        sites = blocks[..., ys[:, None] + cell.y, xs[None, :] + cell.x, :, :]
+        counts = np.bincount(
+            (sites.reshape(n_windows, -1) + offsets).ravel(),
+            minlength=n_windows * RANK_HISTOGRAM_BINS,
+        )
+        pos = k * RANK_HISTOGRAM_BINS
+        out[..., pos : pos + RANK_HISTOGRAM_BINS] = (
+            counts.reshape(stack + grid + (RANK_HISTOGRAM_BINS,)) / (span_w * span_h)
+        )
+    return out
 
 
-def classify_window(model: CascadeModel, ii: IntegralImage, window: Rect) -> tuple[bool, float]:
-    """Run the cascade on one window; rejects at the first failing stage."""
-    accepted, score, _ = classify_window_detailed(model, ii, window)
-    return accepted, score
+def _stage_scores(
+    stage: StrongClassifier, xs: np.ndarray, columns: Mapping[int, int] | None = None
+) -> np.ndarray:
+    """Stage score of every feature vector along the last axis of xs.
+
+    `columns` maps a stump's feature index to its column in xs when xs holds
+    only some chunks; by default the column is the feature index. Scores
+    accumulate stump by stump as in strong_classify, so they are
+    bit-identical to its scores.
+    """
+    scores = np.zeros(xs.shape[:-1])
+    for stump, alpha in stage.stumps:
+        column = stump.feature_index if columns is None else columns[stump.feature_index]
+        scores += alpha * _stump_predict(stump, xs[..., column])
+    return scores
 
 
-def classify_window_detailed(
-    model: CascadeModel, ii: IntegralImage, window: Rect
-) -> tuple[bool, float, int]:
-    """Like classify_window, also reporting how many stages were evaluated."""
-    x = window_features(model, ii, window)
-    score = 0.0
-    evaluated = 0
-    for stage in model.stages:
-        score, label = strong_classify(stage, x)
-        evaluated += 1
-        if label < 0:
-            return False, score, evaluated
-    return True, score, evaluated
+def _crop_features(probe: CascadeModel, crops: Sequence[Frame]) -> tuple[CascadeModel, np.ndarray]:
+    """Rank table of the crop set and the (N, feature_count) feature matrix.
+
+    All crops go through one stacked integral image; each geometry's code
+    map feeds both the rank table and the rank map.
+    """
+    ii = integral(np.stack([c.pixels for c in crops]))
+    geoms = _scaled_geometries(probe, probe.window_w, probe.window_h)
+    codes = {g: mb_lbp_code_map(ii, g) for g in geoms}
+    model = replace(probe, rank_table=build_rank_table([codes[g] for g in geoms]))
+    rank_maps = {g: model.rank_table.bins[c] for g, c in codes.items()}
+    origin = np.zeros(1, dtype=np.intp)
+    x = window_features(model, rank_maps, probe.window_w, probe.window_h, origin, origin)
+    return model, x[:, 0, 0]
 
 
 def train_cascade(
@@ -348,16 +399,8 @@ def train_cascade(
         stages=(), window_w=w, window_h=h, rank_table=RankTable(np.zeros(256)),
         grid=grid, geometries=geometries,
     )
-    geoms = _scaled_geometries(probe, w, h)
-    pos_ii = [integral(c) for c in positives]
-    neg_ii = [integral(c) for c in negatives]
-    code_sets = [mb_lbp_code_map(ii, g) for ii in pos_ii + neg_ii for g in geoms]
-    rank_table = build_rank_table(code_sets)
-    model = replace(probe, rank_table=rank_table)
-
-    window = Rect(0, 0, w, h)
-    x_pos = np.array([window_features(model, ii, window) for ii in pos_ii])
-    x_neg = np.array([window_features(model, ii, window) for ii in neg_ii])
+    model, x = _crop_features(probe, [*positives, *negatives])
+    x_pos, x_neg = x[: len(positives)], x[len(positives) :]
 
     trained = []
     for s in range(stages):
@@ -367,85 +410,40 @@ def train_cascade(
         labels = np.concatenate([np.ones(len(x_pos), dtype=np.int64),
                                  -np.ones(len(x_neg), dtype=np.int64)])
         stage = train_strong(xs, labels, rounds[s])
-        pos_scores = [strong_classify(stage, x)[0] for x in x_pos]
-        stage = calibrate_stage(stage, pos_scores, mhr)
+        stage = calibrate_stage(stage, _stage_scores(stage, x_pos), mhr)
         trained.append(stage)
-        neg_scores = np.array([strong_classify(stage, x)[0] for x in x_neg])
-        x_neg = x_neg[neg_scores >= stage.stage_threshold]
+        x_neg = x_neg[_stage_scores(stage, x_neg) >= stage.stage_threshold]
     return replace(model, stages=tuple(trained))
 
 
-def _feature_site(model: CascadeModel, feature_index: int) -> tuple[int, int, int]:
-    """Decompose a feature index into (cell, geometry, bin)."""
-    bin_idx = feature_index % RANK_HISTOGRAM_BINS
-    rest = feature_index // RANK_HISTOGRAM_BINS
-    n_geoms = len(model.geometries)
-    return rest // n_geoms, rest % n_geoms, bin_idx
-
-
-class _PlaneCache:
-    """Lazy per-(geometry, bin) integral planes of rank-membership masks."""
-
-    def __init__(self, ii: IntegralImage, rank_table: RankTable):
-        self.ii = ii
-        self.rank_table = rank_table
-        self.rank_maps: dict[tuple[int, int], np.ndarray] = {}
-        self.planes: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def plane(self, g: BlockGeometry, bin_idx: int) -> np.ndarray:
-        key = (g.cell_w, g.cell_h, bin_idx)
-        cached = self.planes.get(key)
-        if cached is not None:
-            return cached
-        gkey = (g.cell_w, g.cell_h)
-        rank_map = self.rank_maps.get(gkey)
-        if rank_map is None:
-            rank_map = self.rank_table.bins[mb_lbp_code_map(self.ii, g)]
-            self.rank_maps[gkey] = rank_map
-        mask = rank_map == bin_idx
-        plane = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(mask, axis=0), axis=1, out=plane[1:, 1:])
-        self.planes[key] = plane
-        return plane
-
-
-def _evaluate_grid(
+def _classify_grid(
     model: CascadeModel,
-    cache: _PlaneCache,
+    ii: IntegralImage,
     win_w: int,
     win_h: int,
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cascade decisions and final-stage scores for a grid of window origins.
+    """Cascade decisions and last-evaluated-stage scores for a grid of window origins.
 
-    Computes the same integer bin counts and float arithmetic as
-    classify_window, so decisions agree bit for bit.
+    Only the geometries and (cell, geometry) chunks some stump reads are computed.
     """
-    cells = _cell_rects(Rect(0, 0, win_w, win_h), model.grid)
+    features = {stump.feature_index for stage in model.stages for stump, _ in stage.stumps}
+    chunks = sorted({f // RANK_HISTOGRAM_BINS for f in features})
+    columns = {
+        f: chunks.index(f // RANK_HISTOGRAM_BINS) * RANK_HISTOGRAM_BINS + f % RANK_HISTOGRAM_BINS
+        for f in features
+    }
     geoms = _scaled_geometries(model, win_w, win_h)
+    rank_maps = {
+        g: model.rank_table.bins[mb_lbp_code_map(ii, g)]
+        for g in {geoms[c % len(geoms)] for c in chunks}
+    }
+    x = window_features(model, rank_maps, win_w, win_h, xs, ys, chunks)
     alive = np.ones((len(ys), len(xs)), dtype=bool)
     scores = np.zeros((len(ys), len(xs)))
     for stage in model.stages:
-        scores = np.zeros((len(ys), len(xs)))
-        for stump, alpha in stage.stumps:
-            cell_idx, geom_idx, bin_idx = _feature_site(model, stump.feature_index)
-            cell = cells[cell_idx]
-            g = geoms[geom_idx]
-            plane = cache.plane(g, bin_idx)
-            span_w = cell.w - g.footprint_w + 1
-            span_h = cell.h - g.footprint_h + 1
-            x0 = xs + cell.x
-            y0 = ys + cell.y
-            counts = (
-                plane[np.ix_(y0 + span_h, x0 + span_w)]
-                - plane[np.ix_(y0, x0 + span_w)]
-                - plane[np.ix_(y0 + span_h, x0)]
-                + plane[np.ix_(y0, x0)]
-            )
-            values = counts / (span_w * span_h)
-            base = np.where(values < stump.threshold, -1, 1)
-            scores += alpha * (stump.polarity * base)
+        scores = _stage_scores(stage, x, columns)
         alive &= scores >= stage.stage_threshold
         if not alive.any():
             break
@@ -523,7 +521,6 @@ def detect(
     if mcc < 1:
         raise ValueError(f"MCC must be >= 1, got {mcc}")
     ii = integral(frame)
-    cache = _PlaneCache(ii, model.rank_table)
     hits: list[tuple[Rect, float]] = []
     for scale in scales:
         win_w = round_half_up(model.window_w * scale)
@@ -532,7 +529,7 @@ def detect(
             continue
         xs = np.arange(0, frame.width - win_w + 1, stride)
         ys = np.arange(0, frame.height - win_h + 1, stride)
-        alive, scores = _evaluate_grid(model, cache, win_w, win_h, xs, ys)
+        alive, scores = _classify_grid(model, ii, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
             hits.append((Rect(int(xs[i]), int(ys[j]), win_w, win_h), float(scores[j, i])))
     return _cluster_hits(hits, mcc)
@@ -557,8 +554,11 @@ def save_model(model: CascadeModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> CascadeModel:
+    """Parse a model file; any malformed or truncated content raises ValueError."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        raise ValueError("empty model file")
     header = lines[0].split()
     if len(header) != 8 or header[0] != MODEL_MAGIC or header[1] != MODEL_VERSION:
         raise ValueError(f"unrecognized model header: {lines[0]!r}")
@@ -569,16 +569,25 @@ def load_model(path: str | os.PathLike) -> CascadeModel:
     stages = []
     pos = 257
     for _ in range(n_stages):
-        tag, count_s, threshold_s = lines[pos].split()
-        if tag != "stage":
-            raise ValueError(f"expected stage header at line {pos + 1}, got {lines[pos]!r}")
-        count = int(count_s)
+        fields = lines[pos].split() if pos < len(lines) else []
+        if len(fields) != 3 or fields[0] != "stage":
+            raise ValueError(f"expected stage {len(stages) + 1} of {n_stages} at line {pos + 1}")
+        count = int(fields[1])
+        stump_lines = lines[pos + 1 : pos + 1 + count]
+        if len(stump_lines) != count:
+            raise ValueError(
+                f"stage {len(stages) + 1} declares {count} stumps, file has {len(stump_lines)}"
+            )
         stumps = []
-        for line in lines[pos + 1 : pos + 1 + count]:
+        for line in stump_lines:
             fi, thr, pol, alpha = line.split()
+            if int(fi) >= feature_count:
+                raise ValueError(f"feature_index {fi} out of range for {feature_count} features")
             stumps.append((Stump(int(fi), float(thr), int(pol)), float(alpha)))
-        stages.append(StrongClassifier(stumps=tuple(stumps), stage_threshold=float(threshold_s)))
+        stages.append(StrongClassifier(stumps=tuple(stumps), stage_threshold=float(fields[2])))
         pos += 1 + count
+    if pos != len(lines):
+        raise ValueError(f"unexpected line {pos + 1} after the last stage: {lines[pos]!r}")
     model = CascadeModel(
         stages=tuple(stages),
         window_w=window_w,

@@ -9,7 +9,6 @@ mean comparison is performed on exact integer block sums.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +87,18 @@ def _codes_from_grid(values: np.ndarray, step_x: int, step_y: int) -> np.ndarray
     """Codes for all footprints over a value grid with block stride (step_x, step_y).
 
     `values` holds one scalar per block position (pixels for plain LBP,
-    block sums for MB-LBP). Output shape is the number of valid footprint
-    top-left positions along each axis.
+    block sums for MB-LBP) in its last two axes; leading axes are kept.
+    The last two output axes count the valid footprint top-left positions.
     """
-    h, w = values.shape
+    h, w = values.shape[-2:]
     out_h = h - 2 * step_y
     out_w = w - 2 * step_x
     if out_h < 1 or out_w < 1:
         raise ValueError("grid too small for a 3x3 footprint")
-    center = values[step_y : step_y + out_h, step_x : step_x + out_w]
-    codes = np.zeros((out_h, out_w), dtype=np.uint8)
+    center = values[..., step_y : step_y + out_h, step_x : step_x + out_w]
+    codes = np.zeros(values.shape[:-2] + (out_h, out_w), dtype=np.uint8)
     for dx, dy, shift in _NEIGHBORS:
-        block = values[dy * step_y : dy * step_y + out_h, dx * step_x : dx * step_x + out_w]
+        block = values[..., dy * step_y : dy * step_y + out_h, dx * step_x : dx * step_x + out_w]
         codes |= (block >= center).astype(np.uint8) << shift
     return codes
 
@@ -143,7 +142,7 @@ def lbp_code_map(frame: Frame) -> np.ndarray:
 
 
 def mb_lbp_code_map(ii: IntegralImage, g: BlockGeometry) -> np.ndarray:
-    """MB-LBP codes of every valid footprint top-left position in the image."""
+    """MB-LBP codes of every valid footprint top-left position in the image(s)."""
     return _codes_from_grid(ii.block_sums(g.cell_w, g.cell_h), g.cell_w, g.cell_h)
 
 
@@ -168,7 +167,8 @@ class RankTable:
     The most frequent codes get dedicated bins 0..62 (ties broken by
     ascending code value); every other code shares overflow bin 63. Only
     codes actually observed are ranked, so with fewer than 63 distinct
-    observed codes some dedicated bins stay unused.
+    observed codes some dedicated bins stay unused. Bins are stored as
+    uint8, so `bins[code_map]` is a compact rank map.
     """
 
     def __init__(self, bins: np.ndarray):
@@ -177,7 +177,7 @@ class RankTable:
             raise ValueError(f"rank table needs 256 entries, got shape {bins.shape}")
         if bins.min() < 0 or bins.max() > RANK_OVERFLOW_BIN:
             raise ValueError("rank table bins must lie in [0, 63]")
-        self.bins = bins
+        self.bins = bins.astype(np.uint8)
 
     def bin_of(self, code: int) -> int:
         return int(self.bins[code])
@@ -186,10 +186,6 @@ class RankTable:
         if not isinstance(other, RankTable):
             return NotImplemented
         return bool(np.array_equal(self.bins, other.bins))
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
 
     def to_text(self) -> str:
         return "".join(f"{code} {self.bins[code]}\n" for code in range(256))
@@ -206,11 +202,6 @@ class RankTable:
         if (bins < 0).any():
             raise ValueError("rank table text does not cover all 256 codes")
         return cls(bins)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "RankTable":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
 
 
 def build_rank_table(code_sets) -> RankTable:

@@ -112,8 +112,9 @@ class Frame:
 class IntegralImage:
     """Cumulative-sum table; entry (j, i) = sum of pixels with row < j, col < i.
 
-    The table has shape (h+1, w+1) with a zero first row and column, so any
-    rectangle sum costs four lookups.
+    The table has shape (..., h+1, w+1) with a zero first row and column, so
+    any rectangle sum costs four lookups. Leading axes, if any, index a stack
+    of equal-size images.
     """
 
     def __init__(self, table: np.ndarray):
@@ -121,11 +122,11 @@ class IntegralImage:
 
     @property
     def width(self) -> int:
-        return self.table.shape[1] - 1
+        return self.table.shape[-1] - 1
 
     @property
     def height(self) -> int:
-        return self.table.shape[0] - 1
+        return self.table.shape[-2] - 1
 
     def rect_sum(self, r: Rect) -> int:
         if r.right > self.width or r.bottom > self.height:
@@ -134,22 +135,20 @@ class IntegralImage:
         return int(t[r.bottom, r.right] - t[r.y, r.right] - t[r.bottom, r.x] + t[r.y, r.x])
 
     def block_sums(self, bw: int, bh: int) -> np.ndarray:
-        """Sums of all bw x bh blocks; entry (y, x) covers [x, x+bw) x [y, y+bh)."""
+        """Sums of all bw x bh blocks; entry (..., y, x) covers [x, x+bw) x [y, y+bh)."""
         if bw < 1 or bh < 1 or bw > self.width or bh > self.height:
             raise ValueError(f"block {bw}x{bh} does not fit {self.width}x{self.height}")
         t = self.table
-        return t[bh:, bw:] - t[:-bh, bw:] - t[bh:, :-bw] + t[:-bh, :-bw]
+        return t[..., bh:, bw:] - t[..., :-bh, bw:] - t[..., bh:, :-bw] + t[..., :-bh, :-bw]
 
 
-def integral(frame: Frame) -> IntegralImage:
-    table = np.zeros((frame.height + 1, frame.width + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(frame.pixels, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
+def integral(image: Frame | np.ndarray) -> IntegralImage:
+    """Integral image of a frame, or of a (..., h, w) stack of equal-size pixel arrays."""
+    pixels = image.pixels if isinstance(image, Frame) else image
+    h, w = pixels.shape[-2:]
+    table = np.zeros(pixels.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(pixels, axis=-2, dtype=np.int64), axis=-1, out=table[..., 1:, 1:])
     return IntegralImage(table)
-
-
-def block_mean(ii: IntegralImage, r: Rect) -> float:
-    """Arithmetic mean intensity over r; raises if r is out of bounds."""
-    return ii.rect_sum(r) / r.area
 
 
 def downscale(frame: Frame, factor: int) -> Frame:

@@ -6,7 +6,6 @@ import pytest
 from roadcount.bgsub import (
     BackgroundModel,
     extract_blobs,
-    mask_to_frame,
     morphological_open,
     subtract,
     update_background,
@@ -142,9 +141,3 @@ def test_extract_blobs_sorted_and_filtered():
     blobs = extract_blobs(mask, 1)
     assert blobs == [Rect(6, 1, 4, 2), Rect(1, 8, 3, 3)]
     assert extract_blobs(mask, 9) == [Rect(1, 8, 3, 3)]
-
-
-def test_mask_to_frame():
-    mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    frame = mask_to_frame(mask)
-    assert frame.pixels.tolist() == [[0, 255], [255, 0]]

@@ -10,13 +10,12 @@ from roadcount.boostcascade import (
     Detection,
     StrongClassifier,
     Stump,
+    _cell_rects,
+    _classify_grid,
     _cluster_hits,
-    _evaluate_grid,
-    _PlaneCache,
     _scaled_geometries,
+    _stage_scores,
     calibrate_stage,
-    classify_window,
-    classify_window_detailed,
     detect,
     load_model,
     save_model,
@@ -27,8 +26,45 @@ from roadcount.boostcascade import (
     weak_classify,
     window_features,
 )
-from roadcount.features import RankTable, build_rank_table
+from roadcount.features import (
+    RANK_HISTOGRAM_BINS,
+    RankTable,
+    build_rank_table,
+    mb_lbp_code_map,
+    mb_lbp_histogram,
+)
 from roadcount.imaging import Frame, Rect, integral
+
+
+def _oracle_window_features(model, ii, window):
+    """Scalar reference: one mb_lbp_histogram per (cell, geometry) of one window."""
+    if window.right > ii.width or window.bottom > ii.height:
+        raise ValueError(f"window {window} exceeds {ii.width}x{ii.height} image")
+    vec = []
+    for cell in _cell_rects(window, model.grid):
+        for g in _scaled_geometries(model, window.w, window.h):
+            hist = mb_lbp_histogram(ii, cell, g, model.rank_table)
+            sites = (cell.w - g.footprint_w + 1) * (cell.h - g.footprint_h + 1)
+            vec.append(hist / sites)
+    return np.concatenate(vec)
+
+
+def _oracle_classify(model, ii, window):
+    """Scalar reference cascade: (accepted, score, stages evaluated) of one window."""
+    x = _oracle_window_features(model, ii, window)
+    score = 0.0
+    evaluated = 0
+    for stage in model.stages:
+        score, label = strong_classify(stage, x)
+        evaluated += 1
+        if label < 0:
+            return False, score, evaluated
+    return True, score, evaluated
+
+
+def _rank_maps(model, ii, win_w, win_h):
+    geoms = _scaled_geometries(model, win_w, win_h)
+    return {g: model.rank_table.bins[mb_lbp_code_map(ii, g)] for g in geoms}
 
 
 def _oracle_stump(xs, labels, weights):
@@ -253,15 +289,46 @@ def test_window_features_layout():
     model = CascadeModel(
         stages=(), window_w=18, window_h=18, rank_table=rt, geometries=(1, 2)
     )
-    frame = Frame(rng.integers(0, 256, (18, 18)).astype(np.uint8))
-    vec = window_features(model, integral(frame), Rect(0, 0, 18, 18))
-    assert vec.shape == (model.feature_count,) == (9 * 2 * 64,)
-    assert vec.min() >= 0.0 and vec.max() <= 1.0
+    crops = rng.integers(0, 256, (5, 18, 18)).astype(np.uint8)
+    origin = np.zeros(1, dtype=np.intp)
+    stack_ii = integral(crops)
+    vecs = window_features(model, _rank_maps(model, stack_ii, 18, 18), 18, 18, origin, origin)
+    assert vecs.shape == (5, 1, 1, model.feature_count) == (5, 1, 1, 9 * 2 * 64)
+    assert vecs.min() >= 0.0 and vecs.max() <= 1.0
     # each (cell, geometry) chunk is one normalized histogram
-    chunks = vec.reshape(-1, 64)
-    assert np.allclose(chunks.sum(axis=1), 1.0)
+    assert np.allclose(vecs.reshape(-1, 64).sum(axis=1), 1.0)
+    for crop, vec in zip(crops, vecs[:, 0, 0]):
+        oracle = _oracle_window_features(model, integral(Frame(crop)), Rect(0, 0, 18, 18))
+        assert np.array_equal(vec, oracle)
+
+    # one frame, windows at nonzero origins, at the canonical size and at a
+    # size where _scaled_geometries changes the cell sizes
+    frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
+    ii = integral(frame)
+    for win_w, win_h in ((18, 18), (27, 36)):
+        geoms = _scaled_geometries(model, win_w, win_h)
+        xs = np.array([0, 5, frame.width - win_w])
+        ys = np.array([3, frame.height - win_h])
+        vecs = window_features(model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys)
+        assert vecs.shape == (2, 3, model.feature_count)
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                window = Rect(int(x), int(y), win_w, win_h)
+                chunks = vecs[j, i].reshape(-1, RANK_HISTOGRAM_BINS)
+                for c, cell in enumerate(_cell_rects(window, model.grid)):
+                    for k, g in enumerate(geoms):
+                        sites = (cell.w - g.footprint_w + 1) * (cell.h - g.footprint_h + 1)
+                        want = mb_lbp_histogram(ii, cell, g, rt) / sites
+                        assert np.array_equal(chunks[c * len(geoms) + k], want)
+        # a chunk subset comes back compacted, in the order asked for
+        some = window_features(
+            model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys, [7, 2]
+        )
+        assert np.array_equal(some[..., :64], vecs[..., 7 * 64 : 8 * 64])
+        assert np.array_equal(some[..., 64:], vecs[..., 2 * 64 : 3 * 64])
+    assert [(g.cell_w, g.cell_h) for g in _scaled_geometries(model, 27, 36)] == [(2, 2), (3, 4)]
     with pytest.raises(ValueError):
-        window_features(model, integral(frame), Rect(4, 0, 18, 18))
+        _oracle_window_features(model, ii, Rect(40, 0, 18, 18))
 
 
 def test_train_cascade_separable_accepts_positives():
@@ -271,7 +338,7 @@ def test_train_cascade_separable_accepts_positives():
     model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
     assert 1 <= len(model.stages) <= 2
     for crop in positives:
-        accepted, _ = classify_window(model, integral(crop), Rect(0, 0, 18, 18))
+        accepted, _, _ = _oracle_classify(model, integral(crop), Rect(0, 0, 18, 18))
         assert accepted
     counts = [len(s.stumps) for s in model.stages]
     assert counts == sorted(counts)
@@ -291,12 +358,13 @@ def test_train_cascade_stage_one_hit_rate_and_subset():
     stage1 = model.stages[0]
     hits = 0
     for crop in positives:
-        score, label = strong_classify(stage1, window_features(model, integral(crop), window))
+        x = _oracle_window_features(model, integral(crop), window)
+        score, label = strong_classify(stage1, x)
         hits += label == 1
     assert hits / len(positives) >= mhr
     for crop in negatives:
-        x = window_features(model, integral(crop), window)
-        accepted, _, evaluated = classify_window_detailed(model, integral(crop), window)
+        x = _oracle_window_features(model, integral(crop), window)
+        accepted, _, evaluated = _oracle_classify(model, integral(crop), window)
         _, stage1_label = strong_classify(stage1, x)
         if accepted:
             assert stage1_label == 1  # cascade acceptance implies stage-1 acceptance
@@ -328,15 +396,24 @@ def test_grid_evaluation_matches_scalar_classifier():
     frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
     frame.pixels[5:23, 7:25] = positives[0].pixels
     ii = integral(frame)
-    xs = np.arange(0, frame.width - 18 + 1, 3)
-    ys = np.arange(0, frame.height - 18 + 1, 3)
-    alive, scores = _evaluate_grid(model, _PlaneCache(ii, model.rank_table), 18, 18, xs, ys)
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            accepted, score = classify_window(model, ii, Rect(int(x), int(y), 18, 18))
-            assert accepted == bool(alive[j, i])
-            if accepted:
-                assert score == scores[j, i]  # identical float arithmetic
+    # the canonical window and a scaled one whose geometries differ
+    for win_w, win_h in ((18, 18), (24, 21)):
+        xs = np.arange(0, frame.width - win_w + 1, 3)
+        ys = np.arange(0, frame.height - win_h + 1, 3)
+        alive, scores = _classify_grid(model, ii, win_w, win_h, xs, ys)
+        x = window_features(model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys)
+        for j, y in enumerate(ys):
+            for i, x0 in enumerate(xs):
+                window = Rect(int(x0), int(y), win_w, win_h)
+                accepted, score, _ = _oracle_classify(model, ii, window)
+                assert accepted == bool(alive[j, i])
+                if accepted:
+                    assert score == scores[j, i]  # identical float arithmetic
+                oracle_x = _oracle_window_features(model, ii, window)
+                for stage in model.stages:
+                    grid_score = _stage_scores(stage, x[j, i])
+                    assert grid_score == strong_classify(stage, oracle_x)[0]
+        assert alive.any()
 
 
 def test_cluster_hits_running_mean_and_mcc():
@@ -394,7 +471,7 @@ def test_model_save_load_round_trip(tmp_path):
     ii = integral(frame)
     for _ in range(20):
         x, y = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-        assert classify_window(model, ii, Rect(x, y, 18, 18)) == classify_window(
+        assert _oracle_classify(model, ii, Rect(x, y, 18, 18)) == _oracle_classify(
             loaded, ii, Rect(x, y, 18, 18)
         )
     save_model(model, path)
@@ -410,5 +487,32 @@ def test_model_load_errors(tmp_path):
     with pytest.raises(ValueError):
         load_model(path)
     path.write_text("mblbp-cascade v1 30 30\n")
+    with pytest.raises(ValueError):
+        load_model(path)
+
+    stages = (
+        StrongClassifier(((Stump(5, 0.25, 1), 0.5),), stage_threshold=0.1),
+        StrongClassifier(((Stump(7, 0.5, -1), 0.75), (Stump(1727, 0.125, 1), 1.5))),
+    )
+    model = CascadeModel(
+        stages=stages, window_w=30, window_h=30, rank_table=RankTable(np.arange(256) % 64)
+    )
+    save_model(model, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert load_model(path) == model
+    # empty file
+    path.write_text("")
+    with pytest.raises(ValueError):
+        load_model(path)
+    # last stump line dropped: the last stage would silently lose a stump
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError):
+        load_model(path)
+    # trailing line after the last stage
+    path.write_text("".join(lines) + lines[-1])
+    with pytest.raises(ValueError):
+        load_model(path)
+    # feature_index beyond the header's feature count
+    path.write_text("".join(lines[:-1]) + "5000 0.125 1 1.5\n")
     with pytest.raises(ValueError):
         load_model(path)

@@ -8,7 +8,6 @@ from roadcount.imaging import (
     IntegralImage,
     PgmError,
     Rect,
-    block_mean,
     downscale,
     frame_filename,
     integral,
@@ -107,7 +106,6 @@ def test_integral_matches_brute_force():
         h = int(rng.integers(1, 17 - y + 1))
         r = Rect(x, y, w, h)
         assert ii.rect_sum(r) == px[y : y + h, x : x + w].sum()
-        assert block_mean(ii, r) == pytest.approx(px[y : y + h, x : x + w].mean())
 
 
 def test_integral_rect_sum_bounds():
@@ -132,6 +130,14 @@ def test_block_sums_matches_rect_sum():
         ii.block_sums(13, 1)
     with pytest.raises(ValueError):
         ii.block_sums(0, 1)
+    # a stack of images keeps its leading axis through integral and block_sums
+    stack = rng.integers(0, 256, (3, 9, 12)).astype(np.uint8)
+    stacked = integral(stack)
+    assert stacked.width == 12 and stacked.height == 9
+    for k in range(3):
+        single = integral(Frame(stack[k]))
+        assert np.array_equal(stacked.table[k], single.table)
+        assert np.array_equal(stacked.block_sums(2, 3)[k], single.block_sums(2, 3))
 
 
 def test_downscale_block_mean():
