@@ -15,6 +15,15 @@ whole grid of window origins at once. Training takes every chunk of the
 crops at origin (0, 0); detection takes, per frame and scale, only the
 chunks some stump reads. _stage_scores then scores all windows of a stage
 together.
+
+Stump search is histogram-shortlisted. Every feature is count / sites, so
+the feature matrix holds few distinct values (89 for the default layout).
+train_strong bins them once; each boosting round takes one weighted
+histogram per (column, class), scans its cumulative sums for each column's
+best error, and shortlists the columns within a proved rounding bound of
+the minimum. The exact search (_presort/_best_stump, sorted cumulative
+sums) then decides among the shortlisted columns only, so the chosen stump
+and its error are those of the exact search over every column.
 """
 
 from __future__ import annotations
@@ -112,23 +121,6 @@ class CascadeModel:
         return self.grid * self.grid * len(self.geometries) * RANK_HISTOGRAM_BINS
 
 
-def weak_classify(s: Stump, x: np.ndarray) -> int:
-    """Stump output on one feature vector."""
-    if s.feature_index >= len(x):
-        raise IndexError(f"feature_index {s.feature_index} out of range for D={len(x)}")
-    base = -1 if x[s.feature_index] < s.threshold else 1
-    return s.polarity * base
-
-
-def strong_classify(h: StrongClassifier, x: np.ndarray) -> tuple[float, int]:
-    """(score, label) with label +1 iff score >= stage_threshold (ties pass)."""
-    score = 0.0
-    for stump, alpha in h.stumps:
-        score += alpha * weak_classify(stump, x)
-    label = 1 if score >= h.stage_threshold else -1
-    return score, label
-
-
 def _presort(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column sample order, candidate thresholds and validity mask.
 
@@ -186,6 +178,73 @@ def _best_stump(
     return stump, float(col_err[col])
 
 
+def _histogram_keys(xs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Flat histogram key of every (sample, column) and the number of value bins.
+
+    Bin b holds the b-th smallest distinct value of the whole matrix; the key
+    (column * 2 + is_positive) * bins + b is laid out in xs's row-major
+    order. None when there are more distinct values than samples: such a
+    histogram would be no smaller than the sorted columns.
+    """
+    n, d = xs.shape
+    values = np.unique(xs)
+    nb = len(values)
+    if nb > n:
+        return None
+    keys = np.searchsorted(values, xs)
+    keys += 2 * nb * np.arange(d)
+    keys += (nb * (labels > 0))[:, None]
+    return keys.ravel(), nb
+
+
+def _shortlist(keys: np.ndarray, nb: int, weights: np.ndarray) -> np.ndarray:
+    """Columns whose histogram-best error may be the dense search's minimum.
+
+    One weighted bincount gives each column's per-class weight in every
+    value bin; their cumsums give the error of a split after every bin, in
+    the form _best_stump uses. A split after an empty bin repeats its
+    neighbour's error, so in exact arithmetic each column has the same
+    error set as in the dense search.
+
+    The two searches round differently. With u = eps / 2, W = sum(weights)
+    and m = n + nb, every prefix sum either forms (n sorted samples, or bin
+    sums then nb bins) is off by at most m * u (1 + O(m u)) times its exact
+    value. One split error reads five such sums whose exact values total at
+    most 3 * W, plus four roundings of at most u * W each, so it is off by
+    at most (3m + 4) u W. The dense winner's histogram error thus exceeds
+    the histogram minimum by at most twice both searches' bounds,
+    (12n + 6nb + 16) u W, which the tolerance 8 (n + nb + 1) eps W covers.
+    """
+    n = len(weights)
+    d = len(keys) // n
+    hist = np.bincount(keys, np.repeat(weights, d), minlength=2 * d * nb).reshape(d, 2, nb)
+    cum = np.zeros((d, 2, nb + 1))
+    np.cumsum(hist, axis=2, out=cum[:, :, 1:])
+    cum_neg, cum_pos = cum[:, 0], cum[:, 1]
+    err_plus = cum_pos + (cum_neg[:, -1:] - cum_neg)
+    err_minus = (cum_pos[:, -1:] + cum_neg[:, -1:]) - err_plus
+    col_err = np.minimum(err_plus.min(axis=1), err_minus.min(axis=1))
+    tol = 8 * (n + nb + 1) * np.finfo(np.float64).eps * weights.sum()
+    return np.flatnonzero(col_err <= col_err.min() + tol)
+
+
+def _search(
+    xs: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    binned: tuple[np.ndarray, int] | None,
+) -> tuple[Stump, float]:
+    """_best_stump over all columns, run densely on the shortlisted ones only.
+
+    Each column's dense errors do not depend on the other columns, so the
+    stump, its error and the tie-break match the search over every column
+    bit for bit. Without histogram keys every column is searched.
+    """
+    cols = np.arange(xs.shape[1]) if binned is None else _shortlist(*binned, weights)
+    stump, err = _best_stump(*_presort(xs[:, cols]), labels, weights)
+    return replace(stump, feature_index=int(cols[stump.feature_index])), err
+
+
 def _stump_predict(stump: Stump, values: np.ndarray) -> np.ndarray:
     """Stump output for each value of its feature."""
     base = np.where(values < stump.threshold, -1, 1)
@@ -207,13 +266,18 @@ def train_stump(xs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> Stum
         return Stump(0, float(xs[:, 0].min()) - 1.0, 1)
     if np.all(labels < 0):
         return Stump(0, float(xs[:, 0].max()) + 1.0, 1)
-    order, thresholds, valid = _presort(xs)
-    stump, _ = _best_stump(order, thresholds, valid, labels, weights)
+    stump, _ = _search(xs, labels, weights, _histogram_keys(xs, labels))
     return stump
 
 
 def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClassifier:
-    """AdaBoost over decision stumps; stage_threshold starts at 0."""
+    """AdaBoost over decision stumps; stage_threshold starts at 0.
+
+    The features are binned once; each round a weighted histogram
+    shortlists the columns whose best error is within a rounding bound of
+    the minimum, and the dense search decides among them (see _shortlist).
+    Stumps and alphas equal those of a dense search over every column.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if rounds < 1:
@@ -222,10 +286,10 @@ def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClass
         raise ValueError("training set must contain both classes")
     n = len(xs)
     weights = np.full(n, 1.0 / n)
-    order, thresholds, valid = _presort(xs)
+    binned = _histogram_keys(xs, labels)
     stumps = []
     for _ in range(rounds):
-        stump, err = _best_stump(order, thresholds, valid, labels, weights)
+        stump, err = _search(xs, labels, weights, binned)
         err = min(max(err, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
@@ -338,8 +402,8 @@ def _stage_scores(
 
     `columns` maps a stump's feature index to its column in xs when xs holds
     only some chunks; by default the column is the feature index. Scores
-    accumulate stump by stump as in strong_classify, so they are
-    bit-identical to its scores.
+    accumulate stump by stump in stage order, so each equals the scalar sum
+    of alpha * output over one window's stumps bit for bit.
     """
     scores = np.zeros(xs.shape[:-1])
     for stump, alpha in stage.stumps:

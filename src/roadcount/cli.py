@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -17,7 +18,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import bgsub, synthgen
-from .boostcascade import CascadeModel, detect, load_model, save_model, train_cascade
+from .boostcascade import (
+    DEFAULT_GRID,
+    CascadeModel,
+    detect,
+    load_model,
+    save_model,
+    train_cascade,
+)
 from .counting import (
     PHI_MAX,
     PHI_MIN,
@@ -78,12 +86,44 @@ class PipelineConfig:
     train_hard: int = 6000
 
     def __post_init__(self):
+        """Reject every value a pipeline stage would fail on or silently misuse."""
         if self.detector not in ("bgsub", "feature"):
             raise ValueError(f"detector must be 'bgsub' or 'feature', got {self.detector!r}")
         if self.tracker not in ("ekf", "none"):
             raise ValueError(f"tracker must be 'ekf' or 'none', got {self.tracker!r}")
-        if self.resolution_factor < 1:
-            raise ValueError(f"resolution_factor must be >= 1, got {self.resolution_factor}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
+                raise ValueError(f"{f.name} must be finite, got {_format_value(value)}")
+        min_window = 3 * DEFAULT_GRID
+        rules = (
+            ("resolution_factor", self.resolution_factor >= 1, ">= 1"),
+            ("tfc", self.tfc >= 0, ">= 0"),
+            ("mhr", 0.0 < self.mhr <= 1.0, "in (0, 1]"),
+            ("stages", self.stages >= 1, ">= 1"),
+            ("mcc", self.mcc >= 1, ">= 1"),
+            ("scales", bool(self.scales) and self.scales[0] >= 1.0
+             and list(self.scales) == sorted(self.scales), "nonempty, ascending and >= 1"),
+            ("stride", self.stride >= 1, ">= 1"),
+            ("frame_dt", self.frame_dt > 0.0, "> 0"),
+            ("learning_rate", 0.0 < self.learning_rate < 1.0, "in (0, 1)"),
+            ("open_radius", self.open_radius >= 0, ">= 0"),
+            ("min_area", self.min_area >= 0, ">= 0"),
+            ("gate_fraction", self.gate_fraction > 0.0, "> 0"),
+            ("max_misses", self.max_misses >= 0, ">= 0"),
+            ("match_tol", self.match_tol >= 0, ">= 0"),
+            ("distance_fraction", 0.0 < self.distance_fraction <= 1.0, "in (0, 1]"),
+            ("phi_max", self.phi_max >= self.phi_min, ">= phi_min"),
+            ("window_w", self.window_w >= min_window, f">= {min_window}"),
+            ("window_h", self.window_h >= min_window, f">= {min_window}"),
+            ("train_pos", self.train_pos >= 1, ">= 1"),
+            ("train_neg", self.train_neg >= 1, ">= 1"),
+            ("train_hard", self.train_hard >= 0, ">= 0"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {_format_value(getattr(self, name))}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from roadcount.boostcascade import (
     calibrate_stage,
     detect,
     load_model,
-    strong_classify,
     train_strong,
     train_stump,
 )

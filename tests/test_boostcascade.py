@@ -10,20 +10,23 @@ from roadcount.boostcascade import (
     Detection,
     StrongClassifier,
     Stump,
+    _best_stump,
     _cell_rects,
     _classify_grid,
     _cluster_hits,
+    _histogram_keys,
+    _presort,
     _scaled_geometries,
+    _shortlist,
     _stage_scores,
+    _stump_predict,
     calibrate_stage,
     detect,
     load_model,
     save_model,
-    strong_classify,
     train_cascade,
     train_strong,
     train_stump,
-    weak_classify,
     window_features,
 )
 from roadcount.features import (
@@ -34,6 +37,23 @@ from roadcount.features import (
     mb_lbp_histogram,
 )
 from roadcount.imaging import Frame, Rect, integral
+
+
+def weak_classify(s, x):
+    """Scalar reference stump: -1 if x[feature] < threshold else +1, times polarity."""
+    if s.feature_index >= len(x):
+        raise IndexError(f"feature_index {s.feature_index} out of range for D={len(x)}")
+    base = -1 if x[s.feature_index] < s.threshold else 1
+    return s.polarity * base
+
+
+def strong_classify(h, x):
+    """Scalar reference stage: (score, label), label +1 iff score >= stage_threshold."""
+    score = 0.0
+    for stump, alpha in h.stumps:
+        score += alpha * weak_classify(stump, x)
+    label = 1 if score >= h.stage_threshold else -1
+    return score, label
 
 
 def _oracle_window_features(model, ii, window):
@@ -107,6 +127,11 @@ def test_weak_classify_boundary():
     assert weak_classify(flipped, np.array([0.6])) == -1
     with pytest.raises(IndexError):
         weak_classify(Stump(3, 0.5, 1), np.array([0.1]))
+    # the production column predictor agrees with the scalar reference
+    values = np.array([0.4, 0.5, 0.6])
+    for stump in (s, flipped):
+        want = [weak_classify(stump, np.array([v])) for v in values]
+        assert _stump_predict(stump, values).tolist() == want
 
 
 def test_strong_classify_weighted_vote_and_tie():
@@ -120,6 +145,10 @@ def test_strong_classify_weighted_vote_and_tie():
     assert score == -3.0 and label == -1
     empty = StrongClassifier(stumps=(), stage_threshold=0.0)
     assert strong_classify(empty, np.array([1.0])) == (0.0, 1)
+    # the production stage scorer gives the same scores for a batch
+    xs = np.array([[0.5, 0.4], [0.4, 0.6], [0.9, 0.9]])
+    assert _stage_scores(h, xs).tolist() == [strong_classify(h, x)[0] for x in xs]
+    assert _stage_scores(empty, xs[:, :1]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_train_stump_matches_exhaustive_oracle():
@@ -198,6 +227,72 @@ def test_train_strong_more_rounds_not_worse():
     assert training_error(train_strong(xs, labels, 9)) <= training_error(
         train_strong(xs, labels, 1)
     )
+
+
+def _dense_boost(xs, labels, rounds):
+    """AdaBoost whose every round runs _best_stump over all columns.
+
+    Returns the (stump, alpha) pairs and each round's shortlist; train_stump
+    must pick the dense stump under every round's weights as well.
+    """
+    n = len(xs)
+    weights = np.full(n, 1.0 / n)
+    binned = _histogram_keys(xs, labels)
+    stumps, shortlists = [], []
+    for _ in range(rounds):
+        stump, err = _best_stump(*_presort(xs), labels, weights)
+        assert train_stump(xs, labels, weights) == stump
+        if binned is not None:
+            shortlists.append(_shortlist(*binned, weights).tolist())
+        err = min(max(err, 1e-10), 1.0 - 1e-10)
+        alpha = 0.5 * math.log((1.0 - err) / err)
+        stumps.append((stump, alpha))
+        predictions = stump.polarity * np.where(xs[:, stump.feature_index] < stump.threshold, -1, 1)
+        weights = weights * np.exp(-alpha * labels * predictions)
+        weights /= weights.sum()
+    return tuple(stumps), shortlists
+
+
+def test_train_strong_shortlist_matches_full_search():
+    # features quantized like MB-LBP histograms (k/64, k/25, k/4): the
+    # histogram shortlist runs, and after round 1 the weights are no
+    # longer dyadic, so the two searches round differently
+    rng = np.random.default_rng(17)
+    n = 240
+    labels = rng.choice([-1, 1], n)
+
+    def sided(side, low, high):
+        return np.where(side > 0, rng.choice(high, n), rng.choice(low, n)) / 64
+
+    strong_side = np.where(rng.random(n) < 0.05, -labels, labels)
+    strong = sided(strong_side, np.arange(25), np.arange(40, 65))
+    side = np.where(rng.random(n) < 0.3, -labels, labels)
+    # a and b split the samples identically but sort them differently within
+    # each side: their side-split errors tie up to rounding
+    a = sided(side, [4, 16], [40, 52])
+    b = sided(side, [4, 16], [40, 52])
+    noise = [rng.integers(0, s + 1, n) / s for s in (64, 25, 4, 64, 25, 4)]
+    # column 6 duplicates column 1
+    xs = np.column_stack([noise[0], a, noise[1], strong, noise[2], b, a, noise[3]])
+    assert _histogram_keys(xs, labels) is not None
+    want, shortlists = _dense_boost(xs, labels, 8)
+    assert train_strong(xs, labels, 8).stumps == want
+    # in round 2 b wins on rounding while a ties with it in exact
+    # arithmetic; the histogram sums rank a lower by one ulp
+    assert want[1][0].feature_index == 5 and 1 in shortlists[1]
+
+    # only the trivial split is left: every column ties and is searched
+    xs = np.tile([0.25, 0.5, 0.0], (n, 1))
+    want, shortlists = _dense_boost(xs, labels, 3)
+    assert train_strong(xs, labels, 3).stumps == want
+    assert shortlists == [[0, 1, 2]] * 3
+
+    # more distinct values than samples: no histogram, every column searched
+    xs = rng.normal(size=(40, 3))
+    labels = np.where(xs[:, 0] + 0.3 * rng.normal(size=40) > 0, 1, -1)
+    assert _histogram_keys(xs, labels) is None
+    want, _ = _dense_boost(xs, labels, 6)
+    assert train_strong(xs, labels, 6).stumps == want
 
 
 def test_calibrate_stage_order_statistic():

@@ -40,7 +40,7 @@ def test_config_text_round_trip_custom():
         detector="feature",
         th=12.5,
         tfc=9,
-        scales=(0.8, 1.0, 1.25),
+        scales=(1.0, 1.25, 1.6),
         require_marker_overlap=True,
         markers="4,113,112,22;124,113,112,22",
     )
@@ -53,14 +53,14 @@ def test_apply_overrides_coercion():
         {
             "th": "12.5",
             "tfc": "9",
-            "scales": "0.8, 1.25",
+            "scales": "1.1, 1.25",
             "detector": "feature",
             "require_marker_overlap": "yes",
         },
     )
     assert config.th == 12.5
     assert config.tfc == 9
-    assert config.scales == (0.8, 1.25)
+    assert config.scales == (1.1, 1.25)
     assert config.detector == "feature"
     assert config.require_marker_overlap is True
     for raw, expected in (
@@ -83,6 +83,14 @@ def test_apply_overrides_rejects_bad_values():
         cli.apply_overrides(PipelineConfig(), {"require_marker_overlap": "maybe"})
     with pytest.raises(UsageError, match="detector"):
         cli.apply_overrides(PipelineConfig(), {"detector": "sonar"})
+    for key, raw in (
+        ("mhr", "0"), ("stages", "0"), ("tfc", "-1"), ("mcc", "0"), ("scales", ""),
+        ("scales", "1.5,1.2"), ("open_radius", "-1"), ("gate_fraction", "0"),
+        ("distance_fraction", "1.5"), ("phi_min", "6.0"), ("window_w", "8"),
+        ("train_neg", "0"), ("train_hard", "-1"), ("match_tol", "-3"), ("phi_max", "-inf"),
+    ):
+        with pytest.raises(UsageError, match=key):
+            cli.apply_overrides(PipelineConfig(), {key: raw})
 
 
 def test_config_from_text_rejects_malformed_input():
@@ -366,3 +374,28 @@ def test_override_value_forms(ten_vehicle_scene, capsys):
     rc = cli.main(["count", "--scene", ten_vehicle_scene, "--th"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value, detector",
+    [
+        ("frame_dt", "0", "bgsub"),
+        ("stride", "0", "feature"),
+        ("learning_rate", "1.5", "bgsub"),
+        ("scales", "0.5", "feature"),
+        ("th", "nan", "bgsub"),
+        ("th", "inf", "bgsub"),
+    ],
+)
+def test_count_rejects_bad_config_value(
+    ten_vehicle_scene, small_cascade, capsys, key, value, detector
+):
+    rc = cli.main([
+        "count", "--scene", ten_vehicle_scene, "--detector", detector,
+        "--model", small_cascade, f"--{key}", value,
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"roadcount: error: {key} must be ")
+    assert len(captured.err.splitlines()) == 1  # one message, no traceback
