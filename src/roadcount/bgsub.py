@@ -68,16 +68,20 @@ def morphological_open(mask: np.ndarray, radius: int) -> np.ndarray:
 
     During erosion pixels outside the image count as foreground, during
     dilation as background, so solid blobs touching the frame edge survive
-    instead of being eaten from the border.
+    instead of being eaten from the border. The square element is separable,
+    so each step is a 1-D minimum (maximum) filter along both axes.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if radius == 0:
         return mask.copy()
-    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    eroded = ndimage.binary_erosion(mask.astype(bool), structure=structure, border_value=1)
-    opened = ndimage.binary_dilation(eroded, structure=structure, border_value=0)
-    return opened.astype(np.uint8)
+    size = 2 * radius + 1
+    out = mask.astype(bool).view(np.uint8)
+    for axis in (0, 1):
+        out = ndimage.minimum_filter1d(out, size, axis=axis, mode="constant", cval=1)
+    for axis in (0, 1):
+        out = ndimage.maximum_filter1d(out, size, axis=axis, mode="constant", cval=0)
+    return out
 
 
 def extract_blobs(mask: np.ndarray, min_area: int = DEFAULT_MIN_AREA) -> list[Rect]:

@@ -32,13 +32,13 @@ from .counting import (
     CountingPolicy,
     CountingReport,
     MarkerSet,
+    count_tracks,
     make_report,
     report_text,
     result_line,
-    should_count,
 )
 from .imaging import Frame, PgmError, Rect, downscale, load_pgm, sequence_paths
-from .tracking import Tracker, track_log_line
+from .tracking import Track, Tracker, track_log_line
 
 
 class DataError(Exception):
@@ -292,8 +292,33 @@ def _load_cascade(config: PipelineConfig) -> CascadeModel:
         raise DataError(f"malformed model file {config.model}: {exc}") from exc
 
 
-class _Pipeline:
-    """Sequential detect -> track -> count loop over one scene directory."""
+# Config fields read only when a pass's finished tracks are counted and
+# scored; every other field is read by the pass itself.
+_COUNT_KEYS = frozenset({
+    "tfc", "phi_min", "phi_max", "distance_fraction", "require_marker_overlap",
+    "markers", "match_tol",
+})
+# Fields that neither a pass nor counting reads: the training keys, the unused
+# seed and the events file `count` writes.
+_SWEEP_INERT_KEYS = frozenset({
+    "seed", "mhr", "stages", "window_w", "window_h", "train_pos", "train_neg",
+    "train_hard", "events_out",
+})
+
+
+def _pass_key(config: PipelineConfig) -> tuple:
+    """The fields a pass reads; configs with equal keys make identical passes."""
+    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in _COUNT_KEYS)
+
+
+class _Pass:
+    """One decode -> detect -> track pass over a scene directory.
+
+    Construction lists the frames, decodes the first one for the frame size
+    and loads the cascade, so set-up errors surface before the scene is
+    decoded. `run` returns the finished tracks in finish order, for
+    `count_tracks` to count.
+    """
 
     def __init__(self, config: PipelineConfig):
         if not config.scene:
@@ -303,107 +328,129 @@ class _Pipeline:
         first = _load_frame(self.paths[0], config.resolution_factor)
         self.width = first.width
         self.height = first.height
-        self.markers = _resolve_markers(config, config.scene, self.width, self.height)
         self.cascade = _load_cascade(config) if config.detector == "feature" else None
-        self.background = bgsub.BackgroundModel(self.width, self.height, config.learning_rate)
-        self.tracker = Tracker(
-            kind=config.tracker,
-            gate=config.gate_fraction * max(self.width, self.height),
-            max_misses=config.max_misses,
-        )
-        self.policy = CountingPolicy(
-            mode=config.detector,
-            tfc=config.tfc,
-            phi_min=config.phi_min,
-            phi_max=config.phi_max,
-            distance_fraction=config.distance_fraction,
-            require_marker_overlap=config.require_marker_overlap,
-        )
-        self.counted: list[tuple[int, int]] = []
-        self.times: dict[str, list[float]] = {"detect": [], "track": [], "count": []}
+        self.times: dict[str, list[float]] = {"detect": [], "track": []}
+        self.finished_per_frame: list[int] = []
 
-    def _detect(self, frame: Frame) -> list[tuple[Rect, float]]:
+    def _detect(self, frame: Frame, background: bgsub.BackgroundModel) -> list[tuple[Rect, float]]:
         if self.cascade is not None:
             found = detect(
                 self.cascade, frame,
                 scales=self.config.scales, stride=self.config.stride, mcc=self.config.mcc,
             )
             return [(d.rect, d.score) for d in found]
-        if self.background.initialized:
-            mask = bgsub.subtract(self.background, frame, self.config.th)
+        if background.initialized:
+            mask = bgsub.subtract(background, frame, self.config.th)
             mask = bgsub.morphological_open(mask, self.config.open_radius)
             blobs = bgsub.extract_blobs(mask, self.config.min_area)
         else:
             blobs = []
-        bgsub.update_background(self.background, frame)
+        bgsub.update_background(background, frame)
         return [(rect, 0.0) for rect in blobs]
 
-    def _count(self, finished) -> None:
-        for track in finished:
-            counted, marker = should_count(
-                track, self.policy, self.markers, self.width, self.height
-            )
-            if counted:
-                self.counted.append((track.last_seen_frame, marker))
+    def run(self, limit: int | None = None, on_detections=None, on_tracks=None) -> list[Track]:
+        """Process the first `limit` frames (all by default); returns the finished tracks.
 
-    def run(
-        self,
-        limit: int | None = None,
-        on_detections=None,
-        on_tracks=None,
-    ) -> None:
+        Tracks still live after the last frame are flushed and come last.
+        `times` and `finished_per_frame` record each frame's share.
+        """
+        config = self.config
+        background = bgsub.BackgroundModel(self.width, self.height, config.learning_rate)
+        tracker = Tracker(
+            kind=config.tracker,
+            gate=config.gate_fraction * max(self.width, self.height),
+            max_misses=config.max_misses,
+        )
+        finished: list[Track] = []
         paths = self.paths if limit is None else self.paths[:limit]
         for frame_idx, path in enumerate(paths):
-            frame = _load_frame(path, self.config.resolution_factor)
+            frame = _load_frame(path, config.resolution_factor)
+            if (frame.width, frame.height) != (self.width, self.height):
+                raise DataError(
+                    f"frame {path} is {frame.width}x{frame.height}, "
+                    f"the scene's first frame is {self.width}x{self.height}"
+                )
             t0 = time.perf_counter()
-            detections = self._detect(frame)
+            detections = self._detect(frame, background)
             t1 = time.perf_counter()
-            live, finished = self.tracker.step([r for r, _ in detections], self.config.frame_dt)
+            live, done = tracker.step([r for r, _ in detections], config.frame_dt)
             t2 = time.perf_counter()
-            self._count(finished)
-            t3 = time.perf_counter()
             self.times["detect"].append(t1 - t0)
             self.times["track"].append(t2 - t1)
-            self.times["count"].append(t3 - t2)
+            self.finished_per_frame.append(len(done))
+            finished += done
             if on_detections is not None:
                 on_detections(frame_idx, detections)
             if on_tracks is not None:
                 on_tracks(frame_idx, live)
-        self._count(self.tracker.flush())
+        return finished + tracker.flush()
 
-    def report(self) -> CountingReport:
-        try:
-            gt_events = synthgen.load_gt_events(self.config.scene)
-        except FileNotFoundError:
-            gt_events = []
-        gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
-        return make_report(
-            self.counted, gt_pairs, self.config.match_tol, len(self.markers.markers)
-        )
 
-    def bench_records(self, warmup: int = 0) -> list[BenchRecord]:
-        records = []
-        for stage in ("detect", "track", "count"):
-            samples = np.array(self.times[stage][warmup:]) * 1000.0
-            if len(samples) == 0:
-                raise UsageError("no frames measured after warmup")
-            records.append(
-                BenchRecord(
-                    stage=stage,
-                    mean_ms=float(samples.mean()),
-                    p50_ms=float(np.percentile(samples, 50)),
-                    p95_ms=float(np.percentile(samples, 95)),
-                    frames=len(samples),
-                )
+def _policy(config: PipelineConfig) -> CountingPolicy:
+    return CountingPolicy(
+        mode=config.detector,
+        tfc=config.tfc,
+        phi_min=config.phi_min,
+        phi_max=config.phi_max,
+        distance_fraction=config.distance_fraction,
+        require_marker_overlap=config.require_marker_overlap,
+    )
+
+
+def _score(config: PipelineConfig, counted: list[tuple[int, int]], n_markers: int) -> CountingReport:
+    """Evaluate counted events against the scene's ground truth (none if it has no file)."""
+    try:
+        gt_events = synthgen.load_gt_events(config.scene)
+    except FileNotFoundError:
+        gt_events = []
+    gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
+    return make_report(counted, gt_pairs, config.match_tol, n_markers)
+
+
+def _bench_records(times: dict[str, list[float]], warmup: int = 0) -> list[BenchRecord]:
+    records = []
+    for stage in ("detect", "track", "count"):
+        samples = np.array(times[stage][warmup:]) * 1000.0
+        if len(samples) == 0:
+            raise UsageError("no frames measured after warmup")
+        records.append(
+            BenchRecord(
+                stage=stage,
+                mean_ms=float(samples.mean()),
+                p50_ms=float(np.percentile(samples, 50)),
+                p95_ms=float(np.percentile(samples, 95)),
+                frames=len(samples),
             )
-        return records
+        )
+    return records
+
+
+def _timed_run(config: PipelineConfig, limit: int | None = None):
+    """One pass, counted frame by frame; returns (counted, marker count, stage times).
+
+    Each frame's finished tracks are counted and timed in turn; the tracks
+    flushed after the last frame are counted untimed.
+    """
+    run = _Pass(config)
+    markers = _resolve_markers(config, config.scene, run.width, run.height)
+    finished = run.run(limit)
+    policy = _policy(config)
+    counted: list[tuple[int, int]] = []
+    count_times = []
+    start = 0
+    for n in run.finished_per_frame:
+        t0 = time.perf_counter()
+        counted += count_tracks(finished[start:start + n], policy, markers, run.width, run.height)
+        count_times.append(time.perf_counter() - t0)
+        start += n
+    counted += count_tracks(finished[start:], policy, markers, run.width, run.height)
+    return counted, len(markers.markers), {**run.times, "count": count_times}
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[CountingReport, list[BenchRecord]]:
     """Process the whole scene; returns the counting report and stage timings."""
-    pipeline = _Pipeline(config)
-    pipeline.run()
-    return pipeline.report(), pipeline.bench_records()
+    counted, n_markers, times = _timed_run(config)
+    return _score(config, counted, n_markers), _bench_records(times)
 
 
 def bench(config: PipelineConfig, warmup: int, measured: int) -> list[BenchRecord]:
@@ -412,9 +459,8 @@ def bench(config: PipelineConfig, warmup: int, measured: int) -> list[BenchRecor
         raise UsageError(f"measured frames must be >= 1, got {measured}")
     if warmup < 0:
         raise UsageError(f"warmup must be >= 0, got {warmup}")
-    pipeline = _Pipeline(config)
-    pipeline.run(limit=warmup + measured)
-    return pipeline.bench_records(warmup=warmup)
+    _, _, times = _timed_run(config, limit=warmup + measured)
+    return _bench_records(times, warmup)
 
 
 def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str], list[list[str]]]:
@@ -422,7 +468,10 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
 
     Keys are ordered alphabetically, values in the order given, and the
     product iterates with the rightmost key fastest, so rows come out in
-    lexicographic parameter order.
+    lexicographic parameter order. Every point is validated and every pass
+    set up before any frame past a pass's first is decoded. Points that
+    differ only in _COUNT_KEYS share one pass and are counted from its
+    finished tracks.
     """
     if not grid:
         raise UsageError("sweep needs a nonempty grid")
@@ -430,11 +479,29 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
     for key, values in grid.items():
         if not values:
             raise UsageError(f"sweep grid for {key} is empty")
+    for key in keys:
+        if key in _SWEEP_INERT_KEYS:
+            raise UsageError(f"sweep key {key} does not affect counting")
+    combos = list(itertools.product(*(grid[k] for k in keys)))
+    points = [apply_overrides(config, dict(zip(keys, combo))) for combo in combos]
+    passes: dict[tuple, tuple[_Pass, list[int]]] = {}
+    markers = []
+    for i, point in enumerate(points):
+        key = _pass_key(point)
+        if key not in passes:
+            passes[key] = (_Pass(point), [])
+        run, members = passes[key]
+        members.append(i)
+        markers.append(_resolve_markers(point, point.scene, run.width, run.height))
+    reports: list[CountingReport | None] = [None] * len(points)
+    for run, members in passes.values():
+        finished = run.run()
+        for i in members:
+            counted = count_tracks(finished, _policy(points[i]), markers[i], run.width, run.height)
+            reports[i] = _score(points[i], counted, len(markers[i].markers))
     header = keys + ["fp", "fn", "gt", "acc_real", "acc_int"]
     rows = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        point = apply_overrides(config, dict(zip(keys, combo)))
-        report, _ = run_pipeline(point)
+    for combo, report in zip(combos, reports):
         if report.accuracy_real is None:
             acc_real, acc_int = "NA", "NA"
         else:
@@ -575,8 +642,7 @@ def _cmd_detect(args, overrides: dict[str, str]) -> int:
         for rect, score in detections:
             sink.write(f"{frame_idx} {rect.x} {rect.y} {rect.w} {rect.h} {score:.6g}\n")
 
-    pipeline = _Pipeline(config)
-    pipeline.run(on_detections=emit)
+    _Pass(config).run(on_detections=emit)
     if out:
         out.close()
     return 0
@@ -591,8 +657,7 @@ def _cmd_track(args, overrides: dict[str, str]) -> int:
         for track in live:
             sink.write(track_log_line(frame_idx, track) + "\n")
 
-    pipeline = _Pipeline(config)
-    pipeline.run(on_tracks=emit)
+    _Pass(config).run(on_tracks=emit)
     if out:
         out.close()
     return 0
@@ -600,9 +665,7 @@ def _cmd_track(args, overrides: dict[str, str]) -> int:
 
 def _cmd_count(args, overrides: dict[str, str]) -> int:
     config = _load_config(args, overrides)
-    pipeline = _Pipeline(config)
-    pipeline.run()
-    report = pipeline.report()
+    report, _ = run_pipeline(config)
     if config.events_out:
         with open(config.events_out, "w", encoding="ascii") as fh:
             for frame_idx, marker in report.events:

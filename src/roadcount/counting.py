@@ -139,6 +139,22 @@ def should_count(
     return True, _nearest_marker(track.last_rect, markers)
 
 
+def count_tracks(
+    finished: list[Track],
+    policy: CountingPolicy,
+    markers: MarkerSet,
+    frame_w: int,
+    frame_h: int,
+) -> list[tuple[int, int]]:
+    """Counted (last seen frame, marker) events of finished tracks, in track order."""
+    counted = []
+    for track in finished:
+        ok, marker = should_count(track, policy, markers, frame_w, frame_h)
+        if ok:
+            counted.append((track.last_seen_frame, marker))
+    return counted
+
+
 def accuracy(fp: int, fn: int, gt: int) -> tuple[float, int]:
     """(real percent, integer percent) of (1 - (FP+FN)/GT) * 100."""
     if gt <= 0:

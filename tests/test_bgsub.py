@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from roadcount.bgsub import (
     BackgroundModel,
@@ -86,6 +87,35 @@ def test_open_is_anti_extensive_inside():
         opened = morphological_open(mask, 1)
         inner = np.s_[1:-1, 1:-1]
         assert np.all(opened[inner] <= mask[inner])
+
+
+def _oracle_open(mask: np.ndarray, radius: int) -> np.ndarray:
+    """2-D binary erosion then dilation with the full square element."""
+    if radius == 0:
+        return mask.copy()
+    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    eroded = ndimage.binary_erosion(mask.astype(bool), structure=structure, border_value=1)
+    opened = ndimage.binary_dilation(eroded, structure=structure, border_value=0)
+    return opened.astype(np.uint8)
+
+
+def test_open_matches_2d_oracle():
+    rng = np.random.default_rng(113)
+    masks = []
+    for _ in range(40):
+        h, w = (int(n) for n in rng.integers(1, 30, size=2))
+        masks.append((rng.random((h, w)) < rng.random()).astype(np.uint8))
+    for y, x, bh, bw in ((0, 0, 5, 7), (3, 12, 9, 4), (8, 0, 6, 6), (0, 9, 14, 7)):
+        mask = np.zeros((14, 16), dtype=np.uint8)
+        mask[y:y + bh, x:x + bw] = 1  # blobs touching the top, right, left and bottom edges
+        mask[rng.random(mask.shape) < 0.05] ^= 1
+        masks.append(mask)
+    masks.append(np.full((6, 9), 3, dtype=np.uint8))  # any nonzero value is foreground
+    for radius in range(4):
+        for mask in masks:
+            opened = morphological_open(mask, radius)
+            assert opened.dtype == np.uint8
+            assert np.array_equal(opened, _oracle_open(mask, radius)), (radius, mask.shape)
 
 
 def _flood_blobs(mask: np.ndarray, min_area: int) -> list[Rect]:

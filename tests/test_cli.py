@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface and pipeline driver."""
 
+import itertools
 import re
 from dataclasses import replace
 
@@ -247,6 +248,60 @@ def test_sweep_validation(ten_vehicle_scene):
         cli.sweep(config, {"th": []})
     with pytest.raises(UsageError, match="unknown config keys"):
         cli.sweep(config, {"threshold": ["1"]})
+    for key in ("seed", "mhr", "stages", "window_w", "window_h",
+                "train_pos", "train_neg", "train_hard", "events_out"):
+        with pytest.raises(UsageError, match=f"^sweep key {key} does not affect counting$"):
+            cli.sweep(config, {"th": ["8", "10"], key: ["1", "2"]})
+
+
+def test_sweep_rejects_last_point_before_decoding(ten_vehicle_scene, monkeypatch, capsys):
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    rc = cli.main([
+        "sweep", "--scene", ten_vehicle_scene, "--grid", "th=8,10", "--grid", "tfc=4,-1",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "roadcount: error: tfc must be >= 0, got -1\n"
+    assert decoded == []
+
+
+def test_sweep_reuses_detect_track_pass(ten_vehicle_scene, monkeypatch):
+    config = PipelineConfig(scene=ten_vehicle_scene)
+    grid = {
+        "th": ["8", "10"],
+        "tfc": ["4", "36"],
+        "phi_min": ["3.0", "4.72"],
+        "match_tol": ["3", "25"],
+    }
+    expected = []
+    for match_tol, phi_min, tfc, th in itertools.product(
+        grid["match_tol"], grid["phi_min"], grid["tfc"], grid["th"]
+    ):
+        report, _ = cli.run_pipeline(replace(
+            config, th=float(th), tfc=int(tfc), phi_min=float(phi_min), match_tol=int(match_tol),
+        ))
+        expected.append([match_tol, phi_min, tfc, th] + result_line(report).split()[1:6])
+
+    trackers = []
+
+    class CountedTracker(cli.Tracker):
+        def __init__(self, *args, **kwargs):
+            trackers.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Tracker", CountedTracker)
+    header, rows = cli.sweep(config, grid)
+    assert header == ["match_tol", "phi_min", "tfc", "th", "fp", "fn", "gt", "acc_real", "acc_int"]
+    assert [row[:4] + [f"{k}={v}" for k, v in zip(header[4:], row[4:])] for row in rows] == expected
+    assert len(trackers) == 2
+    for j in range(3):  # each counting key changes some row
+        assert any(
+            a[j] != b[j] and a[:j] + a[j + 1:4] == b[:j] + b[j + 1:4] and a[4:] != b[4:]
+            for a, b in itertools.combinations(rows, 2)
+        ), header[j]
 
 
 def test_bench_records(ten_vehicle_scene):
@@ -399,3 +454,23 @@ def test_count_rejects_bad_config_value(
     assert captured.out == ""
     assert captured.err.startswith(f"roadcount: error: {key} must be ")
     assert len(captured.err.splitlines()) == 1  # one message, no traceback
+
+
+@pytest.mark.parametrize("detector", ["bgsub", "feature"])
+def test_count_rejects_odd_sized_frame(tmp_path, small_cascade, capsys, detector):
+    from roadcount import synthgen
+    from roadcount.imaging import Frame, load_pgm, save_pgm, sequence_paths
+
+    scene = str(tmp_path / "scene")
+    synthgen.save_scene(scene, synthgen.config_from_text(_small_scenario_text()))
+    odd = sequence_paths(f"{scene}/frames")[5]
+    save_pgm(Frame(load_pgm(odd).pixels[:, :-2]), odd)
+    rc = cli.main([
+        "count", "--scene", scene, "--detector", detector, "--model", small_cascade,
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"roadcount: data error: frame {odd} is 62x48, the scene's first frame is 64x48\n"
+    )
