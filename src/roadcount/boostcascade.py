@@ -8,13 +8,13 @@ threshold single components; stages are AdaBoost-weighted stump sums with a
 calibrated pass threshold; the cascade rejects a window at the first failing
 stage.
 
-Training and detection share one feature path. An integral image (a stack
-of crops in training, one frame in detection) gives one rank map per block
-geometry, and window_features counts each (cell, geometry) histogram for a
-whole grid of window origins at once. Training takes every chunk of the
-crops at origin (0, 0); detection takes, per frame and scale, only the
-chunks some stump reads. _stage_scores then scores all windows of a stage
-together.
+Training and detection share one site path: an integral image (a stack of
+crops, or one frame) gives a rank map per block geometry, and
+_site_gatherer gathers a (cell, geometry) chunk's footprint-site bins for
+many window origins at once. Training counts them into every histogram of
+every crop (window_features). Detection builds no histogram: it runs the
+stages over the windows still alive, each stump counting the sites of its
+chunk that hold its bin, with rank maps shared across a frame's scales.
 
 Stump search is histogram-shortlisted. Every feature is count / sites, so
 the feature matrix holds few distinct values (89 for the default layout).
@@ -28,10 +28,11 @@ and its error are those of the exact search over every column.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +44,7 @@ from .features import (
     build_rank_table,
     mb_lbp_code_map,
 )
-from .imaging import Frame, IntegralImage, Rect, integral, round_half_up
+from .imaging import Frame, Rect, integral, round_half_up
 
 MODEL_MAGIC = "mblbp-cascade"
 MODEL_VERSION = "v1"
@@ -348,6 +349,32 @@ def _scaled_geometries(model: CascadeModel, win_w: int, win_h: int) -> list[Bloc
     return out
 
 
+def _chunk_layout(model: CascadeModel, win_w: int, win_h: int) -> list[tuple[Rect, BlockGeometry]]:
+    """(cell, geometry) of chunk c = cell * geometries + geometry, for each c."""
+    geoms = _scaled_geometries(model, win_w, win_h)
+    return [(cell, g) for cell in _cell_rects(Rect(0, 0, win_w, win_h), model.grid) for g in geoms]
+
+
+def _site_gatherer(rank_map: Callable[[BlockGeometry], np.ndarray]):
+    """gather(cell, g, ys, xs): rank bins of cell's geometry-g footprint sites.
+
+    Window origins (ys, xs) broadcast and lie inside the image; the result
+    has shape stack + origins + (span_h, span_w). `rank_map(g)`, the rank
+    map of one image or a stack, runs once per g; each (g, span) view once.
+    """
+    rank_map = functools.cache(rank_map)
+
+    @functools.cache
+    def view(g: BlockGeometry, span: tuple[int, int]) -> np.ndarray:
+        return sliding_window_view(rank_map(g), span, axis=(-2, -1))
+
+    def gather(cell: Rect, g: BlockGeometry, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
+        return view(g, span)[..., ys + cell.y, xs + cell.x, :, :]
+
+    return gather
+
+
 def window_features(
     model: CascadeModel,
     rank_maps: Mapping[BlockGeometry, np.ndarray],
@@ -355,60 +382,35 @@ def window_features(
     win_h: int,
     xs: np.ndarray,
     ys: np.ndarray,
-    chunks: Iterable[int] | None = None,
 ) -> np.ndarray:
-    """Rank histograms of the win_w x win_h windows at every origin (xs[i], ys[j]).
+    """Feature vectors of the win_w x win_h windows at every origin (xs[i], ys[j]).
 
-    `rank_maps` maps each block geometry to the rank bins of all its
-    footprints, `rank_table.bins[mb_lbp_code_map(ii, g)]`, over one image or
-    a stack of them (leading axes). Chunk c = cell * geometries + geometry
-    is the cell's 64-bin histogram divided by its footprint-site count. The
-    result has shape stack + (len(ys), len(xs), 64 * len(chunks)), the k-th
-    chunk of `chunks` in components [64k, 64k + 64); with the default, all
-    chunks in order, the last axis is the window's feature vector. Windows
-    must lie inside the image.
+    `rank_maps` maps each block geometry to its rank map over one image or a
+    stack of them (leading axes). Components [64c, 64c + 64) hold chunk c =
+    cell * geometries + geometry: the cell's rank histogram divided by its
+    site count. The result has shape stack + (len(ys), len(xs), feature_count).
     """
-    cells = _cell_rects(Rect(0, 0, win_w, win_h), model.grid)
-    geoms = _scaled_geometries(model, win_w, win_h)
-    if chunks is None:
-        chunks = range(len(cells) * len(geoms))
-    stack = next(iter(rank_maps.values())).shape[:-2] if rank_maps else ()
-    grid = (len(ys), len(xs))
-    n_windows = math.prod(stack + grid)
-    offsets = np.arange(n_windows)[:, None] * RANK_HISTOGRAM_BINS
-    out = np.empty(stack + grid + (len(chunks) * RANK_HISTOGRAM_BINS,))
-    for k, chunk in enumerate(chunks):
-        cell = cells[chunk // len(geoms)]
-        g = geoms[chunk % len(geoms)]
-        span_w = cell.w - g.footprint_w + 1
-        span_h = cell.h - g.footprint_h + 1
-        blocks = sliding_window_view(rank_maps[g], (span_h, span_w), axis=(-2, -1))
-        sites = blocks[..., ys[:, None] + cell.y, xs[None, :] + cell.x, :, :]
-        counts = np.bincount(
-            (sites.reshape(n_windows, -1) + offsets).ravel(),
-            minlength=n_windows * RANK_HISTOGRAM_BINS,
-        )
-        pos = k * RANK_HISTOGRAM_BINS
-        out[..., pos : pos + RANK_HISTOGRAM_BINS] = (
-            counts.reshape(stack + grid + (RANK_HISTOGRAM_BINS,)) / (span_w * span_h)
-        )
-    return out
+    gather = _site_gatherer(rank_maps.__getitem__)
+    chunks = []
+    for cell, g in _chunk_layout(model, win_w, win_h):
+        bins = gather(cell, g, ys[:, None], xs[None, :])
+        windows = math.prod(bins.shape[:-2])
+        keys = bins.reshape(windows, -1) + np.arange(windows)[:, None] * RANK_HISTOGRAM_BINS
+        counts = np.bincount(keys.ravel(), minlength=windows * RANK_HISTOGRAM_BINS)
+        hist = counts.reshape(bins.shape[:-2] + (RANK_HISTOGRAM_BINS,))
+        chunks.append(hist / math.prod(bins.shape[-2:]))
+    return np.concatenate(chunks, axis=-1)
 
 
-def _stage_scores(
-    stage: StrongClassifier, xs: np.ndarray, columns: Mapping[int, int] | None = None
-) -> np.ndarray:
+def _stage_scores(stage: StrongClassifier, xs: np.ndarray) -> np.ndarray:
     """Stage score of every feature vector along the last axis of xs.
 
-    `columns` maps a stump's feature index to its column in xs when xs holds
-    only some chunks; by default the column is the feature index. Scores
-    accumulate stump by stump in stage order, so each equals the scalar sum
-    of alpha * output over one window's stumps bit for bit.
+    Scores accumulate stump by stump in stage order, so each equals the
+    scalar sum of alpha * output over one window's stumps bit for bit.
     """
     scores = np.zeros(xs.shape[:-1])
     for stump, alpha in stage.stumps:
-        column = stump.feature_index if columns is None else columns[stump.feature_index]
-        scores += alpha * _stump_predict(stump, xs[..., column])
+        scores += alpha * _stump_predict(stump, xs[..., stump.feature_index])
     return scores
 
 
@@ -482,36 +484,34 @@ def train_cascade(
 
 def _classify_grid(
     model: CascadeModel,
-    ii: IntegralImage,
+    gather: Callable[..., np.ndarray],
     win_w: int,
     win_h: int,
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cascade decisions and last-evaluated-stage scores for a grid of window origins.
+    """Cascade decisions and scores (of the rejecting or last stage) for a grid of window origins.
 
-    Only the geometries and (cell, geometry) chunks some stump reads are computed.
+    Each stage scores only the windows all earlier stages accepted. A stump's value is the
+    count of its chunk's sites holding its bin over the site count, as in window_features.
     """
-    features = {stump.feature_index for stage in model.stages for stump, _ in stage.stumps}
-    chunks = sorted({f // RANK_HISTOGRAM_BINS for f in features})
-    columns = {
-        f: chunks.index(f // RANK_HISTOGRAM_BINS) * RANK_HISTOGRAM_BINS + f % RANK_HISTOGRAM_BINS
-        for f in features
-    }
-    geoms = _scaled_geometries(model, win_w, win_h)
-    rank_maps = {
-        g: model.rank_table.bins[mb_lbp_code_map(ii, g)]
-        for g in {geoms[c % len(geoms)] for c in chunks}
-    }
-    x = window_features(model, rank_maps, win_w, win_h, xs, ys, chunks)
-    alive = np.ones((len(ys), len(xs)), dtype=bool)
-    scores = np.zeros((len(ys), len(xs)))
+    layout = _chunk_layout(model, win_w, win_h)
+    alive = np.arange(len(ys) * len(xs))
+    scores = np.zeros(len(alive))
     for stage in model.stages:
-        scores = _stage_scores(stage, x, columns)
-        alive &= scores >= stage.stage_threshold
-        if not alive.any():
+        wy, wx = ys[alive // len(xs)], xs[alive % len(xs)]
+        stage_scores = np.zeros(len(alive))
+        for stump, alpha in stage.stumps:
+            chunk, b = divmod(stump.feature_index, RANK_HISTOGRAM_BINS)
+            bins = gather(*layout[chunk], wy, wx)
+            values = (bins == b).sum(axis=(-2, -1)) / math.prod(bins.shape[-2:])
+            stage_scores += alpha * _stump_predict(stump, values)
+        scores[alive] = stage_scores
+        alive = alive[stage_scores >= stage.stage_threshold]
+        if not len(alive):
             break
-    return alive, scores
+    accepted = np.bincount(alive, minlength=len(scores)) > 0
+    return accepted.reshape(len(ys), len(xs)), scores.reshape(len(ys), len(xs))
 
 
 def _iou_float(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
@@ -585,6 +585,7 @@ def detect(
     if mcc < 1:
         raise ValueError(f"MCC must be >= 1, got {mcc}")
     ii = integral(frame)
+    gather = _site_gatherer(lambda g: model.rank_table.bins[mb_lbp_code_map(ii, g)])
     hits: list[tuple[Rect, float]] = []
     for scale in scales:
         win_w = round_half_up(model.window_w * scale)
@@ -593,7 +594,7 @@ def detect(
             continue
         xs = np.arange(0, frame.width - win_w + 1, stride)
         ys = np.arange(0, frame.height - win_h + 1, stride)
-        alive, scores = _classify_grid(model, ii, win_w, win_h, xs, ys)
+        alive, scores = _classify_grid(model, gather, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
             hits.append((Rect(int(xs[i]), int(ys[j]), win_w, win_h), float(scores[j, i])))
     return _cluster_hits(hits, mcc)

@@ -528,8 +528,15 @@ def _hard_negatives(scenario, count: int, window_w: int, window_h: int):
     _, pool = synthgen.generate_training_set(
         shifted, 1, count * _HARD_POOL_FACTOR, window_w, window_h
     )
-    textured = [crop for crop in pool if crop.pixels.std() > _HARD_TEXTURE_STD]
-    return textured[:count]
+    pixels = np.stack([crop.pixels for crop in pool])
+    stds = np.concatenate(
+        [pixels[i : i + 1024].std(axis=(1, 2)) for i in range(0, len(pool), 1024)]
+    )
+    textured = np.flatnonzero(stds > _HARD_TEXTURE_STD)[:count]
+    if len(textured) < count:
+        note = f"only {len(textured)} of {count} hard negatives passed the texture filter"
+        print(f"roadcount: warning: {note} (pixel std > {_HARD_TEXTURE_STD:g})", file=sys.stderr)
+    return [pool[i] for i in textured]
 
 
 def train(config: PipelineConfig) -> CascadeModel:

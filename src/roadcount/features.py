@@ -97,9 +97,12 @@ def _codes_from_grid(values: np.ndarray, step_x: int, step_y: int) -> np.ndarray
         raise ValueError("grid too small for a 3x3 footprint")
     center = values[..., step_y : step_y + out_h, step_x : step_x + out_w]
     codes = np.zeros(values.shape[:-2] + (out_h, out_w), dtype=np.uint8)
+    bits = np.empty_like(codes)
     for dx, dy, shift in _NEIGHBORS:
         block = values[..., dy * step_y : dy * step_y + out_h, dx * step_x : dx * step_x + out_w]
-        codes |= (block >= center).astype(np.uint8) << shift
+        np.greater_equal(block, center, out=bits.view(bool))
+        bits <<= shift
+        codes |= bits
     return codes
 
 
@@ -142,8 +145,11 @@ def lbp_code_map(frame: Frame) -> np.ndarray:
 
 
 def mb_lbp_code_map(ii: IntegralImage, g: BlockGeometry) -> np.ndarray:
-    """MB-LBP codes of every valid footprint top-left position in the image(s)."""
-    return _codes_from_grid(ii.block_sums(g.cell_w, g.cell_h), g.cell_w, g.cell_h)
+    """MB-LBP codes of every valid footprint top-left position in the image(s).
+
+    int32 block sums are exact: table differences wrap modulo 2**32, and a block
+    (at most a ninth of a 4096x4096 8-bit image) sums below 2**31."""
+    return _codes_from_grid(ii.block_sums(g.cell_w, g.cell_h, np.int32), g.cell_w, g.cell_h)
 
 
 def lbp_histogram(frame: Frame, region: Rect) -> np.ndarray:

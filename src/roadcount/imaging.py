@@ -134,12 +134,15 @@ class IntegralImage:
         t = self.table
         return int(t[r.bottom, r.right] - t[r.y, r.right] - t[r.bottom, r.x] + t[r.y, r.x])
 
-    def block_sums(self, bw: int, bh: int) -> np.ndarray:
-        """Sums of all bw x bh blocks; entry (..., y, x) covers [x, x+bw) x [y, y+bh)."""
+    def block_sums(self, bw: int, bh: int, dtype=np.int64) -> np.ndarray:
+        """Sums of all bw x bh blocks; entry (..., y, x) covers [x, x+bw) x [y, y+bh).
+        A narrower integer dtype gives the sums modulo its range."""
         if bw < 1 or bh < 1 or bw > self.width or bh > self.height:
             raise ValueError(f"block {bw}x{bh} does not fit {self.width}x{self.height}")
         t = self.table
-        return t[..., bh:, bw:] - t[..., :-bh, bw:] - t[..., bh:, :-bw] + t[..., :-bh, :-bw]
+        sums = np.subtract(t[..., bh:, bw:], t[..., :-bh, bw:], dtype=dtype, casting="unsafe")
+        np.subtract(sums, t[..., bh:, :-bw], out=sums, dtype=dtype, casting="unsafe")
+        return np.add(sums, t[..., :-bh, :-bw], out=sums, dtype=dtype, casting="unsafe")
 
 
 def integral(image: Frame | np.ndarray) -> IntegralImage:
@@ -147,7 +150,10 @@ def integral(image: Frame | np.ndarray) -> IntegralImage:
     pixels = image.pixels if isinstance(image, Frame) else image
     h, w = pixels.shape[-2:]
     table = np.zeros(pixels.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(pixels, axis=-2, dtype=np.int64), axis=-1, out=table[..., 1:, 1:])
+    sums = table[..., 1:, 1:]
+    sums[...] = pixels
+    np.cumsum(sums, axis=-2, out=sums)
+    np.cumsum(sums, axis=-1, out=sums)
     return IntegralImage(table)
 
 

@@ -1,10 +1,12 @@
 """Stump training, AdaBoost stages, cascade calibration and window detection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from roadcount import boostcascade
 from roadcount.boostcascade import (
     CascadeModel,
     Detection,
@@ -18,6 +20,7 @@ from roadcount.boostcascade import (
     _presort,
     _scaled_geometries,
     _shortlist,
+    _site_gatherer,
     _stage_scores,
     _stump_predict,
     calibrate_stage,
@@ -31,12 +34,13 @@ from roadcount.boostcascade import (
 )
 from roadcount.features import (
     RANK_HISTOGRAM_BINS,
+    BlockGeometry,
     RankTable,
     build_rank_table,
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, Rect, integral
+from roadcount.imaging import Frame, Rect, integral, round_half_up
 
 
 def weak_classify(s, x):
@@ -415,12 +419,6 @@ def test_window_features_layout():
                         sites = (cell.w - g.footprint_w + 1) * (cell.h - g.footprint_h + 1)
                         want = mb_lbp_histogram(ii, cell, g, rt) / sites
                         assert np.array_equal(chunks[c * len(geoms) + k], want)
-        # a chunk subset comes back compacted, in the order asked for
-        some = window_features(
-            model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys, [7, 2]
-        )
-        assert np.array_equal(some[..., :64], vecs[..., 7 * 64 : 8 * 64])
-        assert np.array_equal(some[..., 64:], vecs[..., 2 * 64 : 3 * 64])
     assert [(g.cell_w, g.cell_h) for g in _scaled_geometries(model, 27, 36)] == [(2, 2), (3, 4)]
     with pytest.raises(ValueError):
         _oracle_window_features(model, ii, Rect(40, 0, 18, 18))
@@ -483,32 +481,164 @@ def test_train_cascade_validation():
         train_cascade(crops, crops, 3, 0.9, rounds=(2,))
 
 
+def _frame_gatherer(model, ii, requested=None):
+    """Fresh site gatherer of one integral image; `requested` collects the
+    geometries whose rank map it builds."""
+
+    def rank_map(g):
+        if requested is not None:
+            requested.append(g)
+        return model.rank_table.bins[mb_lbp_code_map(ii, g)]
+
+    return _site_gatherer(rank_map)
+
+
+def _quantile_cascade(base, x, stage_features, keep):
+    """Cascade on base's layout over the feature rows x of a window grid.
+
+    Stage s reads stage_features[s]; each stump is thresholded at its
+    feature's median, polarities alternate, and the stage threshold passes
+    the top keep[s] share of the rows every earlier stage passed (ties at
+    the threshold pass).
+    """
+    alive = np.ones(len(x), dtype=bool)
+    stages = []
+    for features, share in zip(stage_features, keep):
+        stumps = tuple(
+            (Stump(f, float(np.median(x[:, f])), 1 - 2 * (k % 2)), 1.0 + k / 4)
+            for k, f in enumerate(features)
+        )
+        scores = _stage_scores(StrongClassifier(stumps), x)
+        passed = np.sort(scores[alive])
+        threshold = float(passed[int(len(passed) * (1 - share))])
+        alive &= scores >= threshold
+        stages.append(StrongClassifier(stumps, stage_threshold=threshold))
+    return replace(base, stages=tuple(stages))
+
+
+def _grid_against_oracle(model, ii, win_w, win_h, xs, ys):
+    """Check _classify_grid against the scalar cascade on every window of the
+    grid; returns the decisions and how many stages the oracle ran per window."""
+    alive, scores = _classify_grid(model, _frame_gatherer(model, ii), win_w, win_h, xs, ys)
+    x = window_features(model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys)
+    evaluated = np.zeros(alive.shape, dtype=int)
+    for j, y in enumerate(ys):
+        for i, x0 in enumerate(xs):
+            window = Rect(int(x0), int(y), win_w, win_h)
+            accepted, score, evaluated[j, i] = _oracle_classify(model, ii, window)
+            assert accepted == bool(alive[j, i])
+            # the score of the rejecting (or last) stage, same float arithmetic
+            assert score == scores[j, i]
+            oracle_x = _oracle_window_features(model, ii, window)
+            for stage in model.stages:
+                assert _stage_scores(stage, x[j, i]) == strong_classify(stage, oracle_x)[0]
+    return alive, evaluated
+
+
 def test_grid_evaluation_matches_scalar_classifier():
     rng = np.random.default_rng(89)
     positives = _block_crops(rng, 20, 18, 18)
     negatives = _noise_crops(rng, 20, 18, 18, lo=0, hi=90)
-    model = train_cascade(positives, negatives, stages=2, mhr=0.95, geometries=(1, 2))
+    trained = train_cascade(positives, negatives, stages=2, mhr=0.95, geometries=(1, 2))
     frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
     frame.pixels[5:23, 7:25] = positives[0].pixels
     ii = integral(frame)
-    # the canonical window and a scaled one whose geometries differ
-    for win_w, win_h in ((18, 18), (24, 21)):
-        xs = np.arange(0, frame.width - win_w + 1, 3)
-        ys = np.arange(0, frame.height - win_h + 1, 3)
-        alive, scores = _classify_grid(model, ii, win_w, win_h, xs, ys)
-        x = window_features(model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys)
-        for j, y in enumerate(ys):
-            for i, x0 in enumerate(xs):
-                window = Rect(int(x0), int(y), win_w, win_h)
-                accepted, score, _ = _oracle_classify(model, ii, window)
-                assert accepted == bool(alive[j, i])
-                if accepted:
-                    assert score == scores[j, i]  # identical float arithmetic
-                oracle_x = _oracle_window_features(model, ii, window)
-                for stage in model.stages:
-                    grid_score = _stage_scores(stage, x[j, i])
-                    assert grid_score == strong_classify(stage, oracle_x)[0]
+    xs = np.arange(0, frame.width - 18 + 1, 3)
+    ys = np.arange(0, frame.height - 18 + 1, 3)
+    x = window_features(trained, _rank_maps(trained, ii, 18, 18), 18, 18, xs, ys)
+    x = x.reshape(-1, trained.feature_count)
+    varied = [f for f in range(trained.feature_count) if len(np.unique(x[:, f])) >= 4]
+    by_chunk = {}
+    for f in varied:
+        by_chunk.setdefault(f // RANK_HISTOGRAM_BINS, []).append(f)
+    shared = max(by_chunk.values(), key=len)[:3]
+    others = [f for f in varied if f // RANK_HISTOGRAM_BINS != shared[0] // RANK_HISTOGRAM_BINS]
+    others = others[:: len(others) // 7][:7]
+    assert len(shared) == 3 and len({f % 2 for f in others}) == 2  # both geometries read
+    # three stages that reject most windows early; the chunk of shared[0]
+    # feeds stumps in every stage, shared[0] itself in two
+    staged = _quantile_cascade(
+        trained,
+        x,
+        [
+            (shared[0], others[0], others[1]),
+            (shared[0], shared[1], others[2], others[3]),
+            (shared[2], shared[1], others[4], others[5], others[6]),
+        ],
+        keep=(0.25, 0.5, 0.5),
+    )
+    # every stump of every stage reads that one chunk
+    one_chunk = _quantile_cascade(
+        trained, x, [(shared[0],), (shared[1], shared[0]), (shared[2], shared[0])], (0.5, 0.5, 0.5)
+    )
+    for model in (trained, staged, one_chunk):
+        alive, evaluated = _grid_against_oracle(model, ii, 18, 18, xs, ys)
         assert alive.any()
+        if model is staged:
+            assert np.mean(evaluated == 1) >= 0.7 and np.mean(evaluated == 2) >= 0.1
+            assert (~alive & (evaluated == 3)).any()
+        # a scaled window whose geometries differ
+        _grid_against_oracle(model, ii, 24, 21, np.arange(0, 29, 3), np.arange(0, 20, 3))
+
+
+def test_grid_evaluation_stage_one_rejects_every_window():
+    rng = np.random.default_rng(91)
+    frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
+    ii = integral(frame)
+    rt = build_rank_table([mb_lbp_code_map(ii, BlockGeometry(1, 1))])
+    # stage 1 reads geometry 1 only and needs more than its stumps can score;
+    # stage 2 reads geometry 2 only
+    stages = (
+        StrongClassifier(
+            ((Stump(5, 0.1, 1), 1.0), (Stump(2 * 64 + 6, 0.2, -1), 0.5)), stage_threshold=2.0
+        ),
+        StrongClassifier(((Stump(3 * 64 + 1, 0.1, 1), 1.0),) * 2, stage_threshold=-5.0),
+    )
+    model = CascadeModel(stages, 18, 18, rt, geometries=(1, 2))
+    xs = np.arange(0, 35, 2)
+    ys = np.arange(0, 23, 2)
+    requested = []
+    alive, scores = _classify_grid(model, _frame_gatherer(model, ii, requested), 18, 18, xs, ys)
+    assert not alive.any()
+    assert requested == [BlockGeometry(1, 1)]  # stage 2's rank map is never built
+    for j, y in enumerate(ys):
+        for i, x0 in enumerate(xs):
+            accepted, score, evaluated = _oracle_classify(model, ii, Rect(int(x0), int(y), 18, 18))
+            assert not accepted and evaluated == 1 and score == scores[j, i]
+    assert detect(model, frame, scales=(1.0, 1.5), stride=2) == []
+
+
+def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
+    rng = np.random.default_rng(97)
+    positives = _block_crops(rng, 30, 18, 18)
+    negatives = _noise_crops(rng, 30, 18, 18, lo=0, hi=90)
+    model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
+    frame = Frame(rng.integers(0, 90, (64, 80)).astype(np.uint8))
+    frame.pixels[12:30, 20:38] = positives[5].pixels
+    # a pattern upscaled to the 29x29 window of scale 1.6
+    near = np.arange(29) * 18 // 29
+    frame.pixels[30:59, 44:73] = positives[7].pixels[near][:, near]
+    scales = (1.0, 1.25, 1.6)
+    built = []
+    code_map = boostcascade.mb_lbp_code_map
+    monkeypatch.setattr(
+        boostcascade, "mb_lbp_code_map", lambda ii, g: built.append(g) or code_map(ii, g)
+    )
+    got = detect(model, frame, scales=scales, stride=2, mcc=1)
+    hits, per_scale = [], []
+    for scale in scales:
+        win = round_half_up(18 * scale)
+        xs = np.arange(0, frame.width - win + 1, 2)
+        ys = np.arange(0, frame.height - win + 1, 2)
+        gather = _frame_gatherer(model, integral(frame), per_scale)
+        alive, scores = _classify_grid(model, gather, win, win, xs, ys)
+        hits += [(Rect(int(xs[i]), int(ys[j]), win, win), float(scores[j, i]))
+                 for j, i in np.argwhere(alive)]
+    assert len({rect.w for rect, _ in hits}) >= 2
+    assert got == _cluster_hits(hits, 1)
+    # scales 1.0 and 1.25 scale to the same geometries: detect builds each
+    # rank map once per frame, where per-scale evaluation builds it twice
+    assert len(built) == len(set(built)) < len(per_scale) and set(built) == set(per_scale)
 
 
 def test_cluster_hits_running_mean_and_mcc():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from roadcount import cli
+from roadcount import cli, synthgen
 from roadcount.cli import PipelineConfig, UsageError
 from roadcount.counting import result_line
 
@@ -474,3 +474,24 @@ def test_count_rejects_odd_sized_frame(tmp_path, small_cascade, capsys, detector
     assert captured.err == (
         f"roadcount: data error: frame {odd} is 62x48, the scene's first frame is 64x48\n"
     )
+
+
+def test_hard_negatives_texture_filter(ten_vehicle_scenario, capsys, monkeypatch):
+    # oracle: the same jittered pool, filtered crop by crop
+    shifted = replace(ten_vehicle_scenario, jitter_amplitude=30 - cli._HARD_JITTER_MARGIN)
+    _, pool = synthgen.generate_training_set(shifted, 1, 100 * cli._HARD_POOL_FACTOR, 30, 30)
+
+    def textured(min_std):
+        return [crop for crop in pool if crop.pixels.std() > min_std]
+
+    # fewer crops pass than asked for: all of them are kept, and one line says so
+    assert 10 < len(textured(cli._HARD_TEXTURE_STD)) < 100
+    assert cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30) == textured(12.0)
+    assert capsys.readouterr().err == (
+        f"roadcount: warning: only {len(textured(12.0))} of 100 hard negatives passed "
+        "the texture filter (pixel std > 12)\n"
+    )
+    monkeypatch.setattr(cli, "_HARD_TEXTURE_STD", 6.0)
+    assert 100 < len(textured(6.0)) < len(pool)
+    assert cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30) == textured(6.0)[:100]
+    assert capsys.readouterr().err == ""

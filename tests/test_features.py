@@ -20,7 +20,7 @@ from roadcount.features import (
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, Rect, integral
+from roadcount.imaging import Frame, IntegralImage, Rect, integral
 
 
 def _uniform_oracle(code: int) -> bool:
@@ -147,6 +147,27 @@ def test_mb_lbp_code_map_matches_pointwise():
         maps = mb_lbp_code_map(stacked, g)
         for k in range(3):
             assert np.array_equal(maps[k], mb_lbp_code_map(integral(Frame(stack[k])), g))
+
+
+def test_mb_lbp_code_map_exact_on_offset_table():
+    # adding f(row) + g(col) to an integral table leaves every block sum
+    # unchanged; with entries past 2**40 that wrap differently modulo 2**32,
+    # the int32 block sums must still give the exact codes
+    rng = np.random.default_rng(37)
+    # bright 12x12 and 13x11 blocks sum past 2**15, so narrower sums would wrap
+    for lo, geometries in ((0, [(1, 1), (2, 1), (3, 3)]), (200, [(12, 12), (13, 11)])):
+        frame = Frame(rng.integers(lo, 256, (40, 45)).astype(np.uint8))
+        ii = integral(frame)
+        rows = np.arange(41)[:, None] * 3**25
+        cols = np.arange(46)[None, :] * 7**15
+        offset = IntegralImage(ii.table + 2**40 + rows + cols)
+        assert offset.table.min() >= 2**40
+        for g in (BlockGeometry(w, h) for w, h in geometries):
+            want = mb_lbp_code_map(ii, g)
+            assert np.array_equal(mb_lbp_code_map(offset, g), want)
+            for y in range(want.shape[0]):
+                for x in range(want.shape[1]):
+                    assert want[y, x] == mb_lbp_code(offset, x, y, g)
 
 
 def test_lbp_histogram_constant_region():

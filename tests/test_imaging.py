@@ -123,6 +123,11 @@ def test_block_sums_matches_rect_sum():
     for bw, bh in [(1, 1), (2, 3), (4, 2), (12, 9)]:
         sums = ii.block_sums(bw, bh)
         assert sums.shape == (9 - bh + 1, 12 - bw + 1)
+        assert sums.dtype == np.int64
+        narrow = ii.block_sums(bw, bh, np.int32)
+        assert narrow.dtype == np.int32 and np.array_equal(narrow, sums)
+        # in int8 the sums come out modulo 2**8
+        assert np.array_equal(ii.block_sums(bw, bh, np.int8).view(np.uint8), sums % 256)
         for y in range(sums.shape[0]):
             for x in range(sums.shape[1]):
                 assert sums[y, x] == ii.rect_sum(Rect(x, y, bw, bh))
