@@ -2,6 +2,10 @@
 
 Subcommands: synth, train, detect, track, count, sweep, bench, eval. Each
 reads one flat `key = value` config file plus `--key value` overrides.
+detect, track, count, sweep and bench are loops over one decode -> detect
+-> track pass per scene, which yields a record per frame; the pass reads
+`_PASS_KEYS` plus its detector's `_DETECTOR_KEYS`, and counting its
+finished tracks reads `_COUNT_KEYS`.
 Exit codes: 0 success, 1 usage error (bad flags, bad config keys/values),
 2 input/data error (missing or malformed scene, model, or image files).
 """
@@ -9,11 +13,13 @@ Exit codes: 0 success, 1 usage error (bad flags, bad config keys/values),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,23 @@ class UsageError(Exception):
     """Bad command line or configuration (exit code 1)."""
 
 
+# Which part of the program reads each config field. A pass reads
+# _PASS_KEYS and its own detector's keys; counting and scoring a pass's
+# finished tracks read _COUNT_KEYS. Training and `count`'s events file read
+# the rest.
+_PASS_KEYS = (
+    "scene", "detector", "tracker", "resolution_factor", "frame_dt", "gate_fraction", "max_misses",
+)
+_DETECTOR_KEYS = {
+    "bgsub": ("th", "learning_rate", "open_radius", "min_area"),
+    "feature": ("model", "scales", "stride", "mcc"),
+}
+_COUNT_KEYS = frozenset({
+    "tfc", "phi_min", "phi_max", "distance_fraction", "require_marker_overlap",
+    "markers", "match_tol",
+})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every knob of the pipeline; all fields have defaults and flat-text form."""
@@ -67,7 +90,6 @@ class PipelineConfig:
     scales: tuple[float, ...] = (1.0,)
     stride: int = 7
     markers: str = "auto"
-    seed: int = 0
     frame_dt: float = 1.0
     learning_rate: float = 0.05
     open_radius: int = 1
@@ -87,8 +109,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Reject every value a pipeline stage would fail on or silently misuse."""
-        if self.detector not in ("bgsub", "feature"):
-            raise ValueError(f"detector must be 'bgsub' or 'feature', got {self.detector!r}")
+        if self.detector not in _DETECTOR_KEYS:
+            names = " or ".join(map(repr, _DETECTOR_KEYS))
+            raise ValueError(f"detector must be {names}, got {self.detector!r}")
         if self.tracker not in ("ekf", "none"):
             raise ValueError(f"tracker must be 'ekf' or 'none', got {self.tracker!r}")
         for f in fields(self):
@@ -185,19 +208,7 @@ def config_to_text(config: PipelineConfig) -> str:
     )
 
 
-def config_from_values(values: dict[str, str]) -> PipelineConfig:
-    defaults = {f.name: f.default for f in fields(PipelineConfig)}
-    unknown = set(values) - set(defaults)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {
-        key: _coerce(key, defaults[key], raw)
-        for key, raw in values.items()
-    }
-    try:
-        return PipelineConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 
 def config_from_text(text: str) -> PipelineConfig:
@@ -205,16 +216,15 @@ def config_from_text(text: str) -> PipelineConfig:
         values = synthgen.parse_flat_config(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config_from_values(values)
+    return apply_overrides(PipelineConfig(), values)
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:
-    defaults = {f.name: f.default for f in fields(PipelineConfig)}
-    unknown = set(overrides) - set(defaults)
+    unknown = set(overrides) - set(_FIELD_DEFAULTS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     changes = {
-        key: _coerce(key, defaults[key], raw)
+        key: _coerce(key, _FIELD_DEFAULTS[key], raw)
         for key, raw in overrides.items()
     }
     try:
@@ -292,32 +302,61 @@ def _load_cascade(config: PipelineConfig) -> CascadeModel:
         raise DataError(f"malformed model file {config.model}: {exc}") from exc
 
 
-# Config fields read only when a pass's finished tracks are counted and
-# scored; every other field is read by the pass itself.
-_COUNT_KEYS = frozenset({
-    "tfc", "phi_min", "phi_max", "distance_fraction", "require_marker_overlap",
-    "markers", "match_tol",
-})
-# Fields that neither a pass nor counting reads: the training keys, the unused
-# seed and the events file `count` writes.
-_SWEEP_INERT_KEYS = frozenset({
-    "seed", "mhr", "stages", "window_w", "window_h", "train_pos", "train_neg",
-    "train_hard", "events_out",
-})
-
-
 def _pass_key(config: PipelineConfig) -> tuple:
     """The fields a pass reads; configs with equal keys make identical passes."""
-    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in _COUNT_KEYS)
+    return tuple(getattr(config, k) for k in _PASS_KEYS + _DETECTOR_KEYS[config.detector])
+
+
+def _detector(
+    config: PipelineConfig, width: int, height: int
+) -> Callable[[Frame], list[tuple[Rect, float]]]:
+    """The pass's detector, as a function from a frame to its [(rect, score)].
+
+    bgsub owns a background model that every call updates; feature loads
+    the cascade here, so a bad model fails before the scene is decoded.
+    """
+    if config.detector == "feature":
+        cascade = _load_cascade(config)
+
+        def detect_vehicles(frame: Frame) -> list[tuple[Rect, float]]:
+            found = detect(cascade, frame, scales=config.scales, stride=config.stride, mcc=config.mcc)
+            return [(d.rect, d.score) for d in found]
+
+        return detect_vehicles
+    background = bgsub.BackgroundModel(width, height, config.learning_rate)
+
+    def detect_foreground(frame: Frame) -> list[tuple[Rect, float]]:
+        if background.initialized:
+            mask = bgsub.subtract(background, frame, config.th)
+            mask = bgsub.morphological_open(mask, config.open_radius)
+            blobs = bgsub.extract_blobs(mask, config.min_area)
+        else:
+            blobs = []
+        bgsub.update_background(background, frame)
+        return [(rect, 0.0) for rect in blobs]
+
+    return detect_foreground
+
+
+class _FrameRecord(NamedTuple):
+    """What one frame of a pass produced, with the seconds each step took."""
+
+    index: int
+    detections: list[tuple[Rect, float]]
+    live: list[Track]
+    finished: list[Track]
+    detect_s: float
+    track_s: float
 
 
 class _Pass:
-    """One decode -> detect -> track pass over a scene directory.
+    """One single-use decode -> detect -> track pass over a scene directory.
 
-    Construction lists the frames, decodes the first one for the frame size
-    and loads the cascade, so set-up errors surface before the scene is
-    decoded. `run` returns the finished tracks in finish order, for
-    `count_tracks` to count.
+    Construction lists the frames, decodes the first one for the frame size,
+    builds the detector (loading the cascade) and the tracker, so set-up
+    errors surface before the scene is decoded. `frames` yields one
+    record per frame; `tracker.flush()` then returns the tracks still
+    live after the last one.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -328,62 +367,28 @@ class _Pass:
         first = _load_frame(self.paths[0], config.resolution_factor)
         self.width = first.width
         self.height = first.height
-        self.cascade = _load_cascade(config) if config.detector == "feature" else None
-        self.times: dict[str, list[float]] = {"detect": [], "track": []}
-        self.finished_per_frame: list[int] = []
-
-    def _detect(self, frame: Frame, background: bgsub.BackgroundModel) -> list[tuple[Rect, float]]:
-        if self.cascade is not None:
-            found = detect(
-                self.cascade, frame,
-                scales=self.config.scales, stride=self.config.stride, mcc=self.config.mcc,
-            )
-            return [(d.rect, d.score) for d in found]
-        if background.initialized:
-            mask = bgsub.subtract(background, frame, self.config.th)
-            mask = bgsub.morphological_open(mask, self.config.open_radius)
-            blobs = bgsub.extract_blobs(mask, self.config.min_area)
-        else:
-            blobs = []
-        bgsub.update_background(background, frame)
-        return [(rect, 0.0) for rect in blobs]
-
-    def run(self, limit: int | None = None, on_detections=None, on_tracks=None) -> list[Track]:
-        """Process the first `limit` frames (all by default); returns the finished tracks.
-
-        Tracks still live after the last frame are flushed and come last.
-        `times` and `finished_per_frame` record each frame's share.
-        """
-        config = self.config
-        background = bgsub.BackgroundModel(self.width, self.height, config.learning_rate)
-        tracker = Tracker(
+        self.detect = _detector(config, self.width, self.height)
+        self.tracker = Tracker(
             kind=config.tracker,
             gate=config.gate_fraction * max(self.width, self.height),
             max_misses=config.max_misses,
         )
-        finished: list[Track] = []
-        paths = self.paths if limit is None else self.paths[:limit]
-        for frame_idx, path in enumerate(paths):
-            frame = _load_frame(path, config.resolution_factor)
+
+    def frames(self, limit: int | None = None) -> Iterator[_FrameRecord]:
+        """Decode, detect and track the first `limit` frames (all by default)."""
+        for index, path in enumerate(self.paths[:limit]):
+            frame = _load_frame(path, self.config.resolution_factor)
             if (frame.width, frame.height) != (self.width, self.height):
                 raise DataError(
                     f"frame {path} is {frame.width}x{frame.height}, "
                     f"the scene's first frame is {self.width}x{self.height}"
                 )
             t0 = time.perf_counter()
-            detections = self._detect(frame, background)
+            detections = self.detect(frame)
             t1 = time.perf_counter()
-            live, done = tracker.step([r for r, _ in detections], config.frame_dt)
+            live, finished = self.tracker.step([r for r, _ in detections], self.config.frame_dt)
             t2 = time.perf_counter()
-            self.times["detect"].append(t1 - t0)
-            self.times["track"].append(t2 - t1)
-            self.finished_per_frame.append(len(done))
-            finished += done
-            if on_detections is not None:
-                on_detections(frame_idx, detections)
-            if on_tracks is not None:
-                on_tracks(frame_idx, live)
-        return finished + tracker.flush()
+            yield _FrameRecord(index, detections, live, finished, t1 - t0, t2 - t1)
 
 
 def _policy(config: PipelineConfig) -> CountingPolicy:
@@ -433,18 +438,17 @@ def _timed_run(config: PipelineConfig, limit: int | None = None):
     """
     run = _Pass(config)
     markers = _resolve_markers(config, config.scene, run.width, run.height)
-    finished = run.run(limit)
     policy = _policy(config)
     counted: list[tuple[int, int]] = []
-    count_times = []
-    start = 0
-    for n in run.finished_per_frame:
+    times: dict[str, list[float]] = {"detect": [], "track": [], "count": []}
+    for record in run.frames(limit):
         t0 = time.perf_counter()
-        counted += count_tracks(finished[start:start + n], policy, markers, run.width, run.height)
-        count_times.append(time.perf_counter() - t0)
-        start += n
-    counted += count_tracks(finished[start:], policy, markers, run.width, run.height)
-    return counted, len(markers.markers), {**run.times, "count": count_times}
+        counted += count_tracks(record.finished, policy, markers, run.width, run.height)
+        times["count"].append(time.perf_counter() - t0)
+        times["detect"].append(record.detect_s)
+        times["track"].append(record.track_s)
+    counted += count_tracks(run.tracker.flush(), policy, markers, run.width, run.height)
+    return counted, len(markers.markers), times
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[CountingReport, list[BenchRecord]]:
@@ -468,10 +472,11 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
 
     Keys are ordered alphabetically, values in the order given, and the
     product iterates with the rightmost key fastest, so rows come out in
-    lexicographic parameter order. Every point is validated and every pass
-    set up before any frame past a pass's first is decoded. Points that
-    differ only in _COUNT_KEYS share one pass and are counted from its
-    finished tracks.
+    lexicographic parameter order. A key that no point's pass, detector or
+    count reads is rejected. Every point is validated and every pass set up
+    before any frame past a pass's first is decoded. Points whose pass keys
+    (`_pass_key`) are equal share one pass and are counted from its finished
+    tracks.
     """
     if not grid:
         raise UsageError("sweep needs a nonempty grid")
@@ -479,8 +484,11 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
     for key, values in grid.items():
         if not values:
             raise UsageError(f"sweep grid for {key} is empty")
+    detectors = [apply_overrides(config, {"detector": d}).detector
+                 for d in grid.get("detector", [config.detector])]
+    read = _COUNT_KEYS.union(_PASS_KEYS, *(_DETECTOR_KEYS[d] for d in detectors))
     for key in keys:
-        if key in _SWEEP_INERT_KEYS:
+        if key in _FIELD_DEFAULTS and key not in read:
             raise UsageError(f"sweep key {key} does not affect counting")
     combos = list(itertools.product(*(grid[k] for k in keys)))
     points = [apply_overrides(config, dict(zip(keys, combo))) for combo in combos]
@@ -495,7 +503,8 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
         markers.append(_resolve_markers(point, point.scene, run.width, run.height))
     reports: list[CountingReport | None] = [None] * len(points)
     for run, members in passes.values():
-        finished = run.run()
+        finished = [track for record in run.frames() for track in record.finished]
+        finished += run.tracker.flush()
         for i in members:
             counted = count_tracks(finished, _policy(points[i]), markers[i], run.width, run.height)
             reports[i] = _score(points[i], counted, len(markers[i].markers))
@@ -637,36 +646,25 @@ def _cmd_train(args, overrides: dict[str, str]) -> int:
 
 
 def _open_out(path: str | None):
-    return open(path, "w", encoding="ascii") if path else None
+    """The --out file, or stdout when none is given, for a `with` block."""
+    return open(path, "w", encoding="ascii") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_detect(args, overrides: dict[str, str]) -> int:
-    config = _load_config(args, overrides)
-    out = _open_out(args.out)
-    sink = out or sys.stdout
-
-    def emit(frame_idx, detections):
-        for rect, score in detections:
-            sink.write(f"{frame_idx} {rect.x} {rect.y} {rect.w} {rect.h} {score:.6g}\n")
-
-    _Pass(config).run(on_detections=emit)
-    if out:
-        out.close()
+    run = _Pass(_load_config(args, overrides))
+    with _open_out(args.out) as out:
+        for record in run.frames():
+            for rect, score in record.detections:
+                out.write(f"{record.index} {rect.x} {rect.y} {rect.w} {rect.h} {score:.6g}\n")
     return 0
 
 
 def _cmd_track(args, overrides: dict[str, str]) -> int:
-    config = _load_config(args, overrides)
-    out = _open_out(args.out)
-    sink = out or sys.stdout
-
-    def emit(frame_idx, live):
-        for track in live:
-            sink.write(track_log_line(frame_idx, track) + "\n")
-
-    _Pass(config).run(on_tracks=emit)
-    if out:
-        out.close()
+    run = _Pass(_load_config(args, overrides))
+    with _open_out(args.out) as out:
+        for record in run.frames():
+            for track in record.live:
+                out.write(track_log_line(record.index, track) + "\n")
     return 0
 
 

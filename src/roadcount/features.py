@@ -139,11 +139,6 @@ def mb_lbp_code(ii: IntegralImage, x: int, y: int, g: BlockGeometry) -> int:
     return code
 
 
-def lbp_code_map(frame: Frame) -> np.ndarray:
-    """LBP codes of every interior pixel; entry (j, i) is the code at (i+1, j+1)."""
-    return _codes_from_grid(frame.pixels, 1, 1)
-
-
 def mb_lbp_code_map(ii: IntegralImage, g: BlockGeometry) -> np.ndarray:
     """MB-LBP codes of every valid footprint top-left position in the image(s).
 
@@ -184,9 +179,6 @@ class RankTable:
         if bins.min() < 0 or bins.max() > RANK_OVERFLOW_BIN:
             raise ValueError("rank table bins must lie in [0, 63]")
         self.bins = bins.astype(np.uint8)
-
-    def bin_of(self, code: int) -> int:
-        return int(self.bins[code])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankTable):

@@ -65,12 +65,6 @@ class Rect:
         """Positive-area overlap; touching edges do not count."""
         return self.intersection_area(other) > 0
 
-    def iou(self, other: "Rect") -> float:
-        inter = self.intersection_area(other)
-        if inter == 0:
-            return 0.0
-        return inter / (self.area + other.area - inter)
-
 
 class Frame:
     """8-bit grayscale raster, pixels stored row-major as a (h, w) uint8 array."""

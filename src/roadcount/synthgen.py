@@ -444,15 +444,3 @@ def load_gt_events(directory: str | os.PathLike) -> list[tuple[int, int, int]]:
             frame_idx, vid, marker = (int(p) for p in line.split())
             events.append((frame_idx, vid, marker))
     return events
-
-
-def load_gt_boxes(directory: str | os.PathLike) -> list[tuple[int, int, Rect]]:
-    boxes = []
-    with open(os.path.join(directory, "gt_boxes.txt"), "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            frame_idx, vid, x, y, w, h = (int(p) for p in line.split())
-            boxes.append((frame_idx, vid, Rect(x, y, w, h)))
-    return boxes

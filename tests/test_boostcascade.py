@@ -667,7 +667,12 @@ def test_detect_finds_planted_pattern():
     planted = Rect(20, 12, 18, 18)
     frame.pixels[12:30, 20:38] = positives[5].pixels
     detections = detect(model, frame, scales=(1.0,), stride=2, mcc=2)
-    assert any(d.rect.iou(planted) > 0.4 for d in detections)
+
+    def iou(a: Rect, b: Rect) -> float:
+        inter = a.intersection_area(b)
+        return inter / (a.area + b.area - inter)
+
+    assert any(iou(d.rect, planted) > 0.4 for d in detections)
     with pytest.raises(ValueError):
         detect(model, frame, stride=0)
     with pytest.raises(ValueError):

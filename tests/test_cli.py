@@ -2,7 +2,7 @@
 
 import itertools
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -95,8 +95,9 @@ def test_apply_overrides_rejects_bad_values():
 
 
 def test_config_from_text_rejects_malformed_input():
-    with pytest.raises(UsageError, match="unknown config keys"):
-        cli.config_from_text("not_a_key = 3\n")
+    for text in ("not_a_key = 3\n", "seed = 0\n"):
+        with pytest.raises(UsageError, match="unknown config keys"):
+            cli.config_from_text(text)
     with pytest.raises(UsageError):
         cli.config_from_text("just some words\n")
 
@@ -246,26 +247,34 @@ def test_sweep_validation(ten_vehicle_scene):
         cli.sweep(config, {})
     with pytest.raises(UsageError, match="empty"):
         cli.sweep(config, {"th": []})
-    with pytest.raises(UsageError, match="unknown config keys"):
-        cli.sweep(config, {"threshold": ["1"]})
-    for key in ("seed", "mhr", "stages", "window_w", "window_h",
+    for key in ("threshold", "seed"):
+        with pytest.raises(UsageError, match="unknown config keys"):
+            cli.sweep(config, {key: ["1"]})
+    for key in ("mhr", "stages", "window_w", "window_h",
                 "train_pos", "train_neg", "train_hard", "events_out"):
         with pytest.raises(UsageError, match=f"^sweep key {key} does not affect counting$"):
             cli.sweep(config, {"th": ["8", "10"], key: ["1", "2"]})
 
 
-def test_sweep_rejects_last_point_before_decoding(ten_vehicle_scene, monkeypatch, capsys):
+def test_sweep_rejects_last_point_before_decoding(
+    ten_vehicle_scene, small_cascade, monkeypatch, capsys
+):
     decoded = []
     load_pgm = cli.load_pgm
     monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
-    rc = cli.main([
-        "sweep", "--scene", ten_vehicle_scene, "--grid", "th=8,10", "--grid", "tfc=4,-1",
-    ])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "roadcount: error: tfc must be >= 0, got -1\n"
-    assert decoded == []
+    for args, message in (
+        (["--grid", "th=8,10", "--grid", "tfc=4,-1"], "tfc must be >= 0, got -1"),
+        # a detector key that no point's detector reads
+        (["--detector", "feature", "--model", small_cascade, "--grid", "th=8,10"],
+         "sweep key th does not affect counting"),
+        (["--grid", "stride=4,7"], "sweep key stride does not affect counting"),
+    ):
+        rc = cli.main(["sweep", "--scene", ten_vehicle_scene] + args)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"roadcount: error: {message}\n"
+        assert decoded == []
 
 
 def test_sweep_reuses_detect_track_pass(ten_vehicle_scene, monkeypatch):
@@ -302,6 +311,66 @@ def test_sweep_reuses_detect_track_pass(ten_vehicle_scene, monkeypatch):
             a[j] != b[j] and a[:j] + a[j + 1:4] == b[:j] + b[j + 1:4] and a[4:] != b[4:]
             for a, b in itertools.combinations(rows, 2)
         ), header[j]
+
+
+def test_sweep_shares_passes_per_detector(ten_vehicle_scene, small_cascade, monkeypatch):
+    config = PipelineConfig(scene=ten_vehicle_scene, model=small_cascade)
+    grid = {"detector": ["bgsub", "feature"], "th": ["8", "10"]}
+    expected = []
+    for detector, th in itertools.product(grid["detector"], grid["th"]):
+        report, _ = cli.run_pipeline(replace(config, detector=detector, th=float(th)))
+        expected.append([detector, th] + result_line(report).split()[1:6])
+
+    trackers = []
+
+    class CountedTracker(cli.Tracker):
+        def __init__(self, *args, **kwargs):
+            trackers.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Tracker", CountedTracker)
+    header, rows = cli.sweep(config, grid)
+    assert [row[:2] + [f"{k}={v}" for k, v in zip(header[2:], row[2:])] for row in rows] == expected
+    assert len(trackers) == 3  # th is a bgsub key: both feature points share one pass
+
+
+# A valid value other than the default for every field but scene and detector.
+# Each one changes a pass's frame records when the pass reads its field.
+_OTHER_VALUES = {
+    "model": "elsewhere.txt", "events_out": "events.txt", "tracker": "none",
+    "resolution_factor": 3, "th": 14.0, "tfc": 30, "mhr": 0.9, "stages": 2, "mcc": 3,
+    "scales": (1.0, 1.25), "stride": 4, "markers": "not parsed by a pass", "frame_dt": 0.5,
+    "learning_rate": 0.2, "open_radius": 2, "min_area": 1000, "gate_fraction": 0.01,
+    "max_misses": 0, "match_tol": 3, "distance_fraction": 0.5, "require_marker_overlap": True,
+    "phi_min": 1.0, "phi_max": 2.0, "window_w": 24, "window_h": 24, "train_pos": 5,
+    "train_neg": 5, "train_hard": 5,
+}
+
+
+def _frame_records(config: PipelineConfig, limit: int) -> list[tuple]:
+    def state(track):
+        return {**vars(track), "covariance": track.covariance.tobytes()}
+
+    return [
+        (r.index, r.detections, [state(t) for t in r.live], [state(t) for t in r.finished])
+        for r in cli._Pass(config).frames(limit)
+    ]
+
+
+@pytest.mark.parametrize("detector", ["bgsub", "feature"])
+def test_pass_reads_only_its_keys(ten_vehicle_scene, small_cascade, detector):
+    assert set(_OTHER_VALUES) == {f.name for f in fields(PipelineConfig)} - {"scene", "detector"}
+    base = PipelineConfig(scene=ten_vehicle_scene, detector=detector, model=small_cascade)
+    read = cli._PASS_KEYS + cli._DETECTOR_KEYS[detector]
+    limit = 100  # vehicles enter at frame 60
+    want = _frame_records(base, limit)
+    assert any(finished for *_, finished in want)
+    unread = {k: v for k, v in _OTHER_VALUES.items() if k not in read}
+    assert _frame_records(replace(base, **unread), limit) == want
+    for key in read:
+        # another model would need a second trained cascade
+        if key in _OTHER_VALUES and key != "model":
+            assert _frame_records(replace(base, **{key: _OTHER_VALUES[key]}), limit) != want, key
 
 
 def test_bench_records(ten_vehicle_scene):
@@ -356,6 +425,15 @@ def test_eval_error_paths(ten_vehicle_scene, tmp_path, capsys):
     good.write_text("12 0\n", encoding="ascii")
     assert cli.main(["eval", "--events", str(good)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["detect", "track"])
+def test_out_file_left_alone_on_setup_error(tmp_path, capsys, command):
+    out_path = tmp_path / "out.txt"
+    rc = cli.main([command, "--scene", str(tmp_path / "missing"), "--out", str(out_path)])
+    assert rc == 2
+    assert not out_path.exists()
+    assert capsys.readouterr().err.startswith("roadcount: data error: ")
 
 
 def test_synth_command_writes_scene(tmp_path, capsys):

@@ -14,7 +14,6 @@ from roadcount.features import (
     build_rank_table,
     is_uniform,
     lbp_code,
-    lbp_code_map,
     lbp_histogram,
     mb_lbp_code,
     mb_lbp_code_map,
@@ -91,7 +90,11 @@ def test_mb_lbp_unit_blocks_reduce_to_lbp():
         x = int(rng.integers(0, frame.width - 2))
         y = int(rng.integers(0, frame.height - 2))
         assert mb_lbp_code(ii, x, y, g) == lbp_code(frame, x + 1, y + 1)
-    assert np.array_equal(mb_lbp_code_map(ii, g), lbp_code_map(frame))
+    code_map = mb_lbp_code_map(ii, g)
+    assert code_map.shape == (frame.height - 2, frame.width - 2)
+    for j in range(frame.height - 2):
+        for i in range(frame.width - 2):
+            assert code_map[j, i] == lbp_code(frame, i + 1, j + 1)
 
 
 def _naive_mb_lbp(pixels: np.ndarray, x: int, y: int, g: BlockGeometry) -> int:
@@ -212,18 +215,18 @@ def test_lbp_histogram_region_errors():
 
 def test_rank_table_two_codes():
     rt = build_rank_table([np.array([5] * 100 + [9] * 50)])
-    assert rt.bin_of(5) == 0
-    assert rt.bin_of(9) == 1
+    assert rt.bins[5] == 0
+    assert rt.bins[9] == 1
     for code in range(256):
         if code not in (5, 9):
-            assert rt.bin_of(code) == RANK_OVERFLOW_BIN
+            assert rt.bins[code] == RANK_OVERFLOW_BIN
 
 
 def test_rank_table_tie_breaks_by_code_value():
     rt = build_rank_table([np.array([40] * 10 + [7] * 10 + [200] * 30)])
-    assert rt.bin_of(200) == 0
-    assert rt.bin_of(7) == 1
-    assert rt.bin_of(40) == 2
+    assert rt.bins[200] == 0
+    assert rt.bins[7] == 1
+    assert rt.bins[40] == 2
 
 
 def test_rank_table_matches_sort_oracle():
@@ -235,10 +238,10 @@ def test_rank_table_matches_sort_oracle():
     counts = Counter(codes.tolist())
     ranked = sorted(counts, key=lambda c: (-counts[c], c))[:63]
     for slot, code in enumerate(ranked):
-        assert rt.bin_of(code) == slot
+        assert rt.bins[code] == slot
     for code in range(256):
         if code not in ranked:
-            assert rt.bin_of(code) == RANK_OVERFLOW_BIN
+            assert rt.bins[code] == RANK_OVERFLOW_BIN
 
 
 def test_rank_table_empty_input():
@@ -267,7 +270,7 @@ def test_mb_lbp_histogram_constant_region():
     hist = mb_lbp_histogram(ii, Rect(0, 0, 20, 20), g, rt)
     assert hist.shape == (RANK_HISTOGRAM_BINS,)
     assert hist.sum() == (20 - 6 + 1) * (20 - 6 + 1)
-    assert hist[rt.bin_of(255)] == hist.sum()
+    assert hist[rt.bins[255]] == hist.sum()
 
 
 def test_mb_lbp_histogram_naive_recount():
@@ -289,7 +292,7 @@ def test_mb_lbp_histogram_naive_recount():
             for sy in range(sites_y):
                 for sx in range(sites_x):
                     code = mb_lbp_code(ii, x + sx, y + sy, g)
-                    naive[rt.bin_of(code)] += 1
+                    naive[rt.bins[code]] += 1
             assert np.array_equal(hist, naive)
 
 

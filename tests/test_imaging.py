@@ -64,14 +64,11 @@ def test_rect_intersection_brute_force():
         assert a.intersection_area(b) == cells
         assert b.intersection_area(a) == cells
         assert a.overlaps(b) == (cells > 0)
-        union = a.area + b.area - cells
-        assert a.iou(b) == pytest.approx(cells / union if cells else 0.0)
 
 
 def test_rect_overlap_edge_touching_is_not_overlap():
     assert not Rect(0, 0, 4, 4).overlaps(Rect(4, 0, 4, 4))
     assert not Rect(0, 0, 4, 4).overlaps(Rect(0, 4, 4, 4))
-    assert Rect(0, 0, 4, 4).iou(Rect(0, 0, 4, 4)) == 1.0
 
 
 def test_frame_validation_and_equality():

@@ -13,7 +13,6 @@ from roadcount.synthgen import (
     default_markers,
     generate_scene,
     generate_training_set,
-    load_gt_boxes,
     load_gt_events,
     load_scene_config,
     parse_flat_config,
@@ -256,7 +255,9 @@ def test_save_scene_round_trip(tmp_path):
     gt = save_scene(tmp_path / "scene", config)
     assert load_scene_config(tmp_path / "scene") == config
     assert load_gt_events(tmp_path / "scene") == list(gt.events)
-    assert load_gt_boxes(tmp_path / "scene") == list(gt.boxes)
+    boxes_text = (tmp_path / "scene" / "gt_boxes.txt").read_text(encoding="ascii")
+    boxes = [tuple(int(p) for p in line.split()) for line in boxes_text.splitlines()]
+    assert boxes == [(f, vid, r.x, r.y, r.w, r.h) for f, vid, r in gt.boxes]
     frames, _ = generate_scene(config)
     on_disk = load_pgm(tmp_path / "scene" / "frames" / "frame_000000.pgm")
     assert on_disk == frames[0]
