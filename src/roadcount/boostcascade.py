@@ -414,13 +414,13 @@ def _stage_scores(stage: StrongClassifier, xs: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _crop_features(probe: CascadeModel, crops: Sequence[Frame]) -> tuple[CascadeModel, np.ndarray]:
-    """Rank table of the crop set and the (N, feature_count) feature matrix.
+def _crop_features(probe: CascadeModel, crops: np.ndarray) -> tuple[CascadeModel, np.ndarray]:
+    """Rank table of the (N, h, w) crop stack and the (N, feature_count) feature matrix.
 
     All crops go through one stacked integral image; each geometry's code
     map feeds both the rank table and the rank map.
     """
-    ii = integral(np.stack([c.pixels for c in crops]))
+    ii = integral(crops)
     geoms = _scaled_geometries(probe, probe.window_w, probe.window_h)
     codes = {g: mb_lbp_code_map(ii, g) for g in geoms}
     model = replace(probe, rank_table=build_rank_table([codes[g] for g in geoms]))
@@ -431,31 +431,29 @@ def _crop_features(probe: CascadeModel, crops: Sequence[Frame]) -> tuple[Cascade
 
 
 def train_cascade(
-    positives: Sequence[Frame],
-    negatives: Sequence[Frame],
+    positives: np.ndarray,
+    negatives: np.ndarray,
     stages: int,
     mhr: float,
     rounds: Sequence[int] | None = None,
     grid: int = DEFAULT_GRID,
     geometries: tuple[int, ...] = DEFAULT_GEOMETRIES,
 ) -> CascadeModel:
-    """Train an S-stage cascade on canonical-size crops.
+    """Train an S-stage cascade on (N, h, w) stacks of canonical-size crops.
 
     Stage s uses rounds[s-1] stumps (default 2*s); after calibration to MHR
     the negatives rejected by the stage are dropped, and training stops
     early once no negatives survive. The rank table is built from the codes
     of the whole crop set, pooled across geometries.
     """
-    if not positives or not negatives:
+    if not len(positives) or not len(negatives):
         raise ValueError("need at least one positive and one negative crop")
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
-    w, h = positives[0].width, positives[0].height
-    for crop in list(positives) + list(negatives):
-        if crop.width != w or crop.height != h:
-            raise ValueError(
-                f"all crops must share one size, got {crop.width}x{crop.height} vs {w}x{h}"
-            )
+    h, w = positives.shape[1:]
+    if negatives.shape[1:] != (h, w):
+        neg_h, neg_w = negatives.shape[1:]
+        raise ValueError(f"all crops must share one size, got {neg_w}x{neg_h} vs {w}x{h}")
     if rounds is None:
         rounds = [2 * s for s in range(1, stages + 1)]
     elif len(rounds) < stages:
@@ -465,7 +463,7 @@ def train_cascade(
         stages=(), window_w=w, window_h=h, rank_table=RankTable(np.zeros(256)),
         grid=grid, geometries=geometries,
     )
-    model, x = _crop_features(probe, [*positives, *negatives])
+    model, x = _crop_features(probe, np.concatenate([positives, negatives]))
     x_pos, x_neg = x[: len(positives)], x[len(positives) :]
 
     trained = []
@@ -580,8 +578,8 @@ def detect(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if not scales:
         raise ValueError("scale list must not be empty")
-    if any(s < 1.0 for s in scales) or list(scales) != sorted(scales):
-        raise ValueError(f"scales must be >= 1.0 and ascending, got {list(scales)}")
+    if scales[0] < 1.0 or any(a >= b for a, b in zip(scales, scales[1:])):
+        raise ValueError(f"scales must be >= 1.0 and strictly ascending, got {list(scales)}")
     if mcc < 1:
         raise ValueError(f"MCC must be >= 1, got {mcc}")
     ii = integral(frame)

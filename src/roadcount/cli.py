@@ -33,6 +33,7 @@ from .boostcascade import (
     train_cascade,
 )
 from .counting import (
+    DEFAULT_DISTANCE_FRACTION,
     PHI_MAX,
     PHI_MIN,
     CountingPolicy,
@@ -44,7 +45,7 @@ from .counting import (
     result_line,
 )
 from .imaging import Frame, PgmError, Rect, downscale, load_pgm, sequence_paths
-from .tracking import Track, Tracker, track_log_line
+from .tracking import DEFAULT_GATE_FRACTION, DEFAULT_MAX_MISSES, Track, Tracker, track_log_line
 
 
 class DataError(Exception):
@@ -91,13 +92,13 @@ class PipelineConfig:
     stride: int = 7
     markers: str = "auto"
     frame_dt: float = 1.0
-    learning_rate: float = 0.05
+    learning_rate: float = bgsub.DEFAULT_LEARNING_RATE
     open_radius: int = 1
-    min_area: int = 25
-    gate_fraction: float = 0.25
-    max_misses: int = 5
+    min_area: int = bgsub.DEFAULT_MIN_AREA
+    gate_fraction: float = DEFAULT_GATE_FRACTION
+    max_misses: int = DEFAULT_MAX_MISSES
     match_tol: int = 25
-    distance_fraction: float = 0.2
+    distance_fraction: float = DEFAULT_DISTANCE_FRACTION
     require_marker_overlap: bool = False
     phi_min: float = PHI_MIN
     phi_max: float = PHI_MAX
@@ -127,7 +128,8 @@ class PipelineConfig:
             ("stages", self.stages >= 1, ">= 1"),
             ("mcc", self.mcc >= 1, ">= 1"),
             ("scales", bool(self.scales) and self.scales[0] >= 1.0
-             and list(self.scales) == sorted(self.scales), "nonempty, ascending and >= 1"),
+             and all(a < b for a, b in zip(self.scales, self.scales[1:])),
+             "nonempty, strictly ascending and >= 1"),
             ("stride", self.stride >= 1, ">= 1"),
             ("frame_dt", self.frame_dt > 0.0, "> 0"),
             ("learning_rate", 0.0 < self.learning_rate < 1.0, "in (0, 1)"),
@@ -274,13 +276,6 @@ def _resolve_markers(config: PipelineConfig, scene_dir: str, width: int, height:
     return markers
 
 
-def _load_frame(path: str, factor: int) -> Frame:
-    frame = load_pgm(path)
-    if factor > 1:
-        frame = downscale(frame, factor)
-    return frame
-
-
 def _scene_frame_paths(scene_dir: str) -> list[str]:
     try:
         paths = sequence_paths(f"{scene_dir}/frames")
@@ -353,8 +348,9 @@ class _Pass:
     """One single-use decode -> detect -> track pass over a scene directory.
 
     Construction lists the frames, decodes the first one for the frame size,
-    builds the detector (loading the cascade) and the tracker, so set-up
-    errors surface before the scene is decoded. `frames` yields one
+    checks that resolution_factor divides it, and builds the detector
+    (loading the cascade) and the tracker, so set-up errors surface before
+    the rest of the scene is decoded. `frames` yields one
     record per frame; `tracker.flush()` then returns the tracks still
     live after the last one.
     """
@@ -364,9 +360,16 @@ class _Pass:
             raise UsageError("a scene directory is required (key: scene)")
         self.config = config
         self.paths = _scene_frame_paths(config.scene)
-        first = _load_frame(self.paths[0], config.resolution_factor)
-        self.width = first.width
-        self.height = first.height
+        first = load_pgm(self.paths[0])
+        self.native = (first.width, first.height)
+        factor = config.resolution_factor
+        if first.width % factor or first.height % factor:
+            raise UsageError(
+                f"resolution_factor {factor} does not divide the scene's "
+                f"{first.width}x{first.height} frames"
+            )
+        self.width = first.width // factor
+        self.height = first.height // factor
         self.detect = _detector(config, self.width, self.height)
         self.tracker = Tracker(
             kind=config.tracker,
@@ -376,13 +379,16 @@ class _Pass:
 
     def frames(self, limit: int | None = None) -> Iterator[_FrameRecord]:
         """Decode, detect and track the first `limit` frames (all by default)."""
+        factor = self.config.resolution_factor
         for index, path in enumerate(self.paths[:limit]):
-            frame = _load_frame(path, self.config.resolution_factor)
-            if (frame.width, frame.height) != (self.width, self.height):
+            frame = load_pgm(path)
+            if (frame.width, frame.height) != self.native:
                 raise DataError(
                     f"frame {path} is {frame.width}x{frame.height}, "
-                    f"the scene's first frame is {self.width}x{self.height}"
+                    f"the scene's first frame is {self.native[0]}x{self.native[1]}"
                 )
+            if factor > 1:
+                frame = downscale(frame, factor)
             t0 = time.perf_counter()
             detections = self.detect(frame)
             t1 = time.perf_counter()
@@ -529,23 +535,19 @@ _HARD_POOL_FACTOR = 10
 _HARD_TEXTURE_STD = 12.0
 
 
-def _hard_negatives(scenario, count: int, window_w: int, window_h: int):
-    amplitude = max(window_w, window_h) - _HARD_JITTER_MARGIN
-    if amplitude < 1 or count < 1:
-        return []
-    shifted = replace(scenario, jitter_amplitude=amplitude)
+def _hard_negatives(scenario, count: int, window_w: int, window_h: int) -> np.ndarray:
+    shifted = replace(scenario, jitter_amplitude=max(window_w, window_h) - _HARD_JITTER_MARGIN)
     _, pool = synthgen.generate_training_set(
-        shifted, 1, count * _HARD_POOL_FACTOR, window_w, window_h
+        shifted, synthgen.generate_scene(shifted), 1, count * _HARD_POOL_FACTOR, window_w, window_h
     )
-    pixels = np.stack([crop.pixels for crop in pool])
     stds = np.concatenate(
-        [pixels[i : i + 1024].std(axis=(1, 2)) for i in range(0, len(pool), 1024)]
+        [pool[i : i + 1024].std(axis=(1, 2)) for i in range(0, len(pool), 1024)]
     )
     textured = np.flatnonzero(stds > _HARD_TEXTURE_STD)[:count]
     if len(textured) < count:
         note = f"only {len(textured)} of {count} hard negatives passed the texture filter"
         print(f"roadcount: warning: {note} (pixel std > {_HARD_TEXTURE_STD:g})", file=sys.stderr)
-    return [pool[i] for i in textured]
+    return pool[textured]
 
 
 def train(config: PipelineConfig) -> CascadeModel:
@@ -565,15 +567,26 @@ def train(config: PipelineConfig) -> CascadeModel:
         scenario = synthgen.load_scene_config(config.scene)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load scenario from {config.scene}: {exc}") from exc
-    positives, _ = synthgen.generate_training_set(
-        scenario, config.train_pos, 1, config.window_w, config.window_h
-    )
-    _, plain = synthgen.generate_training_set(
-        scenario, 1, config.train_neg, config.window_w, config.window_h
-    )
-    negatives = list(plain) + _hard_negatives(
-        scenario, config.train_hard, config.window_w, config.window_h
-    )
+    if config.window_w > scenario.width or config.window_h > scenario.height:
+        raise UsageError(
+            f"window {config.window_w}x{config.window_h} does not fit the "
+            f"{scenario.width}x{scenario.height} scene"
+        )
+    scene = synthgen.generate_scene(scenario)
+    try:
+        # two calls, each restarting the crop generator: every model depends
+        # on these streams, so the dummy count of 1 stays
+        positives, _ = synthgen.generate_training_set(
+            scenario, scene, config.train_pos, 1, config.window_w, config.window_h
+        )
+        _, negatives = synthgen.generate_training_set(
+            scenario, scene, 1, config.train_neg, config.window_w, config.window_h
+        )
+        if config.train_hard:
+            hard = _hard_negatives(scenario, config.train_hard, config.window_w, config.window_h)
+            negatives = np.concatenate([negatives, hard])
+    except ValueError as exc:
+        raise DataError(f"cannot sample training crops from {config.scene}: {exc}") from exc
     rounds = tuple(2 * s + 4 for s in range(1, config.stages + 1))
     model = train_cascade(positives, negatives, config.stages, config.mhr, rounds=rounds)
     save_model(model, config.model)

@@ -248,11 +248,11 @@ def generate_scene(config: ScenarioConfig) -> tuple[list[Frame], GroundTruth]:
     return frames, GroundTruth(boxes=tuple(boxes), events=tuple(events))
 
 
-def _resample_nearest(frame: Frame, rect: Rect, out_w: int, out_h: int) -> Frame:
+def _resample_nearest(pixels: np.ndarray, rect: Rect, out_w: int, out_h: int) -> np.ndarray:
     """Nearest-neighbor crop resampling; identity when sizes already match."""
     ys = rect.y + ((np.arange(out_h) + 0.5) * rect.h / out_h).astype(int)
     xs = rect.x + ((np.arange(out_w) + 0.5) * rect.w / out_w).astype(int)
-    return Frame(frame.pixels[np.ix_(ys, xs)])
+    return pixels[np.ix_(ys, xs)]
 
 
 def _clamp_crop(x: int, y: int, w: int, h: int, frame_w: int, frame_h: int) -> Rect:
@@ -263,24 +263,26 @@ def _clamp_crop(x: int, y: int, w: int, h: int, frame_w: int, frame_h: int) -> R
 
 def generate_training_set(
     config: ScenarioConfig,
+    scene: tuple[list[Frame], GroundTruth],
     n_pos: int,
     n_neg: int,
     window_w: int,
     window_h: int,
     perturbation: float = 0.1,
-) -> tuple[list[Frame], list[Frame]]:
-    """Vehicle-centered positive crops and vehicle-free negative crops.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_pos, h, w) vehicle-centered and (n_neg, h, w) vehicle-free uint8 crops.
 
-    Positives sample fully visible ground-truth boxes, cover them with a
-    window-shaped region perturbed by +-perturbation in scale and position,
-    and resample to the window size. Negatives are window-sized regions
-    rejected until they miss every box of their frame.
+    `scene` is generate_scene(config). Positives sample fully visible
+    ground-truth boxes, cover them with a window-shaped region perturbed by
+    +-perturbation in scale and position, and resample to the window size.
+    Negatives are window-sized regions rejected until they miss every box
+    of their frame.
     """
     if n_pos < 1 or n_neg < 1:
         raise ValueError("need at least one positive and one negative crop")
     if not 0.0 <= perturbation < 0.5:
         raise ValueError(f"perturbation must lie in [0, 0.5), got {perturbation}")
-    frames, gt = generate_scene(config)
+    frames, gt = scene
     boxes_by_frame: dict[int, list[Rect]] = {}
     for frame_idx, _, rect in gt.boxes:
         boxes_by_frame.setdefault(frame_idx, []).append(rect)
@@ -292,8 +294,8 @@ def generate_training_set(
     if not full_boxes:
         raise ValueError("scenario produced no fully visible vehicle boxes")
     rng = _rng(config.seed, PURPOSE_CROPS)
-    positives = []
-    for _ in range(n_pos):
+    positives = np.empty((n_pos, window_h, window_w), dtype=np.uint8)
+    for i in range(n_pos):
         frame_idx, box = full_boxes[int(rng.integers(len(full_boxes)))]
         cover = max(box.w / window_w, box.h / window_h)
         scale = cover * (1.0 + rng.uniform(-perturbation, perturbation))
@@ -310,7 +312,7 @@ def generate_training_set(
             config.width,
             config.height,
         )
-        positives.append(_resample_nearest(frames[frame_idx], crop, window_w, window_h))
+        positives[i] = _resample_nearest(frames[frame_idx].pixels, crop, window_w, window_h)
     negatives = []
     attempts = 0
     max_attempts = 1000 * n_neg
@@ -324,8 +326,8 @@ def generate_training_set(
         rect = Rect(x, y, window_w, window_h)
         if any(rect.overlaps(b) for b in boxes_by_frame.get(frame_idx, [])):
             continue
-        negatives.append(Frame(frames[frame_idx].pixels[y : y + window_h, x : x + window_w].copy()))
-    return positives, negatives
+        negatives.append(frames[frame_idx].pixels[y : y + window_h, x : x + window_w])
+    return positives, np.stack(negatives)
 
 
 def config_to_text(config: ScenarioConfig) -> str:

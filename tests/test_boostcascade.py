@@ -330,16 +330,14 @@ def test_calibrate_stage_maximal_threshold_property():
 
 
 def _noise_crops(rng, n, w, h, lo=0, hi=256):
-    return [Frame(rng.integers(lo, hi, (h, w)).astype(np.uint8)) for _ in range(n)]
+    """(n, h, w) uint8 stack, drawn one crop at a time."""
+    return np.stack([rng.integers(lo, hi, (h, w)).astype(np.uint8) for _ in range(n)])
 
 
 def _block_crops(rng, n, w, h):
     """Noise crops with a bright solid center block (a learnable signature)."""
-    crops = []
-    for _ in range(n):
-        px = rng.integers(0, 90, (h, w)).astype(np.uint8)
-        px[h // 4 : h - h // 4, w // 4 : w - w // 4] = 220
-        crops.append(Frame(px))
+    crops = _noise_crops(rng, n, w, h, lo=0, hi=90)
+    crops[:, h // 4 : h - h // 4, w // 4 : w - w // 4] = 220
     return crops
 
 
@@ -470,11 +468,13 @@ def test_train_cascade_validation():
     rng = np.random.default_rng(83)
     crops = _noise_crops(rng, 4, 18, 18)
     with pytest.raises(ValueError):
-        train_cascade([], crops, 1, 0.9)
+        train_cascade(crops[:0], crops, 1, 0.9)
     with pytest.raises(ValueError):
-        train_cascade(crops, [], 1, 0.9)
-    with pytest.raises(ValueError):
+        train_cascade(crops, crops[:0], 1, 0.9)
+    with pytest.raises(ValueError, match="^all crops must share one size, got 12x18 vs 18x18$"):
         train_cascade(crops, _noise_crops(rng, 2, 12, 18), 1, 0.9, geometries=(1, 2))
+    with pytest.raises(ValueError, match="^all crops must share one size, got 18x17 vs 18x18$"):
+        train_cascade(crops, _noise_crops(rng, 2, 18, 17), 1, 0.9, geometries=(1, 2))
     with pytest.raises(ValueError):
         train_cascade(crops, crops, 0, 0.9)
     with pytest.raises(ValueError):
@@ -541,7 +541,7 @@ def test_grid_evaluation_matches_scalar_classifier():
     negatives = _noise_crops(rng, 20, 18, 18, lo=0, hi=90)
     trained = train_cascade(positives, negatives, stages=2, mhr=0.95, geometries=(1, 2))
     frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
-    frame.pixels[5:23, 7:25] = positives[0].pixels
+    frame.pixels[5:23, 7:25] = positives[0]
     ii = integral(frame)
     xs = np.arange(0, frame.width - 18 + 1, 3)
     ys = np.arange(0, frame.height - 18 + 1, 3)
@@ -614,10 +614,10 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
     negatives = _noise_crops(rng, 30, 18, 18, lo=0, hi=90)
     model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
     frame = Frame(rng.integers(0, 90, (64, 80)).astype(np.uint8))
-    frame.pixels[12:30, 20:38] = positives[5].pixels
+    frame.pixels[12:30, 20:38] = positives[5]
     # a pattern upscaled to the 29x29 window of scale 1.6
     near = np.arange(29) * 18 // 29
-    frame.pixels[30:59, 44:73] = positives[7].pixels[near][:, near]
+    frame.pixels[30:59, 44:73] = positives[7][near][:, near]
     scales = (1.0, 1.25, 1.6)
     built = []
     code_map = boostcascade.mb_lbp_code_map
@@ -665,7 +665,7 @@ def test_detect_finds_planted_pattern():
     model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
     frame = Frame(rng.integers(0, 90, (48, 64)).astype(np.uint8))
     planted = Rect(20, 12, 18, 18)
-    frame.pixels[12:30, 20:38] = positives[5].pixels
+    frame.pixels[12:30, 20:38] = positives[5]
     detections = detect(model, frame, scales=(1.0,), stride=2, mcc=2)
 
     def iou(a: Rect, b: Rect) -> float:
@@ -679,6 +679,9 @@ def test_detect_finds_planted_pattern():
         detect(model, frame, scales=())
     with pytest.raises(ValueError):
         detect(model, frame, scales=(2.0, 1.0))
+    for repeated in ((1.0, 1.0), (1.0, 1.25, 1.25)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            detect(model, frame, scales=repeated)
     with pytest.raises(ValueError):
         detect(model, frame, scales=(0.5,))
     with pytest.raises(ValueError):

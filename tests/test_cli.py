@@ -4,6 +4,7 @@ import itertools
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from roadcount import cli, synthgen
@@ -516,6 +517,8 @@ def test_override_value_forms(ten_vehicle_scene, capsys):
         ("stride", "0", "feature"),
         ("learning_rate", "1.5", "bgsub"),
         ("scales", "0.5", "feature"),
+        ("scales", "1.0,1.0", "feature"),
+        ("scales", "1.0,1.25,1.25", "feature"),
         ("th", "nan", "bgsub"),
         ("th", "inf", "bgsub"),
     ],
@@ -557,19 +560,97 @@ def test_count_rejects_odd_sized_frame(tmp_path, small_cascade, capsys, detector
 def test_hard_negatives_texture_filter(ten_vehicle_scenario, capsys, monkeypatch):
     # oracle: the same jittered pool, filtered crop by crop
     shifted = replace(ten_vehicle_scenario, jitter_amplitude=30 - cli._HARD_JITTER_MARGIN)
-    _, pool = synthgen.generate_training_set(shifted, 1, 100 * cli._HARD_POOL_FACTOR, 30, 30)
+    _, pool = synthgen.generate_training_set(
+        shifted, synthgen.generate_scene(shifted), 1, 100 * cli._HARD_POOL_FACTOR, 30, 30
+    )
 
     def textured(min_std):
-        return [crop for crop in pool if crop.pixels.std() > min_std]
+        return np.stack([crop for crop in pool if crop.std() > min_std])
 
     # fewer crops pass than asked for: all of them are kept, and one line says so
     assert 10 < len(textured(cli._HARD_TEXTURE_STD)) < 100
-    assert cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30) == textured(12.0)
+    assert np.array_equal(cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30), textured(12.0))
     assert capsys.readouterr().err == (
         f"roadcount: warning: only {len(textured(12.0))} of 100 hard negatives passed "
         "the texture filter (pixel std > 12)\n"
     )
     monkeypatch.setattr(cli, "_HARD_TEXTURE_STD", 6.0)
     assert 100 < len(textured(6.0)) < len(pool)
-    assert cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30) == textured(6.0)[:100]
+    assert np.array_equal(
+        cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30), textured(6.0)[:100]
+    )
     assert capsys.readouterr().err == ""
+
+
+def test_train_renders_each_scene_once(ten_vehicle_scene, tmp_path, monkeypatch, capsys):
+    rendered = []
+    generate_scene = synthgen.generate_scene
+    monkeypatch.setattr(
+        synthgen, "generate_scene", lambda config: rendered.append(config) or generate_scene(config)
+    )
+    config = PipelineConfig(
+        scene=ten_vehicle_scene, model=str(tmp_path / "m.txt"),
+        stages=1, train_pos=20, train_neg=40, train_hard=10,
+    )
+    cli.train(config)
+    scenario = synthgen.load_scene_config(ten_vehicle_scene)
+    # the scene itself, then its jittered clone for the hard negatives
+    assert rendered == [scenario, replace(scenario, jitter_amplitude=30 - cli._HARD_JITTER_MARGIN)]
+    capsys.readouterr()
+
+
+def _one_line_failure(capsys, rc, expected_rc, message):
+    assert rc == expected_rc
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_resolution_factor_must_divide_frames(ten_vehicle_scene, tmp_path, monkeypatch, capsys):
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    first = cli.sequence_paths(f"{ten_vehicle_scene}/frames")[0]
+    out = tmp_path / "out.txt"
+    # a sweep sets up every pass before it decodes any frame past a pass's first
+    for args, first_frames in (
+        (["count", "--resolution_factor", "2", "--events_out", str(out)], 1),
+        (["detect", "--resolution_factor", "2", "--out", str(out)], 1),
+        (["sweep", "--grid", "resolution_factor=1,2"], 2),
+    ):
+        decoded.clear()
+        rc = cli.main(args + ["--scene", ten_vehicle_scene])
+        _one_line_failure(
+            capsys, rc, 1,
+            "roadcount: error: resolution_factor 2 does not divide the scene's 240x135 frames",
+        )
+        assert not out.exists()
+        assert decoded == [first] * first_frames
+
+
+@pytest.mark.parametrize(
+    "key, value, size", [("window_w", "300", "300x30"), ("window_h", "140", "30x140")]
+)
+def test_train_rejects_window_larger_than_scene(
+    ten_vehicle_scene, tmp_path, capsys, key, value, size
+):
+    model = tmp_path / "m.txt"
+    rc = cli.main(["train", "--scene", ten_vehicle_scene, "--model", str(model), f"--{key}", value])
+    _one_line_failure(
+        capsys, rc, 1, f"roadcount: error: window {size} does not fit the 240x135 scene"
+    )
+    assert not model.exists()
+
+
+def test_train_rejects_scene_without_full_vehicle(tmp_path, capsys):
+    scene = tmp_path / "empty"
+    scenario = replace(synthgen.config_from_text(_small_scenario_text()), spawns=())
+    synthgen.save_scene(str(scene), scenario)
+    model = tmp_path / "m.txt"
+    rc = cli.main(["train", "--scene", str(scene), "--model", str(model)])
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: cannot sample training crops from {scene}: "
+        "scenario produced no fully visible vehicle boxes",
+    )
+    assert not model.exists()

@@ -182,18 +182,18 @@ def test_empty_scene_is_static_background():
     assert gt.boxes == () and gt.events == ()
     for frame in frames[1:]:
         assert np.array_equal(frame.pixels, frames[0].pixels)
-    with pytest.raises(ValueError):
-        generate_training_set(config, 1, 1, 12, 12)
+    with pytest.raises(ValueError, match="no fully visible vehicle"):
+        generate_training_set(config, (frames, gt), 1, 1, 12, 12)
 
 
 def test_training_set_shapes_and_determinism():
     config = _scenario()
-    pos_a, neg_a = generate_training_set(config, 20, 30, 12, 12)
-    pos_b, neg_b = generate_training_set(config, 20, 30, 12, 12)
-    assert len(pos_a) == 20 and len(neg_a) == 30
-    assert all(c.width == 12 and c.height == 12 for c in pos_a + neg_a)
-    for a, b in zip(pos_a + neg_a, pos_b + neg_b):
-        assert np.array_equal(a.pixels, b.pixels)
+    scene = generate_scene(config)
+    pos_a, neg_a = generate_training_set(config, scene, 20, 30, 12, 14)
+    pos_b, neg_b = generate_training_set(config, generate_scene(config), 20, 30, 12, 14)
+    assert pos_a.dtype == neg_a.dtype == np.uint8
+    assert pos_a.shape == (20, 14, 12) and neg_a.shape == (30, 14, 12)
+    assert np.array_equal(pos_a, pos_b) and np.array_equal(neg_a, neg_b)
 
 
 def test_training_positives_zero_perturbation_recover_textures():
@@ -202,9 +202,11 @@ def test_training_positives_zero_perturbation_recover_textures():
         np.floor(vehicle_texture(config, vid) + 0.5).astype(np.uint8)
         for vid in range(len(config.spawns))
     ]
-    positives, _ = generate_training_set(config, 50, 1, 12, 12, perturbation=0.0)
+    positives, _ = generate_training_set(
+        config, generate_scene(config), 50, 1, 12, 12, perturbation=0.0
+    )
     for crop in positives:
-        assert any(np.array_equal(crop.pixels, t) for t in textures)
+        assert any(np.array_equal(crop, t) for t in textures)
 
 
 def test_training_negatives_never_contain_vehicle_pixels():
@@ -212,22 +214,23 @@ def test_training_negatives_never_contain_vehicle_pixels():
     # background-only crop is exactly characterized by its intensity range
     config = _scenario()
     lo, hi = BACKGROUND_RANGE
-    _, negatives = generate_training_set(config, 1, 200, 12, 12)
+    _, negatives = generate_training_set(config, generate_scene(config), 1, 200, 12, 12)
     for crop in negatives:
-        assert crop.pixels.min() >= lo
-        assert crop.pixels.max() <= hi
+        assert crop.min() >= lo
+        assert crop.max() <= hi
 
 
 def test_training_set_validation():
     config = _scenario()
+    scene = generate_scene(config)
     with pytest.raises(ValueError):
-        generate_training_set(config, 0, 1, 12, 12)
+        generate_training_set(config, scene, 0, 1, 12, 12)
     with pytest.raises(ValueError):
-        generate_training_set(config, 1, 0, 12, 12)
+        generate_training_set(config, scene, 1, 0, 12, 12)
     with pytest.raises(ValueError):
-        generate_training_set(config, 1, 1, 12, 12, perturbation=0.5)
+        generate_training_set(config, scene, 1, 1, 12, 12, perturbation=0.5)
     with pytest.raises(ValueError):
-        generate_training_set(config, 1, 1, 12, 12, perturbation=-0.1)
+        generate_training_set(config, scene, 1, 1, 12, 12, perturbation=-0.1)
 
 
 def test_config_text_round_trip():
