@@ -11,19 +11,28 @@ stage.
 Training and detection share one site path: an integral image (a stack of
 crops, or one frame) gives a rank map per block geometry, and
 _site_gatherer gathers a (cell, geometry) chunk's footprint-site bins for
-many window origins at once. Training counts them into every histogram of
-every crop (window_features). Detection builds no histogram: it runs the
+many window origins at once. Detection builds no histogram: it runs the
 stages over the windows still alive, each stump counting the sites of its
 chunk that hold its bin, with rank maps shared across a frame's scales.
 
-Stump search is histogram-shortlisted. Every feature is count / sites, so
-the feature matrix holds few distinct values (89 for the default layout).
-train_strong bins them once; each boosting round takes one weighted
-histogram per (column, class), scans its cumulative sums for each column's
-best error, and shortlists the columns within a proved rounding bound of
-the minimum. The exact search (_presort/_best_stump, sorted cumulative
-sums) then decides among the shortlisted columns only, so the chosen stump
-and its error are those of the exact search over every column.
+Training stores the features once, binned. Every feature is count / sites,
+so the whole crop set holds few distinct values (89 for the default
+layout): _crop_features writes each crop's site counts as an (n, d) matrix
+of codes into a sorted float64 value table, uint8 when the table has at
+most 256 entries (uint16 beyond, e.g. for 324-site chunks). A stage trains
+on the rows of the positives and of the negatives every earlier stage
+accepted, and float values are gathered only for the columns a step reads.
+
+Stump search is histogram-shortlisted. Each boosting round builds the
+weight of every (column, class, value) in blocks of _BLOCK columns, so its
+temporaries stay a few MB; each key sums its samples in sample order, as
+one bincount over the whole matrix would. Their cumulative sums give each
+column's best error, and the columns within a proved rounding bound of the
+minimum are shortlisted. The exact search (_presort/_best_stump, sorted
+cumulative sums over the float values) then decides among the shortlisted
+columns only, so the chosen stump and its error are those of the exact
+search over every column. train_strong/train_stump bin a float matrix and
+run the same search.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,6 +63,12 @@ DEFAULT_GEOMETRIES = (1, 2, 3)
 
 # weighted error clamp keeps alpha finite on perfectly separated rounds
 _EPS_CLAMP = 1e-10
+# columns per histogram block: each round's key and weight temporaries stay
+# at a few MB whatever the feature count
+_BLOCK = 32
+# crops per stacked integral image: its int64 table would otherwise be the
+# largest array of training
+_CROP_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -179,33 +194,69 @@ def _best_stump(
     return stump, float(col_err[col])
 
 
-def _histogram_keys(xs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """Flat histogram key of every (sample, column) and the number of value bins.
+def _column_blocks(d: int) -> list[slice]:
+    """Column slices of at most _BLOCK columns covering range(d) in order."""
+    return [slice(c, min(c + _BLOCK, d)) for c in range(0, d, _BLOCK)]
 
-    Bin b holds the b-th smallest distinct value of the whole matrix; the key
-    (column * 2 + is_positive) * bins + b is laid out in xs's row-major
-    order. None when there are more distinct values than samples: such a
-    histogram would be no smaller than the sorted columns.
+
+def _bin(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, values) of a float matrix: xs == values[codes], values sorted and distinct."""
+    values, inverse = np.unique(xs, return_inverse=True)
+    return inverse.reshape(xs.shape).astype(np.min_scalar_type(len(values) - 1)), values
+
+
+def _bin_keys(
+    codes: np.ndarray, labels: np.ndarray, nvalues: int
+) -> tuple[np.ndarray, int] | None:
+    """Histogram keys of the (n, d) code matrix, column by column, and the bin count nb.
+
+    Row j of the (d, n) result holds bin + nb * is_positive for each sample
+    of column j, where bin b is the b-th smallest value that occurs in the
+    code matrix; keys take the smallest unsigned dtype that holds 2 * nb - 1.
+    None when there are more such values than samples: such a histogram
+    would be no smaller than the sorted columns.
     """
-    n, d = xs.shape
-    values = np.unique(xs)
-    nb = len(values)
+    n, d = codes.shape
+    present = np.zeros(nvalues, dtype=bool)
+    for cols in _column_blocks(d):
+        present[codes[:, cols].ravel()] = True
+    nb = int(present.sum())
     if nb > n:
         return None
-    keys = np.searchsorted(values, xs)
-    keys += 2 * nb * np.arange(d)
-    keys += (nb * (labels > 0))[:, None]
-    return keys.ravel(), nb
+    bin_of = np.cumsum(present) - 1
+    class_keys = nb * (labels > 0)
+    keys = np.empty((d, n), dtype=np.min_scalar_type(2 * nb - 1))
+    for cols in _column_blocks(d):
+        np.add(bin_of[codes[:, cols].T], class_keys, out=keys[cols], casting="unsafe")
+    return keys, nb
 
 
-def _shortlist(keys: np.ndarray, nb: int, weights: np.ndarray) -> np.ndarray:
+def _histograms(keys: np.ndarray, nb: int, weights: np.ndarray) -> np.ndarray:
+    """(d, 2, nb) weight of each column's negatives and positives in each bin.
+
+    One weighted bincount per block of columns over the flat keys (column *
+    2 + is_positive) * nb + bin. Each key accumulates its samples in sample
+    order, as one bincount over the whole matrix would, so the sums are the
+    same bit for bit.
+    """
+    d, n = keys.shape
+    hist = np.empty((d, 2, nb))
+    tiled = np.tile(weights, min(d, _BLOCK))
+    for cols in _column_blocks(d):
+        k = cols.stop - cols.start
+        flat = np.add(keys[cols], 2 * nb * np.arange(k)[:, None], dtype=np.intp)
+        block = np.bincount(flat.ravel(), tiled[: k * n], minlength=2 * k * nb)
+        hist[cols] = block.reshape(k, 2, nb)
+    return hist
+
+
+def _shortlist(hist: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Columns whose histogram-best error may be the dense search's minimum.
 
-    One weighted bincount gives each column's per-class weight in every
-    value bin; their cumsums give the error of a split after every bin, in
-    the form _best_stump uses. A split after an empty bin repeats its
-    neighbour's error, so in exact arithmetic each column has the same
-    error set as in the dense search.
+    The per-class bin weights of each column (_histograms) and their cumsums
+    give the error of a split after every bin, in the form _best_stump uses.
+    A split after an empty bin repeats its neighbour's error, so in exact
+    arithmetic each column has the same error set as in the dense search.
 
     The two searches round differently. With u = eps / 2, W = sum(weights)
     and m = n + nb, every prefix sum either forms (n sorted samples, or bin
@@ -217,8 +268,7 @@ def _shortlist(keys: np.ndarray, nb: int, weights: np.ndarray) -> np.ndarray:
     (12n + 6nb + 16) u W, which the tolerance 8 (n + nb + 1) eps W covers.
     """
     n = len(weights)
-    d = len(keys) // n
-    hist = np.bincount(keys, np.repeat(weights, d), minlength=2 * d * nb).reshape(d, 2, nb)
+    d, _, nb = hist.shape
     cum = np.zeros((d, 2, nb + 1))
     np.cumsum(hist, axis=2, out=cum[:, :, 1:])
     cum_neg, cum_pos = cum[:, 0], cum[:, 1]
@@ -230,19 +280,23 @@ def _shortlist(keys: np.ndarray, nb: int, weights: np.ndarray) -> np.ndarray:
 
 
 def _search(
-    xs: np.ndarray,
+    codes: np.ndarray,
+    values: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    binned: tuple[np.ndarray, int] | None,
+    keyed: tuple[np.ndarray, int] | None,
 ) -> tuple[Stump, float]:
-    """_best_stump over all columns, run densely on the shortlisted ones only.
+    """_best_stump over all columns of values[codes], run densely on the shortlisted ones only.
 
     Each column's dense errors do not depend on the other columns, so the
     stump, its error and the tie-break match the search over every column
     bit for bit. Without histogram keys every column is searched.
     """
-    cols = np.arange(xs.shape[1]) if binned is None else _shortlist(*binned, weights)
-    stump, err = _best_stump(*_presort(xs[:, cols]), labels, weights)
+    if keyed is None:
+        cols = np.arange(codes.shape[1])
+    else:
+        cols = _shortlist(_histograms(*keyed, weights), weights)
+    stump, err = _best_stump(*_presort(values[codes[:, cols]]), labels, weights)
     return replace(stump, feature_index=int(cols[stump.feature_index])), err
 
 
@@ -267,37 +321,49 @@ def train_stump(xs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> Stum
         return Stump(0, float(xs[:, 0].min()) - 1.0, 1)
     if np.all(labels < 0):
         return Stump(0, float(xs[:, 0].max()) + 1.0, 1)
-    stump, _ = _search(xs, labels, weights, _histogram_keys(xs, labels))
+    codes, values = _bin(xs)
+    stump, _ = _search(codes, values, labels, weights, _bin_keys(codes, labels, len(values)))
     return stump
 
 
-def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClassifier:
-    """AdaBoost over decision stumps; stage_threshold starts at 0.
+def _boost(
+    codes: np.ndarray, values: np.ndarray, labels: np.ndarray, rounds: int
+) -> StrongClassifier:
+    """AdaBoost over decision stumps on the features values[codes]; stage_threshold starts at 0.
 
-    The features are binned once; each round a weighted histogram
-    shortlists the columns whose best error is within a rounding bound of
-    the minimum, and the dense search decides among them (see _shortlist).
-    Stumps and alphas equal those of a dense search over every column.
+    Each round a weighted histogram shortlists the columns whose best error
+    is within a rounding bound of the minimum, and the dense search decides
+    among them (see _shortlist). Stumps and alphas equal those of a dense
+    search over every column of the float matrix.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if np.all(labels > 0) or np.all(labels < 0):
         raise ValueError("training set must contain both classes")
-    n = len(xs)
+    n = len(codes)
     weights = np.full(n, 1.0 / n)
-    binned = _histogram_keys(xs, labels)
+    keyed = _bin_keys(codes, labels, len(values))
     stumps = []
     for _ in range(rounds):
-        stump, err = _search(xs, labels, weights, binned)
+        stump, err = _search(codes, values, labels, weights, keyed)
         err = min(max(err, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
-        predictions = _stump_predict(stump, xs[:, stump.feature_index])
+        predictions = _stump_predict(stump, values[codes[:, stump.feature_index]])
         weights = weights * np.exp(-alpha * labels * predictions)
         weights /= weights.sum()
     return StrongClassifier(stumps=tuple(stumps), stage_threshold=0.0)
+
+
+def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClassifier:
+    """AdaBoost over decision stumps on a float feature matrix; stage_threshold starts at 0.
+
+    The features are binned to their distinct values once, then boosted as
+    train_cascade boosts its stages (_boost).
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    return _boost(*_bin(xs), labels, rounds)
 
 
 def calibrate_stage(
@@ -375,59 +441,56 @@ def _site_gatherer(rank_map: Callable[[BlockGeometry], np.ndarray]):
     return gather
 
 
-def window_features(
-    model: CascadeModel,
-    rank_maps: Mapping[BlockGeometry, np.ndarray],
-    win_w: int,
-    win_h: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Feature vectors of the win_w x win_h windows at every origin (xs[i], ys[j]).
-
-    `rank_maps` maps each block geometry to its rank map over one image or a
-    stack of them (leading axes). Components [64c, 64c + 64) hold chunk c =
-    cell * geometries + geometry: the cell's rank histogram divided by its
-    site count. The result has shape stack + (len(ys), len(xs), feature_count).
-    """
-    gather = _site_gatherer(rank_maps.__getitem__)
-    chunks = []
-    for cell, g in _chunk_layout(model, win_w, win_h):
-        bins = gather(cell, g, ys[:, None], xs[None, :])
-        windows = math.prod(bins.shape[:-2])
-        keys = bins.reshape(windows, -1) + np.arange(windows)[:, None] * RANK_HISTOGRAM_BINS
-        counts = np.bincount(keys.ravel(), minlength=windows * RANK_HISTOGRAM_BINS)
-        hist = counts.reshape(bins.shape[:-2] + (RANK_HISTOGRAM_BINS,))
-        chunks.append(hist / math.prod(bins.shape[-2:]))
-    return np.concatenate(chunks, axis=-1)
-
-
-def _stage_scores(stage: StrongClassifier, xs: np.ndarray) -> np.ndarray:
-    """Stage score of every feature vector along the last axis of xs.
+def _stage_scores(stage: StrongClassifier, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Stage score of every row of the code matrix, whose features are values[codes].
 
     Scores accumulate stump by stump in stage order, so each equals the
     scalar sum of alpha * output over one window's stumps bit for bit.
     """
-    scores = np.zeros(xs.shape[:-1])
+    scores = np.zeros(len(codes))
     for stump, alpha in stage.stumps:
-        scores += alpha * _stump_predict(stump, xs[..., stump.feature_index])
+        scores += alpha * _stump_predict(stump, values[codes[:, stump.feature_index]])
     return scores
 
 
-def _crop_features(probe: CascadeModel, crops: np.ndarray) -> tuple[CascadeModel, np.ndarray]:
-    """Rank table of the (N, h, w) crop stack and the (N, feature_count) feature matrix.
+def _crop_features(
+    probe: CascadeModel, crops: np.ndarray
+) -> tuple[CascadeModel, np.ndarray, np.ndarray]:
+    """Rank table, (N, feature_count) code matrix and value table of an (N, h, w) crop stack.
 
-    All crops go through one stacked integral image; each geometry's code
-    map feeds both the rank table and the rank map.
+    Feature [64c + b] of a crop is values[code]: the count of chunk c =
+    cell * geometries + geometry's footprint sites holding rank bin b, over
+    the chunk's site count. The value table holds every such ratio of the
+    layout's site counts, sorted; the codes take the smallest unsigned dtype
+    that indexes it. The crops go through stacked integral images, a batch
+    at a time; each geometry's code map feeds both the rank table and the
+    rank map.
     """
-    ii = integral(crops)
     geoms = _scaled_geometries(probe, probe.window_w, probe.window_h)
-    codes = {g: mb_lbp_code_map(ii, g) for g in geoms}
-    model = replace(probe, rank_table=build_rank_table([codes[g] for g in geoms]))
-    rank_maps = {g: model.rank_table.bins[c] for g, c in codes.items()}
-    origin = np.zeros(1, dtype=np.intp)
-    x = window_features(model, rank_maps, probe.window_w, probe.window_h, origin, origin)
-    return model, x[:, 0, 0]
+    parts: dict[BlockGeometry, list[np.ndarray]] = {g: [] for g in geoms}
+    for start in range(0, len(crops), _CROP_BATCH):
+        ii = integral(crops[start : start + _CROP_BATCH])
+        for g, maps in parts.items():
+            maps.append(mb_lbp_code_map(ii, g))
+    code_maps = {g: np.concatenate(maps) for g, maps in parts.items()}
+    model = replace(probe, rank_table=build_rank_table([code_maps[g] for g in geoms]))
+    gather = _site_gatherer(lambda g: model.rank_table.bins[code_maps[g]])
+    layout = _chunk_layout(model, probe.window_w, probe.window_h)
+    site_counts = {
+        (cell.h - g.footprint_h + 1) * (cell.w - g.footprint_w + 1) for cell, g in layout
+    }
+    values = np.unique(np.concatenate([np.arange(s + 1) / s for s in site_counts]))
+    dtype = np.min_scalar_type(len(values) - 1)
+    code_of = {s: np.searchsorted(values, np.arange(s + 1) / s).astype(dtype) for s in site_counts}
+    n = len(crops)
+    codes = np.empty((n, model.feature_count), dtype=dtype)
+    rows = np.arange(n)[:, None] * RANK_HISTOGRAM_BINS
+    for c, (cell, g) in enumerate(layout):
+        bins = gather(cell, g, 0, 0).reshape(n, -1)
+        counts = np.bincount((bins + rows).ravel(), minlength=n * RANK_HISTOGRAM_BINS)
+        chunk = slice(c * RANK_HISTOGRAM_BINS, (c + 1) * RANK_HISTOGRAM_BINS)
+        codes[:, chunk] = code_of[bins.shape[1]][counts.reshape(n, RANK_HISTOGRAM_BINS)]
+    return model, codes, values
 
 
 def train_cascade(
@@ -444,7 +507,9 @@ def train_cascade(
     Stage s uses rounds[s-1] stumps (default 2*s); after calibration to MHR
     the negatives rejected by the stage are dropped, and training stops
     early once no negatives survive. The rank table is built from the codes
-    of the whole crop set, pooled across geometries.
+    of the whole crop set, pooled across geometries. Every stage trains on
+    the rows of one code matrix (_crop_features): the positives and the
+    negatives all earlier stages accepted.
     """
     if not len(positives) or not len(negatives):
         raise ValueError("need at least one positive and one negative crop")
@@ -463,20 +528,21 @@ def train_cascade(
         stages=(), window_w=w, window_h=h, rank_table=RankTable(np.zeros(256)),
         grid=grid, geometries=geometries,
     )
-    model, x = _crop_features(probe, np.concatenate([positives, negatives]))
-    x_pos, x_neg = x[: len(positives)], x[len(positives) :]
+    model, codes, values = _crop_features(probe, np.concatenate([positives, negatives]))
+    n_pos = len(positives)
+    negs = np.arange(n_pos, len(codes))
 
     trained = []
     for s in range(stages):
-        if len(x_neg) == 0:
+        if len(negs) == 0:
             break
-        xs = np.concatenate([x_pos, x_neg])
-        labels = np.concatenate([np.ones(len(x_pos), dtype=np.int64),
-                                 -np.ones(len(x_neg), dtype=np.int64)])
-        stage = train_strong(xs, labels, rounds[s])
-        stage = calibrate_stage(stage, _stage_scores(stage, x_pos), mhr)
+        stage_codes = codes[np.concatenate([np.arange(n_pos), negs])]
+        labels = np.repeat(np.array([1, -1]), [n_pos, len(negs)])
+        stage = _boost(stage_codes, values, labels, rounds[s])
+        scores = _stage_scores(stage, stage_codes, values)
+        stage = calibrate_stage(stage, scores[:n_pos], mhr)
         trained.append(stage)
-        x_neg = x_neg[_stage_scores(stage, x_neg) >= stage.stage_threshold]
+        negs = negs[scores[n_pos:] >= stage.stage_threshold]
     return replace(model, stages=tuple(trained))
 
 

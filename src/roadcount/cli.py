@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import itertools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -563,6 +564,8 @@ def train(config: PipelineConfig) -> CascadeModel:
         raise UsageError("training requires a scene directory (key: scene)")
     if not config.model:
         raise UsageError("training requires an output model path (key: model)")
+    if os.path.isdir(config.model):
+        raise DataError(f"model path is a directory: {config.model}")
     try:
         scenario = synthgen.load_scene_config(config.scene)
     except (OSError, ValueError) as exc:
@@ -794,7 +797,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"roadcount: error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, PgmError, FileNotFoundError, NotADirectoryError) as exc:
+    except (DataError, PgmError, OSError) as exc:
         print(f"roadcount: data error: {exc}", file=sys.stderr)
         return 2
 

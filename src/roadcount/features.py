@@ -210,9 +210,10 @@ def build_rank_table(code_sets) -> RankTable:
     """
     counts = np.zeros(256, dtype=np.int64)
     for codes in code_sets:
-        arr = np.asarray(codes, dtype=np.int64).ravel()
-        if arr.size:
-            counts += np.bincount(arr, minlength=256)
+        arr = np.asarray(codes).ravel()
+        # bincount takes an intp copy of its input: count in pieces of 2**20
+        for start in range(0, arr.size, 1 << 20):
+            counts += np.bincount(arr[start : start + (1 << 20)], minlength=256)
     if counts.sum() == 0:
         raise ValueError("no codes observed; cannot rank")
     observed = np.flatnonzero(counts)

@@ -1,6 +1,7 @@
 """Stump training, AdaBoost stages, cascade calibration and window detection."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +9,20 @@ import pytest
 
 from roadcount import boostcascade
 from roadcount.boostcascade import (
+    _BLOCK,
     CascadeModel,
     Detection,
     StrongClassifier,
     Stump,
     _best_stump,
+    _bin,
+    _bin_keys,
     _cell_rects,
+    _chunk_layout,
     _classify_grid,
     _cluster_hits,
-    _histogram_keys,
+    _crop_features,
+    _histograms,
     _presort,
     _scaled_geometries,
     _shortlist,
@@ -30,7 +36,6 @@ from roadcount.boostcascade import (
     train_cascade,
     train_strong,
     train_stump,
-    window_features,
 )
 from roadcount.features import (
     RANK_HISTOGRAM_BINS,
@@ -58,6 +63,34 @@ def strong_classify(h, x):
         score += alpha * weak_classify(stump, x)
     label = 1 if score >= h.stage_threshold else -1
     return score, label
+
+
+def window_features(model, rank_maps, win_w, win_h, xs, ys):
+    """Float feature vectors of the win_w x win_h windows at every origin (xs[i], ys[j]).
+
+    `rank_maps` maps each block geometry to its rank map over one image or a
+    stack of them (leading axes). Components [64c, 64c + 64) hold chunk c =
+    cell * geometries + geometry: the cell's rank histogram divided by its
+    site count. The result has shape stack + (len(ys), len(xs), feature_count).
+    """
+    gather = _site_gatherer(rank_maps.__getitem__)
+    chunks = []
+    for cell, g in _chunk_layout(model, win_w, win_h):
+        bins = gather(cell, g, ys[:, None], xs[None, :])
+        windows = math.prod(bins.shape[:-2])
+        keys = bins.reshape(windows, -1) + np.arange(windows)[:, None] * RANK_HISTOGRAM_BINS
+        counts = np.bincount(keys.ravel(), minlength=windows * RANK_HISTOGRAM_BINS)
+        hist = counts.reshape(bins.shape[:-2] + (RANK_HISTOGRAM_BINS,))
+        chunks.append(hist / math.prod(bins.shape[-2:]))
+    return np.concatenate(chunks, axis=-1)
+
+
+def stage_scores(stage, xs):
+    """Float reference of _stage_scores: stage score of every vector along xs's last axis."""
+    scores = np.zeros(xs.shape[:-1])
+    for stump, alpha in stage.stumps:
+        scores += alpha * _stump_predict(stump, xs[..., stump.feature_index])
+    return scores
 
 
 def _oracle_window_features(model, ii, window):
@@ -149,10 +182,12 @@ def test_strong_classify_weighted_vote_and_tie():
     assert score == -3.0 and label == -1
     empty = StrongClassifier(stumps=(), stage_threshold=0.0)
     assert strong_classify(empty, np.array([1.0])) == (0.0, 1)
-    # the production stage scorer gives the same scores for a batch
+    # the production stage scorer gives the same scores for a batch of
+    # binned rows, and so does the float reference
     xs = np.array([[0.5, 0.4], [0.4, 0.6], [0.9, 0.9]])
-    assert _stage_scores(h, xs).tolist() == [strong_classify(h, x)[0] for x in xs]
-    assert _stage_scores(empty, xs[:, :1]).tolist() == [0.0, 0.0, 0.0]
+    want = [strong_classify(h, x)[0] for x in xs]
+    assert _stage_scores(h, *_bin(xs)).tolist() == stage_scores(h, xs).tolist() == want
+    assert _stage_scores(empty, *_bin(xs[:, :1])).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_train_stump_matches_exhaustive_oracle():
@@ -233,21 +268,43 @@ def test_train_strong_more_rounds_not_worse():
     )
 
 
+def _single_bincount_histograms(xs, labels, weights):
+    """Reference histograms: one weighted bincount over the whole float matrix.
+
+    The key of (sample, column) is (column * 2 + is_positive) * nb + bin,
+    with bin b the b-th smallest distinct value of the matrix.
+    """
+    n, d = xs.shape
+    values = np.unique(xs)
+    nb = len(values)
+    keys = np.searchsorted(values, xs) + 2 * nb * np.arange(d) + (nb * (labels > 0))[:, None]
+    hist = np.bincount(keys.ravel(), np.repeat(weights, d), minlength=2 * d * nb)
+    return hist.reshape(d, 2, nb)
+
+
+def _keyed(xs, labels):
+    codes, values = _bin(xs)
+    return _bin_keys(codes, labels, len(values))
+
+
 def _dense_boost(xs, labels, rounds):
     """AdaBoost whose every round runs _best_stump over all columns.
 
     Returns the (stump, alpha) pairs and each round's shortlist; train_stump
-    must pick the dense stump under every round's weights as well.
+    must pick the dense stump under every round's weights as well, and the
+    blockwise histograms must equal one bincount over the matrix bit for bit.
     """
     n = len(xs)
     weights = np.full(n, 1.0 / n)
-    binned = _histogram_keys(xs, labels)
+    keyed = _keyed(xs, labels)
     stumps, shortlists = [], []
     for _ in range(rounds):
         stump, err = _best_stump(*_presort(xs), labels, weights)
         assert train_stump(xs, labels, weights) == stump
-        if binned is not None:
-            shortlists.append(_shortlist(*binned, weights).tolist())
+        if keyed is not None:
+            hist = _histograms(*keyed, weights)
+            assert np.array_equal(hist, _single_bincount_histograms(xs, labels, weights))
+            shortlists.append(_shortlist(hist, weights).tolist())
         err = min(max(err, 1e-10), 1.0 - 1e-10)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
@@ -278,7 +335,7 @@ def test_train_strong_shortlist_matches_full_search():
     noise = [rng.integers(0, s + 1, n) / s for s in (64, 25, 4, 64, 25, 4)]
     # column 6 duplicates column 1
     xs = np.column_stack([noise[0], a, noise[1], strong, noise[2], b, a, noise[3]])
-    assert _histogram_keys(xs, labels) is not None
+    assert _keyed(xs, labels) is not None
     want, shortlists = _dense_boost(xs, labels, 8)
     assert train_strong(xs, labels, 8).stumps == want
     # in round 2 b wins on rounding while a ties with it in exact
@@ -291,10 +348,35 @@ def test_train_strong_shortlist_matches_full_search():
     assert train_strong(xs, labels, 3).stumps == want
     assert shortlists == [[0, 1, 2]] * 3
 
+    # one column more than a histogram block, and fewer than a block: the
+    # signal sits in the last column, alone in its block in the first case
+    for d in (_BLOCK + 1, _BLOCK - 3):
+        xs = np.column_stack([rng.integers(0, s + 1, n) / s for s in rng.choice([4, 25, 64], d)])
+        xs[:, -1] = strong
+        assert _keyed(xs, labels) is not None
+        want, shortlists = _dense_boost(xs, labels, 6)
+        assert train_strong(xs, labels, 6).stumps == want
+        assert want[0][0].feature_index == d - 1 and d - 1 in shortlists[0]
+
+    # more than 256 distinct values but no more than samples: uint16 codes
+    # and keys, and the histogram still runs
+    wide = 400
+    wide_labels = rng.choice([-1, 1], wide)
+    xs = np.column_stack(
+        [rng.integers(0, 301, wide) / 300 for _ in range(4)]
+        + [(rng.integers(0, 151, wide) + 150 * (wide_labels > 0)) / 300]
+    )
+    codes, values = _bin(xs)
+    keys, nb = _keyed(xs, wide_labels)
+    assert codes.dtype == keys.dtype == np.uint16 and 256 < nb == len(values) <= wide
+    want, shortlists = _dense_boost(xs, wide_labels, 6)
+    assert train_strong(xs, wide_labels, 6).stumps == want
+    assert want[0][0].feature_index == 4 and len(shortlists) == 6
+
     # more distinct values than samples: no histogram, every column searched
     xs = rng.normal(size=(40, 3))
     labels = np.where(xs[:, 0] + 0.3 * rng.normal(size=40) > 0, 1, -1)
-    assert _histogram_keys(xs, labels) is None
+    assert _keyed(xs, labels) is None
     want, _ = _dense_boost(xs, labels, 6)
     assert train_strong(xs, labels, 6).stumps == want
 
@@ -397,6 +479,13 @@ def test_window_features_layout():
     for crop, vec in zip(crops, vecs[:, 0, 0]):
         oracle = _oracle_window_features(model, integral(Frame(crop)), Rect(0, 0, 18, 18))
         assert np.array_equal(vec, oracle)
+    # training's binned matrix holds the same floats, as uint8 codes
+    trained, codes, values = _crop_features(model, crops)
+    assert codes.dtype == np.uint8 and codes.shape == (5, model.feature_count)
+    assert np.array_equal(values, np.unique(values)) and values[0] == 0.0 and values[-1] == 1.0
+    stack_ii = integral(crops)
+    vecs = window_features(trained, _rank_maps(trained, stack_ii, 18, 18), 18, 18, origin, origin)
+    assert np.array_equal(values[codes], vecs[:, 0, 0])
 
     # one frame, windows at nonzero origins, at the canonical size and at a
     # size where _scaled_geometries changes the cell sizes
@@ -464,6 +553,72 @@ def test_train_cascade_stage_one_hit_rate_and_subset():
             assert evaluated == 1
 
 
+def _float_train_cascade(positives, negatives, stages, mhr, rounds, geometries):
+    """Reference cascade training on the float feature matrix: the features
+    of window_features, one concatenation per stage, train_strong and the
+    float stage scores."""
+    h, w = positives.shape[1:]
+    crops = np.concatenate([positives, negatives])
+    probe = CascadeModel((), w, h, RankTable(np.zeros(256)), geometries=geometries)
+    ii = integral(crops)
+    geoms = _scaled_geometries(probe, w, h)
+    model = replace(probe, rank_table=build_rank_table([mb_lbp_code_map(ii, g) for g in geoms]))
+    origin = np.zeros(1, dtype=np.intp)
+    x = window_features(model, _rank_maps(model, ii, w, h), w, h, origin, origin)[:, 0, 0]
+    x_pos, x_neg = x[: len(positives)], x[len(positives) :]
+    trained = []
+    for s in range(stages):
+        if len(x_neg) == 0:
+            break
+        xs = np.concatenate([x_pos, x_neg])
+        labels = np.concatenate([np.ones(len(x_pos), dtype=np.int64),
+                                 -np.ones(len(x_neg), dtype=np.int64)])
+        stage = train_strong(xs, labels, rounds[s])
+        stage = calibrate_stage(stage, stage_scores(stage, x_pos), mhr)
+        trained.append(stage)
+        x_neg = x_neg[stage_scores(stage, x_neg) >= stage.stage_threshold]
+    return replace(model, stages=tuple(trained))
+
+
+@pytest.mark.parametrize(
+    "size, n_pos, n_neg, dtype", [(18, 60, 120, np.uint8), (60, 150, 250, np.uint16)]
+)
+def test_train_cascade_matches_float_reference(size, n_pos, n_neg, dtype):
+    rng = np.random.default_rng(size)
+    # a faint center block: the stages separate the classes only in part
+    positives = _noise_crops(rng, n_pos, size, size)
+    center = slice(size // 4, size - size // 4)
+    positives[:, center, center] //= 2
+    negatives = _noise_crops(rng, n_neg, size, size)
+    rounds, mhr, geometries = (2, 3, 4), 0.95, (1, 2, 3)
+    probe = CascadeModel((), size, size, RankTable(np.zeros(256)), geometries=geometries)
+    assert _crop_features(probe, positives[:1])[1].dtype == dtype
+    got = train_cascade(positives, negatives, 3, mhr, rounds=rounds, geometries=geometries)
+    want = _float_train_cascade(positives, negatives, 3, mhr, rounds, geometries)
+    assert len(got.stages) == 3
+    assert got == want
+
+
+def test_train_cascade_memory_stays_below_one_float_matrix():
+    # the float64 feature matrix of these crops takes n * d * 8 bytes, and
+    # one copy of it alone reaches the bound; the binned training peaks near
+    # 0.8 of it, in _crop_features (a training that keeps one float copy
+    # beside its codes reads about 1.4, one float copy per stage and an int64
+    # key matrix about 4.8)
+    rng = np.random.default_rng(107)
+    positives = rng.integers(0, 256, (600, 30, 30), dtype=np.uint8)
+    negatives = rng.integers(0, 256, (2400, 30, 30), dtype=np.uint8)
+    float_bytes = 3000 * 1728 * 8
+    tracemalloc.start()
+    try:
+        model = train_cascade(positives, negatives, stages=2, mhr=0.99)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.stages) == 2
+    assert peak < float_bytes
+
+
 def test_train_cascade_validation():
     rng = np.random.default_rng(83)
     crops = _noise_crops(rng, 4, 18, 18)
@@ -508,7 +663,7 @@ def _quantile_cascade(base, x, stage_features, keep):
             (Stump(f, float(np.median(x[:, f])), 1 - 2 * (k % 2)), 1.0 + k / 4)
             for k, f in enumerate(features)
         )
-        scores = _stage_scores(StrongClassifier(stumps), x)
+        scores = stage_scores(StrongClassifier(stumps), x)
         passed = np.sort(scores[alive])
         threshold = float(passed[int(len(passed) * (1 - share))])
         alive &= scores >= threshold
@@ -531,7 +686,7 @@ def _grid_against_oracle(model, ii, win_w, win_h, xs, ys):
             assert score == scores[j, i]
             oracle_x = _oracle_window_features(model, ii, window)
             for stage in model.stages:
-                assert _stage_scores(stage, x[j, i]) == strong_classify(stage, oracle_x)[0]
+                assert stage_scores(stage, x[j, i]) == strong_classify(stage, oracle_x)[0]
     return alive, evaluated
 
 

@@ -500,6 +500,33 @@ def test_exit_codes(ten_vehicle_scene, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["train", "--model", "{dir}"],
+        ["count", "--detector", "feature", "--model", "{dir}"],
+        ["count", "--events_out", "{dir}"],
+        ["detect", "--out", "{dir}"],
+        ["count", "--config", "{dir}"],
+    ],
+    ids=["train-model", "count-model", "count-events_out", "detect-out", "count-config"],
+)
+def test_directory_path_is_a_data_error(ten_vehicle_scene, tmp_path, monkeypatch, capsys, args):
+    sampled = []
+    generate_training_set = synthgen.generate_training_set
+    monkeypatch.setattr(
+        synthgen, "generate_training_set",
+        lambda *a: sampled.append(a) or generate_training_set(*a),
+    )
+    rc = cli.main([arg.format(dir=tmp_path) for arg in args] + ["--scene", ten_vehicle_scene])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("roadcount: data error: ")
+    assert captured.err.count("\n") == 1 and str(tmp_path) in captured.err
+    assert sampled == []  # train refuses the path before it samples any crop
+
+
 def test_override_value_forms(ten_vehicle_scene, capsys):
     rc = cli.main(["count", f"--scene={ten_vehicle_scene}", "--th=10"])
     assert rc == 0
