@@ -551,6 +551,15 @@ def _hard_negatives(scenario, count: int, window_w: int, window_h: int) -> np.nd
     return pool[textured]
 
 
+def _check_out_path(key: str, path: str) -> None:
+    """Refuse an output path naming a directory or inside a missing one; creates nothing."""
+    if os.path.isdir(path):
+        raise DataError(f"{key} path is a directory: {path}")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise DataError(f"{key} path is in a missing directory: {path}")
+
+
 def train(config: PipelineConfig) -> CascadeModel:
     """Train a cascade from crops sampled out of the scene's own scenario.
 
@@ -564,8 +573,7 @@ def train(config: PipelineConfig) -> CascadeModel:
         raise UsageError("training requires a scene directory (key: scene)")
     if not config.model:
         raise UsageError("training requires an output model path (key: model)")
-    if os.path.isdir(config.model):
-        raise DataError(f"model path is a directory: {config.model}")
+    _check_out_path("model", config.model)
     try:
         scenario = synthgen.load_scene_config(config.scene)
     except (OSError, ValueError) as exc:
@@ -686,6 +694,8 @@ def _cmd_track(args, overrides: dict[str, str]) -> int:
 
 def _cmd_count(args, overrides: dict[str, str]) -> int:
     config = _load_config(args, overrides)
+    if config.events_out:
+        _check_out_path("events_out", config.events_out)
     report, _ = run_pipeline(config)
     if config.events_out:
         with open(config.events_out, "w", encoding="ascii") as fh:

@@ -1,9 +1,13 @@
 """Background model recursion, mask thresholding, opening and blob extraction."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from roadcount import synthgen
 from roadcount.bgsub import (
     BackgroundModel,
     extract_blobs,
@@ -33,15 +37,40 @@ def test_update_recursion_matches_closed_form():
     rng = np.random.default_rng(103)
     lam = 0.25
     model = BackgroundModel(6, 5, learning_rate=lam)
-    frames = [Frame(rng.integers(0, 256, (5, 6)).astype(np.uint8)) for _ in range(8)]
+    frames = [Frame(rng.integers(0, 256, (5, 6)).astype(np.uint8)) for _ in range(50)]
     expected = frames[0].pixels.astype(np.float64)
     update_background(model, frames[0])
     assert model.initialized
     assert np.array_equal(model.background, expected)
     for frame in frames[1:]:
         update_background(model, frame)
-        expected = (1.0 - lam) * expected + lam * frame.pixels
-        assert np.allclose(model.background, expected, atol=1e-12)
+        # the two-temporary formula, bit for bit
+        expected = (1.0 - lam) * expected + lam * frame.pixels.astype(np.float64)
+        assert np.array_equal(model.background, expected)
+
+
+def test_subtract_matches_float_formula_bit_for_bit():
+    rng = np.random.default_rng(127)
+    model = BackgroundModel(40, 30, learning_rate=0.37)
+    for _ in range(12):
+        update_background(model, Frame(rng.integers(0, 256, (30, 40)).astype(np.uint8)))
+    pixels = rng.integers(0, 256, (30, 40)).astype(np.uint8)
+    background = model.background
+    assert not np.array_equal(background, np.round(background))  # fractional
+    th = 10.25
+    near = rng.random(pixels.shape) < 0.4
+    # |pixel - B| is th, or th less about 6e-10, which float32 arithmetic
+    # would round up to th; B stays inside [0, 255]
+    sides = np.where(pixels[near] < 128, 1.0, -1.0)
+    background[near] = pixels[near] + sides * rng.choice((th, th * (1.0 - 2**-34)), size=sides.size)
+    diff = np.abs(pixels - background)
+    assert np.count_nonzero(diff == th) > 100
+    assert np.count_nonzero((diff < th) & (diff > th - 1e-8)) > 100
+    for t in (th, 0.5, 3.75, 100.0):
+        mask = subtract(model, Frame(pixels), t)
+        expected = (np.abs(pixels.astype(np.float64) - background) >= t).astype(np.uint8)
+        assert mask.dtype == np.uint8
+        assert np.array_equal(mask, expected)
 
 
 def test_subtract_threshold_boundary_inclusive():
@@ -111,11 +140,74 @@ def test_open_matches_2d_oracle():
         mask[rng.random(mask.shape) < 0.05] ^= 1
         masks.append(mask)
     masks.append(np.full((6, 9), 3, dtype=np.uint8))  # any nonzero value is foreground
-    for radius in range(4):
+    for radius in (0, 1, 2, 3, 4, 5, 8, 13):
         for mask in masks:
             opened = morphological_open(mask, radius)
             assert opened.dtype == np.uint8
             assert np.array_equal(opened, _oracle_open(mask, radius)), (radius, mask.shape)
+
+
+def _step_scene_masks(count: int) -> list[np.ndarray]:
+    """The raw th=10 masks of the first frames of the 1600-frame step scene.
+
+    Its +50 illumination step comes at frame 800, so the first frames render
+    the same without it.
+    """
+    scenario = synthgen.ScenarioConfig(
+        width=240, height=135, frames=count + 1,
+        markers=synthgen.default_markers(240, 135),
+        spawns=synthgen.spawn_schedule(104, 15, 2, 4.0, 30, 30),
+        seed=11, background_seed=4, noise_sigma=0.0,
+    )
+    frames, _ = synthgen.generate_scene(scenario)
+    model = update_background(BackgroundModel(240, 135), frames[0])
+    masks = []
+    for frame in frames[1:]:
+        masks.append(subtract(model, frame, 10.0))
+        update_background(model, frame)
+    return masks
+
+
+def test_open_matches_2d_oracle_on_step_scene_masks():
+    masks = _step_scene_masks(200)
+    assert len(masks) == 200 and sum(int(m.any()) for m in masks) > 150
+    assert all(mask.shape == (135, 240) for mask in masks)
+    for radius in range(4):
+        for index, mask in enumerate(masks):
+            assert np.array_equal(morphological_open(mask, radius), _oracle_open(mask, radius)), (
+                radius, index
+            )
+
+
+def test_open_radius_beyond_mask_sides():
+    rng = np.random.default_rng(131)
+    masks = []
+    for h, w in ((1, 9), (9, 1), (2, 2), (1, 1), (3, 2)):
+        for p in (0.5, 1.0):
+            masks.append((rng.random((h, w)) < p).astype(np.uint8))
+    for mask in masks:
+        for radius in range(1, max(mask.shape) + 3):
+            opened = morphological_open(mask, radius)
+            assert np.array_equal(opened, _oracle_open(mask, radius)), (radius, mask.tolist())
+
+
+def test_open_radius_is_clamped_per_axis():
+    full = np.ones((5, 7), dtype=np.uint8)
+    holed = full.copy()
+    holed[4, 6] = 0
+    tracemalloc.start()
+    try:
+        morphological_open(holed, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000  # an unclamped pad is 2007 x 2005 bytes
+    for mask in (full, holed, np.zeros((5, 7), dtype=np.uint8)):
+        t0 = time.perf_counter()
+        opened = morphological_open(mask, 10**6)
+        assert time.perf_counter() - t0 < 0.5
+        # every window covers the whole mask: all ones if and only if the mask is
+        assert np.array_equal(opened, np.full((5, 7), int(mask.all()), dtype=np.uint8))
 
 
 def _flood_blobs(mask: np.ndarray, min_area: int) -> list[Rect]:
@@ -171,3 +263,34 @@ def test_extract_blobs_sorted_and_filtered():
     blobs = extract_blobs(mask, 1)
     assert blobs == [Rect(6, 1, 4, 2), Rect(1, 8, 3, 3)]
     assert extract_blobs(mask, 9) == [Rect(1, 8, 3, 3)]
+
+
+def test_extract_blobs_more_components_than_uint8_labels():
+    mask = np.zeros((41, 43), dtype=np.uint8)
+    mask[::2, ::2] = 1  # 21 x 22 isolated pixels
+    mask[20, 10:19] = 1  # five of them joined into a single component
+    blobs = extract_blobs(mask, 1)
+    assert len(blobs) == 21 * 22 - 4 > 255
+    assert blobs == _flood_blobs(mask, 1)
+    assert extract_blobs(mask, 2) == _flood_blobs(mask, 2) == [Rect(10, 20, 9, 1)]
+
+
+def test_extract_blobs_min_area_zero():
+    rng = np.random.default_rng(137)
+    for _ in range(10):
+        mask = (rng.random((15, 18)) < 0.3).astype(np.uint8)
+        assert extract_blobs(mask, 0) == _flood_blobs(mask, 0) == _flood_blobs(mask, 1)
+    assert extract_blobs(np.zeros((4, 4), dtype=np.uint8), 0) == []
+
+
+def test_extract_blobs_area_counts_only_its_own_label():
+    mask = np.zeros((10, 10), dtype=np.uint8)
+    mask[1:9, 1] = 1
+    mask[1:9, 8] = 1
+    mask[8, 1:9] = 1  # a U of 22 px whose 8x8 box holds 64 px
+    mask[3:6, 3:6] = 1  # a 9 px square inside the U's box
+    u_rect, square = Rect(1, 1, 8, 8), Rect(3, 3, 3, 3)
+    assert extract_blobs(mask, 1) == _flood_blobs(mask, 1) == [u_rect, square]
+    assert extract_blobs(mask, 22) == _flood_blobs(mask, 22) == [u_rect]
+    # counted with the square, the U would read 31 px and pass 23
+    assert extract_blobs(mask, 23) == _flood_blobs(mask, 23) == []

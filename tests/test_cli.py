@@ -527,6 +527,26 @@ def test_directory_path_is_a_data_error(ten_vehicle_scene, tmp_path, monkeypatch
     assert sampled == []  # train refuses the path before it samples any crop
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["train", "--model"], ["count", "--events_out"]],
+    ids=["train-model", "count-events_out"],
+)
+def test_output_in_missing_directory_fails_before_work(
+    ten_vehicle_scene, tmp_path, monkeypatch, capsys, args
+):
+    started = []
+    for module, name in ((cli, "_Pass"), (synthgen, "generate_scene")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original: started.append(a) or _f(*a))
+    path = tmp_path / "missing" / "out.txt"
+    rc = cli.main(args + [str(path), "--scene", ten_vehicle_scene])
+    message = f"roadcount: data error: {args[1][2:]} path is in a missing directory: {path}"
+    _one_line_failure(capsys, rc, 2, message)
+    assert started == []  # no pass started, no scene rendered
+    assert not path.parent.exists()
+
+
 def test_override_value_forms(ten_vehicle_scene, capsys):
     rc = cli.main(["count", f"--scene={ten_vehicle_scene}", "--th=10"])
     assert rc == 0
