@@ -415,7 +415,15 @@ def _score(config: PipelineConfig, counted: list[tuple[int, int]], n_markers: in
         gt_events = synthgen.load_gt_events(config.scene)
     except FileNotFoundError:
         gt_events = []
+    except ValueError as exc:
+        raise DataError(f"malformed ground truth: {exc}") from exc
     gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
+    for frame_idx, marker in gt_pairs:
+        if marker >= n_markers:
+            raise DataError(
+                f"ground-truth event at frame {frame_idx} names marker {marker}, "
+                f"but the scene has {n_markers} markers"
+            )
     return make_report(counted, gt_pairs, config.match_tol, n_markers)
 
 
@@ -712,8 +720,10 @@ def _cmd_sweep(args, overrides: dict[str, str]) -> int:
     for item in args.grid:
         if "=" not in item:
             raise UsageError(f"grid entries must be key=v1,v2,..., got {item!r}")
-        key, values = item.split("=", 1)
-        grid[key.strip()] = [v.strip() for v in values.split(",") if v.strip()]
+        key, values = (part.strip() for part in item.split("=", 1))
+        if key in grid:
+            raise UsageError(f"sweep key {key} is given in more than one --grid entry")
+        grid[key] = [v.strip() for v in values.split(",") if v.strip()]
     header, rows = sweep(config, grid)
     print("\t".join(header))
     for row in rows:
@@ -749,6 +759,8 @@ def _cmd_eval(args, overrides: dict[str, str]) -> int:
         gt_events = synthgen.load_gt_events(config.scene)
     except FileNotFoundError as exc:
         raise DataError(f"scene has no gt_events.txt: {config.scene}") from exc
+    except ValueError as exc:
+        raise DataError(f"malformed ground truth: {exc}") from exc
     gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
     n_markers = max(
         [m for _, m in counted + gt_pairs], default=0

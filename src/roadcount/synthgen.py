@@ -437,12 +437,25 @@ def load_scene_config(directory: str | os.PathLike) -> ScenarioConfig:
 
 
 def load_gt_events(directory: str | os.PathLike) -> list[tuple[int, int, int]]:
+    """Read gt_events.txt: one `frame vehicle marker` line per event, blank lines skipped.
+
+    Raises ValueError naming the first line that is not three integers >= 0.
+    """
+    path = os.path.join(directory, "gt_events.txt")
     events = []
-    with open(os.path.join(directory, "gt_events.txt"), "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "r", encoding="ascii") as fh:
+        for number, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
                 continue
-            frame_idx, vid, marker = (int(p) for p in line.split())
-            events.append((frame_idx, vid, marker))
+            try:
+                event = tuple(int(p) for p in parts)
+            except ValueError:
+                event = ()
+            if len(event) != 3 or min(event) < 0:
+                raise ValueError(
+                    f"{path} line {number}: expected 'frame vehicle marker' as three "
+                    f"integers >= 0, got {line.strip()!r}"
+                )
+            events.append(event)
     return events

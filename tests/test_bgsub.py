@@ -168,8 +168,13 @@ def _step_scene_masks(count: int) -> list[np.ndarray]:
     return masks
 
 
-def test_open_matches_2d_oracle_on_step_scene_masks():
-    masks = _step_scene_masks(200)
+@pytest.fixture(scope="module")
+def step_scene_masks() -> list[np.ndarray]:
+    return _step_scene_masks(200)
+
+
+def test_open_matches_2d_oracle_on_step_scene_masks(step_scene_masks):
+    masks = step_scene_masks
     assert len(masks) == 200 and sum(int(m.any()) for m in masks) > 150
     assert all(mask.shape == (135, 240) for mask in masks)
     for radius in range(4):
@@ -294,3 +299,53 @@ def test_extract_blobs_area_counts_only_its_own_label():
     assert extract_blobs(mask, 22) == _flood_blobs(mask, 22) == [u_rect]
     # counted with the square, the U would read 31 px and pass 23
     assert extract_blobs(mask, 23) == _flood_blobs(mask, 23) == []
+
+
+def _ndimage_blobs(mask: np.ndarray, min_area: int) -> list[Rect]:
+    """scipy labeling oracle: 8-connected labels, each area counted inside its own box."""
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    rects = []
+    for label, (ys, xs) in enumerate(ndimage.find_objects(labels, count), start=1):
+        if np.count_nonzero(labels[ys, xs] == label) >= min_area:
+            rects.append(Rect(xs.start, ys.start, xs.stop - xs.start, ys.stop - ys.start))
+    rects.sort(key=lambda r: (r.y, r.x))
+    return rects
+
+
+def test_extract_blobs_matches_ndimage_on_opened_step_scene_masks(step_scene_masks):
+    blobs = 0
+    for radius in range(4):
+        for index, raw in enumerate(step_scene_masks):
+            mask = morphological_open(raw, radius)
+            for min_area in (0, 1, 5, 25):
+                found = extract_blobs(mask, min_area)
+                assert found == _ndimage_blobs(mask, min_area), (radius, index, min_area)
+                blobs += len(found)
+    assert blobs > 1000
+
+
+def _serpentine(h: int, w: int) -> np.ndarray:
+    """One component snaking down the mask: full rows joined at alternating ends."""
+    mask = np.zeros((h, w), dtype=np.uint8)
+    mask[::2] = 1
+    mask[1::4, -1] = 1
+    mask[3::4, 0] = 1
+    return mask
+
+
+def test_extract_blobs_matches_flood_fill_on_dense_and_long_components():
+    rng = np.random.default_rng(139)
+    noise = (rng.random((135, 240)) < 0.5).astype(np.uint8)
+    serpentine = _serpentine(41, 37)
+    assert len(_flood_blobs(serpentine, 0)) == 1
+    for mask in (noise, serpentine, np.ones((135, 240), dtype=np.uint8)):
+        for min_area in (0, 1, 5, 25):
+            assert extract_blobs(mask, min_area) == _flood_blobs(mask, min_area)
+
+
+def test_extract_blobs_more_components_than_uint16_labels():
+    mask = np.zeros((512, 512), dtype=np.uint8)
+    mask[::2, ::2] = 1  # 256 x 256 isolated pixels
+    blobs = extract_blobs(mask, 0)
+    assert len(blobs) == 65_536 > 65_535
+    assert blobs == _flood_blobs(mask, 0)

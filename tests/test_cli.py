@@ -1,7 +1,10 @@
 """End-to-end tests for the command line interface and pipeline driver."""
 
 import itertools
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -269,6 +272,8 @@ def test_sweep_rejects_last_point_before_decoding(
         (["--detector", "feature", "--model", small_cascade, "--grid", "th=8,10"],
          "sweep key th does not affect counting"),
         (["--grid", "stride=4,7"], "sweep key stride does not affect counting"),
+        (["--grid", "th=8", "--grid", " th =9"],
+         "sweep key th is given in more than one --grid entry"),
     ):
         rc = cli.main(["sweep", "--scene", ten_vehicle_scene] + args)
         assert rc == 1
@@ -701,3 +706,81 @@ def test_train_rejects_scene_without_full_vehicle(tmp_path, capsys):
         "scenario produced no fully visible vehicle boxes",
     )
     assert not model.exists()
+
+
+def _small_scene(tmp_path) -> str:
+    scene = tmp_path / "small"
+    synthgen.save_scene(str(scene), synthgen.config_from_text(_small_scenario_text()))
+    return str(scene)
+
+
+@pytest.mark.parametrize("command", ["count", "eval"])
+@pytest.mark.parametrize("line", ["7 1 zero", "7 1"], ids=["non-integer", "two-columns"])
+def test_malformed_gt_events_is_a_data_error(tmp_path, capsys, command, line):
+    scene = _small_scene(tmp_path)
+    gt_path = os.path.join(scene, "gt_events.txt")
+    with open(gt_path, "w", encoding="ascii") as fh:
+        fh.write(f"5 0 0\n\n{line}\n")
+    events = tmp_path / "events.txt"
+    events.write_text("5 0\n", encoding="ascii")
+    extra = ["--events", str(events)] if command == "eval" else []
+    rc = cli.main([command, "--scene", scene] + extra)
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: malformed ground truth: {gt_path} line 3: expected "
+        f"'frame vehicle marker' as three integers >= 0, got {line!r}",
+    )
+
+
+@pytest.mark.parametrize("command", ["count", "sweep"])
+def test_gt_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys, command):
+    scene = _small_scene(tmp_path)
+    with open(os.path.join(scene, "gt_events.txt"), "w", encoding="ascii") as fh:
+        fh.write("5 0 1\n9 1 2\n")  # the scene has markers 0 and 1
+    extra = ["--grid", "tfc=4,8"] if command == "sweep" else []
+    rc = cli.main([command, "--scene", scene] + extra)
+    _one_line_failure(
+        capsys, rc, 2,
+        "roadcount: data error: ground-truth event at frame 9 names marker 2, "
+        "but the scene has 2 markers",
+    )
+
+
+# Runs roadcount's entry point with every import of scipy failing, lazy ones included.
+_WITHOUT_SCIPY = """
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+sys.meta_path.insert(0, _NoScipy())
+from roadcount.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runtime_runs_without_scipy(ten_vehicle_scene, small_cascade, tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    model = tmp_path / "cascade.txt"
+    for args in (
+        ["count", "--detector", "bgsub"],
+        ["sweep", "--grid", "th=8,10"],
+        ["train", "--model", str(model), "--stages", "3", "--train_pos", "400",
+         "--train_neg", "1500", "--train_hard", "2000"],
+    ):
+        args = args + ["--scene", ten_vehicle_scene]
+        child = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY] + args,
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert cli.main(args) == 0
+        assert child.stdout == capsys.readouterr().out
+    with open(model, "rb") as fh, open(small_cascade, "rb") as fixture:
+        assert fh.read() == fixture.read()

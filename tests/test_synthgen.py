@@ -1,5 +1,7 @@
 """Synthetic scene generation: determinism, ground truth and training crops."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,17 @@ def test_save_scene_round_trip(tmp_path):
     frames, _ = generate_scene(config)
     on_disk = load_pgm(tmp_path / "scene" / "frames" / "frame_000000.pgm")
     assert on_disk == frames[0]
+
+
+def test_load_gt_events_names_malformed_line(tmp_path):
+    scene = tmp_path / "scene"
+    save_scene(scene, _scenario(frames=12))
+    path = scene / "gt_events.txt"
+    for number, text in ((1, "3 0 x\n"), (2, "3 0 1\n3 0\n"), (3, "\n3 0 1\n3 0 1 4\n"),
+                         (1, "3 -1 0\n")):
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {number}: "):
+            load_gt_events(scene)
 
 
 def test_save_scene_byte_determinism(tmp_path):
