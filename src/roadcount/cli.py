@@ -287,6 +287,17 @@ def _scene_frame_paths(scene_dir: str) -> list[str]:
     return paths
 
 
+def _working_size(config: PipelineConfig, first: Frame) -> tuple[int, int]:
+    """The scene's frame size after downscaling by resolution_factor, which must divide it."""
+    factor = config.resolution_factor
+    if first.width % factor or first.height % factor:
+        raise UsageError(
+            f"resolution_factor {factor} does not divide the scene's "
+            f"{first.width}x{first.height} frames"
+        )
+    return first.width // factor, first.height // factor
+
+
 def _load_cascade(config: PipelineConfig) -> CascadeModel:
     if not config.model:
         raise UsageError("detector=feature requires a model path")
@@ -335,7 +346,11 @@ def _detector(
 
 
 class _FrameRecord(NamedTuple):
-    """What one frame of a pass produced, with the seconds each step took."""
+    """What one frame of a pass produced, with the seconds each step took.
+
+    live and finished hold the tracker's own Track objects: a live track
+    changes as later frames are tracked, a finished one never does.
+    """
 
     index: int
     detections: list[tuple[Rect, float]]
@@ -363,14 +378,7 @@ class _Pass:
         self.paths = _scene_frame_paths(config.scene)
         first = load_pgm(self.paths[0])
         self.native = (first.width, first.height)
-        factor = config.resolution_factor
-        if first.width % factor or first.height % factor:
-            raise UsageError(
-                f"resolution_factor {factor} does not divide the scene's "
-                f"{first.width}x{first.height} frames"
-            )
-        self.width = first.width // factor
-        self.height = first.height // factor
+        self.width, self.height = _working_size(config, first)
         self.detect = _detector(config, self.width, self.height)
         self.tracker = Tracker(
             kind=config.tracker,
@@ -409,22 +417,34 @@ def _policy(config: PipelineConfig) -> CountingPolicy:
     )
 
 
-def _score(config: PipelineConfig, counted: list[tuple[int, int]], n_markers: int) -> CountingReport:
-    """Evaluate counted events against the scene's ground truth (none if it has no file)."""
+def _check_markers(events: list[tuple[int, int]], n_markers: int, what: str) -> None:
+    """Refuse a (frame, marker) event naming a marker the scene does not have."""
+    for frame_idx, marker in events:
+        if not 0 <= marker < n_markers:
+            raise DataError(
+                f"{what} at frame {frame_idx} names marker {marker}, "
+                f"but the scene has {n_markers} markers"
+            )
+
+
+def _gt_pairs(scene: str, n_markers: int, required: bool = False) -> list[tuple[int, int]]:
+    """The scene's ground-truth (frame, marker) events; none without a file unless required."""
     try:
-        gt_events = synthgen.load_gt_events(config.scene)
-    except FileNotFoundError:
+        gt_events = synthgen.load_gt_events(scene)
+    except FileNotFoundError as exc:
+        if required:
+            raise DataError(f"scene has no gt_events.txt: {scene}") from exc
         gt_events = []
     except ValueError as exc:
         raise DataError(f"malformed ground truth: {exc}") from exc
     gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
-    for frame_idx, marker in gt_pairs:
-        if marker >= n_markers:
-            raise DataError(
-                f"ground-truth event at frame {frame_idx} names marker {marker}, "
-                f"but the scene has {n_markers} markers"
-            )
-    return make_report(counted, gt_pairs, config.match_tol, n_markers)
+    _check_markers(gt_pairs, n_markers, "ground-truth event")
+    return gt_pairs
+
+
+def _score(config: PipelineConfig, counted: list[tuple[int, int]], n_markers: int) -> CountingReport:
+    """Evaluate counted events against the scene's ground truth (none if it has no file)."""
+    return make_report(counted, _gt_pairs(config.scene, n_markers), config.match_tol, n_markers)
 
 
 def _bench_records(times: dict[str, list[float]], warmup: int = 0) -> list[BenchRecord]:
@@ -755,16 +775,10 @@ def _cmd_eval(args, overrides: dict[str, str]) -> int:
         raise DataError(f"events file not found: {args.events}") from exc
     except ValueError as exc:
         raise DataError(f"malformed events file {args.events}: {exc}") from exc
-    try:
-        gt_events = synthgen.load_gt_events(config.scene)
-    except FileNotFoundError as exc:
-        raise DataError(f"scene has no gt_events.txt: {config.scene}") from exc
-    except ValueError as exc:
-        raise DataError(f"malformed ground truth: {exc}") from exc
-    gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
-    n_markers = max(
-        [m for _, m in counted + gt_pairs], default=0
-    ) + 1
+    width, height = _working_size(config, load_pgm(_scene_frame_paths(config.scene)[0]))
+    n_markers = len(_resolve_markers(config, config.scene, width, height).markers)
+    _check_markers(counted, n_markers, f"counted event in {args.events}")
+    gt_pairs = _gt_pairs(config.scene, n_markers, required=True)
     report = make_report(counted, gt_pairs, config.match_tol, n_markers)
     print(result_line(report))
     return 0

@@ -24,8 +24,7 @@ DEFAULT_P0 = np.diag([25.0, 25.0, 100.0, 25.0, 1.0, 0.1])
 DEFAULT_GATE_FRACTION = 0.25
 DEFAULT_MAX_MISSES = 5
 
-_H = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-               [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+_EYE6 = np.eye(6)
 
 
 def normalize_angle(phi: float) -> float:
@@ -95,15 +94,12 @@ class Track:
     heading_valid: bool = True
     anchor: tuple[float, float] = field(default=(0.0, 0.0))
 
-    def position(self) -> tuple[float, float]:
-        return self.state.x, self.state.y
 
-
-def transition(state: StateVector, t: float) -> StateVector:
-    """Constant-turn-rate/constant-acceleration step of length t seconds."""
+def _transition(state: StateVector, c: float, s: float, t: float) -> StateVector:
+    """transition, given c, s = cos(state.phi), sin(state.phi)."""
     return StateVector(
-        x=state.x + state.v * t * math.cos(state.phi),
-        y=state.y + state.v * t * math.sin(state.phi),
+        x=state.x + state.v * t * c,
+        y=state.y + state.v * t * s,
         v=state.v + state.a * t,
         a=state.a,
         phi=normalize_angle(state.phi + state.omega * t),
@@ -111,18 +107,90 @@ def transition(state: StateVector, t: float) -> StateVector:
     )
 
 
-def jacobian(state: StateVector, t: float) -> np.ndarray:
-    """Analytic Jacobian of transition at the given state."""
-    c = math.cos(state.phi)
-    s = math.sin(state.phi)
-    f = np.eye(6)
+def _jacobian(v: float, c: float, s: float, t: float) -> np.ndarray:
+    """jacobian at speed v, given c, s = cos(phi), sin(phi)."""
+    f = _EYE6.copy()
     f[0, 2] = t * c
-    f[0, 4] = -state.v * t * s
+    f[0, 4] = -v * t * s
     f[1, 2] = t * s
-    f[1, 4] = state.v * t * c
+    f[1, 4] = v * t * c
     f[2, 3] = t
     f[4, 5] = t
     return f
+
+
+def transition(state: StateVector, t: float) -> StateVector:
+    """Constant-turn-rate/constant-acceleration step of length t seconds."""
+    return _transition(state, math.cos(state.phi), math.sin(state.phi), t)
+
+
+def jacobian(state: StateVector, t: float) -> np.ndarray:
+    """Analytic Jacobian of transition at the given state."""
+    return _jacobian(state.v, math.cos(state.phi), math.sin(state.phi), t)
+
+
+def _predict(
+    state: StateVector, p: np.ndarray, t: float, q: np.ndarray
+) -> tuple[StateVector, np.ndarray]:
+    """EKF time-update kernel: (state, P) -> (f(state), F*P*F^T + q*t)."""
+    c = math.cos(state.phi)
+    s = math.sin(state.phi)
+    f = _jacobian(state.v, c, s, t)
+    return _transition(state, c, s, t), f @ p @ f.T + q * t
+
+
+def _update(
+    state: StateVector, p: np.ndarray, zx: float, zy: float, r: np.ndarray
+) -> tuple[StateVector, np.ndarray]:
+    """EKF measurement-update kernel for an observed position (zx, zy).
+
+    H selects (x, y), so P*H^T is P[:, :2] and S = H*P*H^T + R is
+    P[:2, :2] + R exactly. S is inverted in closed form, the gain
+    K = P*H^T*S^-1 is formed in scalars, and P becomes P - K*P[:2, :],
+    symmetrised.
+    """
+    ph = p[:, :2].tolist()
+    (r00, r01), (r10, r11) = r.tolist()
+    s00, s01 = ph[0][0] + r00, ph[0][1] + r01
+    s10, s11 = ph[1][0] + r10, ph[1][1] + r11
+    det = s00 * s11 - s01 * s10
+    if det == 0.0 or not math.isfinite(det):
+        s = np.array([[s00, s01], [s10, s11]])
+        raise ValueError(f"singular innovation covariance {s!r}")
+    i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+    gain = [(c0 * i00 + c1 * i10, c0 * i01 + c1 * i11) for c0, c1 in ph]
+    dx = zx - state.x
+    dy = zy - state.y
+    x, y, v, a, phi, omega = [
+        m + (k0 * dx + k1 * dy)
+        for m, (k0, k1) in zip((state.x, state.y, state.v, state.a, state.phi, state.omega), gain)
+    ]
+    p = p - np.array(gain) @ p[:2]
+    p += p.T
+    p /= 2.0
+    return StateVector(x, y, v, a, normalize_angle(phi), omega), p
+
+
+def _bootstrap(state: StateVector, zx: float, zy: float, t: float) -> StateVector:
+    """derive_kinematics on the state alone."""
+    dx = zx - state.x
+    dy = zy - state.y
+    if dx == 0.0 and dy == 0.0:
+        return StateVector(state.x, state.y, 0.0, state.a, state.phi, state.omega)
+    return StateVector(
+        state.x, state.y, math.hypot(dx, dy) / t, state.a,
+        normalize_angle(math.atan2(-dy, dx)), state.omega,
+    )
+
+
+def _observed(track: Track, rect: Rect) -> None:
+    """Lifecycle bookkeeping, in place, after track.state took in an observation of rect."""
+    x, y = track.state.x, track.state.y
+    track.total_distance += math.hypot(x - track.anchor[0], y - track.anchor[1])
+    track.anchor = (x, y)
+    track.frames_seen += 1
+    track.misses = 0
+    track.last_rect = rect
 
 
 def predict(track: Track, t: float, q: np.ndarray = DEFAULT_Q) -> Track:
@@ -132,34 +200,16 @@ def predict(track: Track, t: float, q: np.ndarray = DEFAULT_Q) -> Track:
     """
     if t <= 0.0:
         raise ValueError(f"time step must be positive, got {t}")
-    f = jacobian(track.state, t)
-    covariance = f @ track.covariance @ f.T + q * t
-    return replace(track, state=transition(track.state, t), covariance=covariance)
+    state, covariance = _predict(track.state, track.covariance, t, q)
+    return replace(track, state=state, covariance=covariance)
 
 
 def update(track: Track, z: Measurement, r: np.ndarray = DEFAULT_R) -> Track:
     """EKF measurement update from a position observation."""
-    p = track.covariance
-    innovation = np.array([z.z_x, z.z_y]) - _H @ track.state.as_array()
-    s = _H @ p @ _H.T + r
-    try:
-        gain = p @ _H.T @ np.linalg.inv(s)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular innovation covariance {s!r}") from exc
-    new_state = StateVector.from_array(track.state.as_array() + gain @ innovation)
-    p = (np.eye(6) - gain @ _H) @ p
-    p = (p + p.T) / 2.0
-    step = math.hypot(new_state.x - track.anchor[0], new_state.y - track.anchor[1])
-    return replace(
-        track,
-        state=new_state,
-        covariance=p,
-        frames_seen=track.frames_seen + 1,
-        misses=0,
-        total_distance=track.total_distance + step,
-        anchor=(new_state.x, new_state.y),
-        last_rect=z.rect,
-    )
+    state, covariance = _update(track.state, track.covariance, z.z_x, z.z_y, r)
+    track = replace(track, state=state, covariance=covariance)
+    _observed(track, z.rect)
+    return track
 
 
 def derive_kinematics(track: Track, z: Measurement, t: float) -> Track:
@@ -169,17 +219,7 @@ def derive_kinematics(track: Track, z: Measurement, t: float) -> Track:
     """
     if t <= 0.0:
         raise ValueError(f"time step must be positive, got {t}")
-    dx = z.z_x - track.state.x
-    dy = z.z_y - track.state.y
-    if dx == 0.0 and dy == 0.0:
-        state = replace(track.state, v=0.0)
-    else:
-        state = replace(
-            track.state,
-            v=math.hypot(dx, dy) / t,
-            phi=normalize_angle(math.atan2(-dy, dx)),
-        )
-    return replace(track, state=state)
+    return replace(track, state=_bootstrap(track.state, z.z_x, z.z_y, t))
 
 
 def associate(
@@ -193,11 +233,11 @@ def associate(
     """
     if gate <= 0.0:
         raise ValueError(f"gate must be positive, got {gate}")
+    centers = [rect.center() for rect in detections]
     candidates = []
     for track in tracks:
-        tx, ty = track.position()
-        for det_idx, rect in enumerate(detections):
-            cx, cy = rect.center()
+        tx, ty = track.state.x, track.state.y
+        for det_idx, (cx, cy) in enumerate(centers):
             distance = math.hypot(tx - cx, ty - cy)
             if distance <= gate:
                 candidates.append((distance, track.id, det_idx))
@@ -263,51 +303,40 @@ class Tracker:
         self._next_id += 1
         return track
 
-    def _observe_naive(self, track: Track, z: Measurement) -> Track:
-        step = math.hypot(z.z_x - track.anchor[0], z.z_y - track.anchor[1])
-        return replace(
-            track,
-            state=replace(track.state, x=z.z_x, y=z.z_y),
-            frames_seen=track.frames_seen + 1,
-            misses=0,
-            total_distance=track.total_distance + step,
-            anchor=(z.z_x, z.z_y),
-            last_rect=z.rect,
-        )
-
     def step(self, detections: Sequence[Rect], t: float = 1.0) -> tuple[list[Track], list[Track]]:
-        """Advance one frame; returns (live tracks, tracks finished this frame)."""
+        """Advance one frame; returns (live tracks, tracks finished this frame).
+
+        The tracks are the tracker's own objects, updated in place: a live
+        track returned here changes with later steps, while a finished
+        track (here or from flush) is never touched again.
+        """
         if t <= 0.0:
             raise ValueError(f"time step must be positive, got {t}")
         self.frame_idx += 1
-        if self.kind == "ekf":
-            self.tracks = [predict(track, t, self.q) for track in self.tracks]
+        ekf = self.kind == "ekf"
+        if ekf:
+            for track in self.tracks:
+                track.state, track.covariance = _predict(track.state, track.covariance, t, self.q)
         pairs, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, self.gate)
         by_id = {track.id: track for track in self.tracks}
         for track_id, det_idx in pairs:
             track = by_id[track_id]
-            z = Measurement.from_rect(detections[det_idx])
-            if self.kind == "ekf":
+            rect = detections[det_idx]
+            zx, zy = rect.center()
+            state = track.state
+            if ekf:
                 if track.frames_seen == 1:
-                    track = derive_kinematics(track, z, (track.misses + 1) * t)
-                track = update(track, z, self.r)
+                    state = _bootstrap(state, zx, zy, (track.misses + 1) * t)
+                track.state, track.covariance = _update(state, track.covariance, zx, zy, self.r)
             else:
-                track = self._observe_naive(track, z)
+                track.state = StateVector(zx, zy, state.v, state.a, state.phi, state.omega)
+            _observed(track, rect)
             track.last_seen_frame = self.frame_idx
-            by_id[track_id] = track
         for track_id in unmatched_tracks:
-            track = by_id[track_id]
-            by_id[track_id] = replace(track, misses=track.misses + 1)
-        finished = []
-        live = []
-        for track in self.tracks:
-            track = by_id[track.id]
-            if track.misses > self.max_misses:
-                finished.append(track)
-            else:
-                live.append(track)
-        for det_idx in unmatched_dets:
-            live.append(self._spawn(detections[det_idx]))
+            by_id[track_id].misses += 1
+        live = [track for track in self.tracks if track.misses <= self.max_misses]
+        finished = [track for track in self.tracks if track.misses > self.max_misses]
+        live += [self._spawn(detections[det_idx]) for det_idx in unmatched_dets]
         self.tracks = live
         return live, finished
 

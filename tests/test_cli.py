@@ -746,6 +746,58 @@ def test_gt_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys, comma
     )
 
 
+def test_eval_gt_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys):
+    scene = _small_scene(tmp_path)  # 64x48, markers 0 and 1
+    with open(os.path.join(scene, "gt_events.txt"), "w", encoding="ascii") as fh:
+        fh.write("5 0 7\n")
+    events = tmp_path / "events.txt"
+    events.write_text("5 0\n", encoding="ascii")
+    rc = cli.main(["eval", "--scene", scene, "--events", str(events)])
+    _one_line_failure(
+        capsys, rc, 2,
+        "roadcount: data error: ground-truth event at frame 5 names marker 7, "
+        "but the scene has 2 markers",
+    )
+
+
+def test_eval_counted_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys):
+    scene = _small_scene(tmp_path)
+    with open(os.path.join(scene, "gt_events.txt"), "w", encoding="ascii") as fh:
+        fh.write("5 0 0\n")
+    events = tmp_path / "events.txt"
+    events.write_text("5 0\n9 2\n", encoding="ascii")
+    rc = cli.main(["eval", "--scene", scene, "--events", str(events)])
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: counted event in {events} at frame 9 names marker 2, "
+        "but the scene has 2 markers",
+    )
+    events.write_text("5 -1\n", encoding="ascii")
+    rc = cli.main(["eval", "--scene", scene, "--events", str(events)])
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: counted event in {events} at frame 5 names marker -1, "
+        "but the scene has 2 markers",
+    )
+    # the marker count comes from the scene, not from the events it scores
+    events.write_text("5 1\n", encoding="ascii")
+    assert cli.main(["eval", "--scene", scene, "--events", str(events)]) == 0
+    assert capsys.readouterr().out == (
+        "RESULT fp=1 fn=1 gt=1 acc_real=-100.00 acc_int=-100 counted=1\n"
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-m", "roadcount", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("usage: roadcount ")
+
+
 # Runs roadcount's entry point with every import of scipy failing, lazy ones included.
 _WITHOUT_SCIPY = """
 import sys

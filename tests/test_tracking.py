@@ -1,10 +1,13 @@
 """EKF state propagation, association and track lifecycle."""
 
+import copy
 import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import pytest
 
+from roadcount import cli
 from roadcount.imaging import Rect
 from roadcount.tracking import (
     DEFAULT_P0,
@@ -14,6 +17,7 @@ from roadcount.tracking import (
     StateVector,
     Track,
     Tracker,
+    _update,
     associate,
     derive_kinematics,
     jacobian,
@@ -224,7 +228,7 @@ def test_tracker_straight_line_convergence():
     assert track.heading_valid
     assert track.state.phi == pytest.approx(1.5 * math.pi, abs=1e-2)
     assert abs(track.state.v) == pytest.approx(4.0, abs=0.01)
-    assert track.position()[1] == pytest.approx(121.0, abs=0.01)
+    assert track.state.y == pytest.approx(121.0, abs=0.01)
     assert track.total_distance == pytest.approx(116.0, abs=0.1)
     assert track.last_seen_frame == 29
     assert track.entry_position == (55.0, 5.0)
@@ -265,7 +269,7 @@ def test_tracker_none_kind_pins_detections():
     track = live[0]
     assert not track.heading_valid
     assert track.state.v == 0.0
-    assert track.position() == (55.0, 41.0)  # exactly the last detection center
+    assert (track.state.x, track.state.y) == (55.0, 41.0)  # exactly the last detection center
     assert track.total_distance == pytest.approx(36.0)
     assert track.frames_seen == 10
 
@@ -287,3 +291,205 @@ def test_track_log_line_format():
     assert len(tokens) == 10
     assert tokens[0] == "42" and tokens[1] == "3"
     assert tokens[8] == "7" and float(tokens[9]) == 12.5
+
+
+def test_update_matches_textbook_form():
+    rng = np.random.default_rng(149)
+    h = np.zeros((2, 6))
+    h[0, 0] = h[1, 1] = 1.0
+    for _ in range(500):
+        a = rng.normal(size=(6, 6)) * rng.uniform(0.1, 10.0)
+        p = a @ a.T + rng.uniform(1e-3, 1.0) * np.eye(6)
+        b = rng.normal(size=(2, 2))
+        r = b @ b.T + rng.uniform(0.1, 5.0) * np.eye(2)
+        # an antisymmetric part keeps x^T R x > 0 and tells S^-1 from its transpose
+        r += rng.normal() * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        state = StateVector(*rng.uniform(-50.0, 50.0, 4), rng.uniform(0.0, TWO_PI), rng.normal())
+        zx, zy = state.x + rng.normal(0.0, 5.0), state.y + rng.normal(0.0, 5.0)
+        got_state, got_p = _update(state, p, zx, zy, r)
+
+        x = state.as_array()
+        gain = p @ h.T @ np.linalg.inv(h @ p @ h.T + r)
+        want_mean = x + gain @ (np.array([zx, zy]) - h @ x)
+        want_p = (np.eye(6) - gain @ h) @ p
+        want_p = (want_p + want_p.T) / 2.0
+
+        got_mean = got_state.as_array()
+        scale = np.abs(want_mean).max()
+        # phi is compared modulo 2pi: the kernel maps it into [0, 2pi)
+        got_mean[4] = want_mean[4] + math.remainder(got_mean[4] - want_mean[4], TWO_PI)
+        assert np.abs(got_mean - want_mean).max() <= 1e-12 * scale
+        assert np.abs(got_p - want_p).max() <= 1e-12 * np.abs(want_p).max()
+        assert np.array_equal(got_p, got_p.T)
+
+
+def test_update_singular_innovation_covariance_raises():
+    track = _mk_track(0, 10.0, 10.0, covariance=np.zeros((6, 6)))
+    z = Measurement.from_rect(Rect(8, 16, 10, 10))
+    with pytest.raises(ValueError, match="singular innovation covariance"):
+        update(track, z, np.zeros((2, 2)))
+    # rank-one S: the determinant cancels to exactly zero
+    with pytest.raises(ValueError, match="singular innovation covariance"):
+        update(track, z, np.ones((2, 2)))
+    # a non-finite determinant is refused as well
+    blown = _mk_track(0, 10.0, 10.0, covariance=np.diag([np.inf] * 6))
+    with pytest.raises(ValueError, match="singular innovation covariance"):
+        update(blown, z, DEFAULT_R)
+    with pytest.raises(ValueError, match="singular innovation covariance"):
+        update(_mk_track(0, 10.0, 10.0, covariance=np.full((6, 6), np.nan)), z, DEFAULT_R)
+
+
+@dataclass
+class _OracleTracker:
+    kind: str
+    gate: float
+    max_misses: int
+    tracks: list = field(default_factory=list)
+    frame_idx: int = -1
+    next_id: int = 0
+
+
+def _oracle_step(oracle: _OracleTracker, detections, t: float):
+    """The functional tracker step: every track rebuilt each frame from the
+    public predict/update/derive_kinematics and dataclasses.replace."""
+    oracle.frame_idx += 1
+    if oracle.kind == "ekf":
+        oracle.tracks = [predict(track, t) for track in oracle.tracks]
+    pairs, unmatched_tracks, unmatched_dets = associate(oracle.tracks, detections, oracle.gate)
+    by_id = {track.id: track for track in oracle.tracks}
+    for track_id, det_idx in pairs:
+        track = by_id[track_id]
+        z = Measurement.from_rect(detections[det_idx])
+        if oracle.kind == "ekf":
+            if track.frames_seen == 1:
+                track = derive_kinematics(track, z, (track.misses + 1) * t)
+            track = update(track, z)
+        else:
+            step = math.hypot(z.z_x - track.anchor[0], z.z_y - track.anchor[1])
+            track = replace(
+                track,
+                state=replace(track.state, x=z.z_x, y=z.z_y),
+                frames_seen=track.frames_seen + 1,
+                misses=0,
+                total_distance=track.total_distance + step,
+                anchor=(z.z_x, z.z_y),
+                last_rect=z.rect,
+            )
+        by_id[track_id] = replace(track, last_seen_frame=oracle.frame_idx)
+    for track_id in unmatched_tracks:
+        by_id[track_id] = replace(by_id[track_id], misses=by_id[track_id].misses + 1)
+    live, finished = [], []
+    for track in oracle.tracks:
+        track = by_id[track.id]
+        (finished if track.misses > oracle.max_misses else live).append(track)
+    for det_idx in unmatched_dets:
+        rect = detections[det_idx]
+        cx, cy = rect.center()
+        live.append(Track(
+            id=oracle.next_id,
+            state=StateVector(cx, cy, 0.0, 0.0, 0.0, 0.0),
+            covariance=DEFAULT_P0.copy(),
+            last_rect=rect,
+            entry_position=(cx, cy),
+            last_seen_frame=oracle.frame_idx,
+            heading_valid=oracle.kind == "ekf",
+            anchor=(cx, cy),
+        ))
+        oracle.next_id += 1
+    oracle.tracks = live
+    return live, finished
+
+
+def _fields(track: Track) -> dict:
+    out = {f.name: getattr(track, f.name) for f in fields(track)}
+    out["covariance"] = track.covariance.tolist()  # exact floats, element by element
+    return out
+
+
+def _assert_matches_oracle(frames, kind: str, gate: float, max_misses: int, t: float) -> None:
+    tracker = Tracker(kind=kind, gate=gate, max_misses=max_misses)
+    oracle = _OracleTracker(kind, gate, max_misses)
+    n_finished = 0
+    for index, detections in enumerate(frames):
+        live, finished = tracker.step(detections, t)
+        want_live, want_finished = _oracle_step(oracle, detections, t)
+        assert [track_log_line(index, tr) for tr in live] == [
+            track_log_line(index, tr) for tr in want_live
+        ], f"frame {index}"
+        assert [_fields(tr) for tr in live] == [_fields(tr) for tr in want_live]
+        assert [_fields(tr) for tr in finished] == [_fields(tr) for tr in want_finished]
+        n_finished += len(finished)
+    assert [_fields(tr) for tr in tracker.flush()] == [_fields(tr) for tr in oracle.tracks]
+    assert n_finished > 0
+
+
+def _crafted_stream() -> list[list[Rect]]:
+    frames = [
+        [Rect(0, 0, 10, 10), Rect(100, 0, 10, 10)],  # spawn 0 and 1
+        [Rect(0, 0, 10, 10), Rect(100, 4, 10, 10)],  # 0 bootstraps with zero displacement
+        [Rect(0, 4, 10, 10), Rect(100, 8, 10, 10), Rect(50, 50, 10, 10), Rect(70, 50, 10, 10)],
+        # one detection 10 px from both fresh tracks 2 and 3: the tie goes to id 2
+        [Rect(0, 8, 10, 10), Rect(60, 50, 10, 10)],
+        [],  # every track misses
+        [Rect(100, 20, 10, 10)],  # 1 comes back after two misses
+        [Rect(200, 100, 10, 10)],
+        [],
+        # track 4 bootstraps after a miss, over (misses + 1) * t
+        [Rect(200, 108, 10, 10)],
+        [Rect(300, 200, 10, 10)],
+        # fresh track 5, two detections 5 px away: the lower index wins
+        [Rect(295, 200, 10, 10), Rect(305, 200, 10, 10)],
+        [], [], [], [],  # tracks past max_misses finish one by one
+    ]
+    rng = np.random.default_rng(151)
+    cars = [(20.0, 0.0, 3.0), (140.0, 130.0, -4.0), (80.0, 40.0, 2.5)]
+    for i in range(120):
+        dets = []
+        for x0, y0, vy in cars:
+            if rng.uniform() < 0.8:
+                y = y0 + vy * i + rng.normal(0.0, 1.5)
+                dets.append(Rect(int(x0 + rng.normal(0.0, 1.5)), int(y) % 400, 10, 10))
+        if rng.uniform() < 0.2:  # clutter
+            dets.append(Rect(int(rng.uniform(0, 300)), int(rng.uniform(0, 400)), 8, 8))
+        rng.shuffle(dets)
+        frames.append(dets)
+    return frames
+
+
+@pytest.mark.parametrize("kind", ["ekf", "none"])
+@pytest.mark.parametrize("t", [1.0, 0.5])
+def test_tracker_step_matches_functional_oracle_on_crafted_stream(kind, t):
+    _assert_matches_oracle(_crafted_stream(), kind, gate=20.0, max_misses=2, t=t)
+
+
+@pytest.mark.parametrize("kind", ["ekf", "none"])
+def test_tracker_step_matches_functional_oracle_on_scene(ten_vehicle_scene, kind):
+    run = cli._Pass(cli.PipelineConfig(scene=ten_vehicle_scene, detector="bgsub"))
+    frames = [[rect for rect, _ in record.detections] for record in run.frames()]
+    assert sum(map(len, frames)) > 100
+    _assert_matches_oracle(frames, kind, gate=run.tracker.gate,
+                           max_misses=run.tracker.max_misses, t=1.0)
+
+
+def test_finished_tracks_are_not_changed_by_later_steps():
+    tracker = Tracker(kind="ekf", gate=40.0, max_misses=1)
+    tracker.step([Rect(50, 0, 10, 10), Rect(150, 0, 10, 10)], 1.0)
+    live, _ = tracker.step([Rect(50, 4, 10, 10), Rect(150, 4, 10, 10)], 1.0)
+    first = live[0]
+    assert first is tracker.tracks[0]  # live tracks are the tracker's own objects
+    tracker.step([Rect(150, 8, 10, 10)], 1.0)
+    live, finished = tracker.step([Rect(150, 12, 10, 10)], 1.0)
+    assert [tr.id for tr in finished] == [0] and finished[0] is first
+    finished_fields = copy.deepcopy(_fields(first))
+    live_track = live[0]
+    before = live_track.state
+    # detections where the finished track would match if it were still live
+    for i in range(4):
+        tracker.step([Rect(50, 16 + 4 * i, 10, 10), Rect(150, 16 + 4 * i, 10, 10)], 1.0)
+    assert live_track.state != before  # a live track moves on in place
+    flushed = tracker.flush()
+    flushed_fields = [copy.deepcopy(_fields(tr)) for tr in flushed]
+    for i in range(3):
+        tracker.step([Rect(150, 32 + 4 * i, 10, 10)], 1.0)
+    assert _fields(first) == finished_fields
+    assert [_fields(tr) for tr in flushed] == flushed_fields
