@@ -8,12 +8,15 @@ threshold single components; stages are AdaBoost-weighted stump sums with a
 calibrated pass threshold; the cascade rejects a window at the first failing
 stage.
 
-Training and detection share one site path: an integral image (a stack of
-crops, or one frame) gives a rank map per block geometry, and
-_site_gatherer gathers a (cell, geometry) chunk's footprint-site bins for
-many window origins at once. Detection builds no histogram: it runs the
-stages over the windows still alive, each stump counting the sites of its
-chunk that hold its bin, with rank maps shared across a frame's scales.
+Training and detection share one site path: mb_lbp_code_map turns pixels
+(a stack of crops, or one frame) into a code map per block geometry, the
+rank table maps it to a rank map, and _site_views gives a sliding-window
+view of a (cell, geometry) chunk's footprint-site bins at every window
+origin. Detection builds no histogram: it runs the stages over the windows
+still alive, each stump counting the sites of its chunk that hold its bin.
+The first stage reads every window of the grid by strided slicing; later
+stages gather the alive windows only. Rank maps are built lazily, once per
+geometry a reached stage reads, and shared across a frame's scales.
 
 Training stores the features once, binned. Every feature is count / sites,
 so the whole crop set holds few distinct values (89 for the default
@@ -53,7 +56,7 @@ from .features import (
     build_rank_table,
     mb_lbp_code_map,
 )
-from .imaging import Frame, Rect, integral, round_half_up
+from .imaging import Frame, Rect, round_half_up
 
 MODEL_MAGIC = "mblbp-cascade"
 MODEL_VERSION = "v1"
@@ -66,9 +69,6 @@ _EPS_CLAMP = 1e-10
 # columns per histogram block: each round's key and weight temporaries stay
 # at a few MB whatever the feature count
 _BLOCK = 32
-# crops per stacked integral image: its int64 table would otherwise be the
-# largest array of training
-_CROP_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,9 @@ class CascadeModel:
             raise ValueError(f"grid must be >= 1, got {self.grid}")
         if not self.geometries:
             raise ValueError("geometry set must not be empty")
+        if min(self.geometries) < 1:
+            geometries = ",".join(map(str, self.geometries))
+            raise ValueError(f"geometries must be >= 1, got {geometries}")
         if self.window_w // self.grid < 3 or self.window_h // self.grid < 3:
             raise ValueError(
                 f"window {self.window_w}x{self.window_h} too small for a "
@@ -421,12 +424,13 @@ def _chunk_layout(model: CascadeModel, win_w: int, win_h: int) -> list[tuple[Rec
     return [(cell, g) for cell in _cell_rects(Rect(0, 0, win_w, win_h), model.grid) for g in geoms]
 
 
-def _site_gatherer(rank_map: Callable[[BlockGeometry], np.ndarray]):
-    """gather(cell, g, ys, xs): rank bins of cell's geometry-g footprint sites.
+def _site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
+    """sites(cell, g): cell's geometry-g footprint-site bins at every window origin.
 
-    Window origins (ys, xs) broadcast and lie inside the image; the result
-    has shape stack + origins + (span_h, span_w). `rank_map(g)`, the rank
-    map of one image or a stack, runs once per g; each (g, span) view once.
+    The result is a view of shape stack + (origin_y, origin_x, span_h, span_w);
+    [..., y, x, :, :] holds the bins of the window whose origin is (x, y).
+    `rank_map(g)`, the rank map of one image or a stack, runs once per g, and
+    each (g, span) sliding-window view is built once.
     """
     rank_map = functools.cache(rank_map)
 
@@ -434,11 +438,11 @@ def _site_gatherer(rank_map: Callable[[BlockGeometry], np.ndarray]):
     def view(g: BlockGeometry, span: tuple[int, int]) -> np.ndarray:
         return sliding_window_view(rank_map(g), span, axis=(-2, -1))
 
-    def gather(cell: Rect, g: BlockGeometry, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def sites(cell: Rect, g: BlockGeometry) -> np.ndarray:
         span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
-        return view(g, span)[..., ys + cell.y, xs + cell.x, :, :]
+        return view(g, span)[..., cell.y :, cell.x :, :, :]
 
-    return gather
+    return sites
 
 
 def _stage_scores(stage: StrongClassifier, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -462,19 +466,14 @@ def _crop_features(
     cell * geometries + geometry's footprint sites holding rank bin b, over
     the chunk's site count. The value table holds every such ratio of the
     layout's site counts, sorted; the codes take the smallest unsigned dtype
-    that indexes it. The crops go through stacked integral images, a batch
-    at a time; each geometry's code map feeds both the rank table and the
-    rank map.
+    that indexes it. Each geometry's code map of the whole stack feeds both
+    the rank table and the rank map.
     """
     geoms = _scaled_geometries(probe, probe.window_w, probe.window_h)
-    parts: dict[BlockGeometry, list[np.ndarray]] = {g: [] for g in geoms}
-    for start in range(0, len(crops), _CROP_BATCH):
-        ii = integral(crops[start : start + _CROP_BATCH])
-        for g, maps in parts.items():
-            maps.append(mb_lbp_code_map(ii, g))
-    code_maps = {g: np.concatenate(maps) for g, maps in parts.items()}
+    code_maps = {g: mb_lbp_code_map(crops, g) for g in geoms}
     model = replace(probe, rank_table=build_rank_table([code_maps[g] for g in geoms]))
-    gather = _site_gatherer(lambda g: model.rank_table.bins[code_maps[g]])
+    # fancy indexing: np.take would copy the whole stack's codes to intp
+    sites = _site_views(lambda g: model.rank_table.bins[code_maps[g]])
     layout = _chunk_layout(model, probe.window_w, probe.window_h)
     site_counts = {
         (cell.h - g.footprint_h + 1) * (cell.w - g.footprint_w + 1) for cell, g in layout
@@ -486,7 +485,7 @@ def _crop_features(
     codes = np.empty((n, model.feature_count), dtype=dtype)
     rows = np.arange(n)[:, None] * RANK_HISTOGRAM_BINS
     for c, (cell, g) in enumerate(layout):
-        bins = gather(cell, g, 0, 0).reshape(n, -1)
+        bins = sites(cell, g)[..., 0, 0, :, :].reshape(n, -1)
         counts = np.bincount((bins + rows).ravel(), minlength=n * RANK_HISTOGRAM_BINS)
         chunk = slice(c * RANK_HISTOGRAM_BINS, (c + 1) * RANK_HISTOGRAM_BINS)
         codes[:, chunk] = code_of[bins.shape[1]][counts.reshape(n, RANK_HISTOGRAM_BINS)]
@@ -548,33 +547,47 @@ def train_cascade(
 
 def _classify_grid(
     model: CascadeModel,
-    gather: Callable[..., np.ndarray],
+    sites: Callable[[Rect, BlockGeometry], np.ndarray],
     win_w: int,
     win_h: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
+    xs: range,
+    ys: range,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cascade decisions and scores (of the rejecting or last stage) for a grid of window origins.
+    """Cascade decisions and scores (of the rejecting or last stage) for the grid of window
+    origins (xs[i], ys[j]).
 
-    Each stage scores only the windows all earlier stages accepted. A stump's value is the
-    count of its chunk's sites holding its bin over the site count, as in window_features.
+    Each stage scores only the windows all earlier stages accepted. While every window of the
+    grid is alive, a stump reads its sites by strided slicing of the site view; later stages
+    gather the sites of the alive windows. A stump's value is the count of its chunk's sites
+    holding its bin over the site count, the count in an unsigned dtype that holds the site
+    count; np.where(value < threshold, -a, a) with a = polarity * alpha equals
+    alpha * _stump_predict bit for bit.
     """
     layout = _chunk_layout(model, win_w, win_h)
-    alive = np.arange(len(ys) * len(xs))
-    scores = np.zeros(len(alive))
+    n = len(ys) * len(xs)
+    alive = np.arange(n)
+    scores = np.zeros(n)
+    index = (slice(ys.start, ys.stop, ys.step), slice(xs.start, xs.stop, xs.step))
     for stage in model.stages:
-        wy, wx = ys[alive // len(xs)], xs[alive % len(xs)]
         stage_scores = np.zeros(len(alive))
         for stump, alpha in stage.stumps:
             chunk, b = divmod(stump.feature_index, RANK_HISTOGRAM_BINS)
-            bins = gather(*layout[chunk], wy, wx)
-            values = (bins == b).sum(axis=(-2, -1)) / math.prod(bins.shape[-2:])
-            stage_scores += alpha * _stump_predict(stump, values)
+            bins = sites(*layout[chunk])[index]
+            site_count = bins.shape[-2] * bins.shape[-1]
+            # order="C" keeps each window's sites adjacent for the sum; a strided
+            # view's comparison would otherwise be laid out in the view's stride order
+            counts = np.equal(bins, b, order="C").sum(
+                axis=(-2, -1), dtype=np.min_scalar_type(site_count)
+            )
+            a = stump.polarity * alpha
+            stage_scores += np.where(counts / site_count < stump.threshold, -a, a).ravel()
         scores[alive] = stage_scores
         alive = alive[stage_scores >= stage.stage_threshold]
         if not len(alive):
             break
-    accepted = np.bincount(alive, minlength=len(scores)) > 0
+        if len(alive) < n:
+            index = (np.asarray(ys)[alive // len(xs)], np.asarray(xs)[alive % len(xs)])
+    accepted = np.bincount(alive, minlength=n) > 0
     return accepted.reshape(len(ys), len(xs)), scores.reshape(len(ys), len(xs))
 
 
@@ -648,19 +661,18 @@ def detect(
         raise ValueError(f"scales must be >= 1.0 and strictly ascending, got {list(scales)}")
     if mcc < 1:
         raise ValueError(f"MCC must be >= 1, got {mcc}")
-    ii = integral(frame)
-    gather = _site_gatherer(lambda g: model.rank_table.bins[mb_lbp_code_map(ii, g)])
+    sites = _site_views(lambda g: np.take(model.rank_table.bins, mb_lbp_code_map(frame.pixels, g)))
     hits: list[tuple[Rect, float]] = []
     for scale in scales:
         win_w = round_half_up(model.window_w * scale)
         win_h = round_half_up(model.window_h * scale)
         if win_w > frame.width or win_h > frame.height:
             continue
-        xs = np.arange(0, frame.width - win_w + 1, stride)
-        ys = np.arange(0, frame.height - win_h + 1, stride)
-        alive, scores = _classify_grid(model, gather, win_w, win_h, xs, ys)
+        xs = range(0, frame.width - win_w + 1, stride)
+        ys = range(0, frame.height - win_h + 1, stride)
+        alive, scores = _classify_grid(model, sites, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
-            hits.append((Rect(int(xs[i]), int(ys[j]), win_w, win_h), float(scores[j, i])))
+            hits.append((Rect(xs[i], ys[j], win_w, win_h), float(scores[j, i])))
     return _cluster_hits(hits, mcc)
 
 
@@ -680,6 +692,13 @@ def save_model(model: CascadeModel, path: str | os.PathLike) -> None:
             )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _finite(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {text}")
+    return value
 
 
 def load_model(path: str | os.PathLike) -> CascadeModel:
@@ -712,8 +731,10 @@ def load_model(path: str | os.PathLike) -> CascadeModel:
             fi, thr, pol, alpha = line.split()
             if int(fi) >= feature_count:
                 raise ValueError(f"feature_index {fi} out of range for {feature_count} features")
-            stumps.append((Stump(int(fi), float(thr), int(pol)), float(alpha)))
-        stages.append(StrongClassifier(stumps=tuple(stumps), stage_threshold=float(fields[2])))
+            stumps.append((Stump(int(fi), _finite(thr, "stump threshold"), int(pol)),
+                           _finite(alpha, "stump alpha")))
+        stage_threshold = _finite(fields[2], "stage threshold")
+        stages.append(StrongClassifier(stumps=tuple(stumps), stage_threshold=stage_threshold))
         pos += 1 + count
     if pos != len(lines):
         raise ValueError(f"unexpected line {pos + 1} after the last stage: {lines[pos]!r}")

@@ -45,7 +45,7 @@ from .counting import (
     report_text,
     result_line,
 )
-from .imaging import Frame, PgmError, Rect, downscale, load_pgm, sequence_paths
+from .imaging import Frame, PgmError, Rect, downscale, load_pgm, round_half_up, sequence_paths
 from .tracking import DEFAULT_GATE_FRACTION, DEFAULT_MAX_MISSES, Track, Tracker, track_log_line
 
 
@@ -320,10 +320,19 @@ def _detector(
     """The pass's detector, as a function from a frame to its [(rect, score)].
 
     bgsub owns a background model that every call updates; feature loads
-    the cascade here, so a bad model fails before the scene is decoded.
+    the cascade here, so a bad model, or one whose smallest window does not
+    fit the working frames, fails before the scene is decoded.
     """
     if config.detector == "feature":
         cascade = _load_cascade(config)
+        scale = config.scales[0]
+        win_w = round_half_up(cascade.window_w * scale)
+        win_h = round_half_up(cascade.window_h * scale)
+        if win_w > width or win_h > height:
+            raise DataError(
+                f"model window {cascade.window_w}x{cascade.window_h} at scale {scale:g} "
+                f"({win_w}x{win_h}) does not fit the {width}x{height} frames"
+            )
 
         def detect_vehicles(frame: Frame) -> list[tuple[Rect, float]]:
             found = detect(cascade, frame, scales=config.scales, stride=config.stride, mcc=config.mcc)

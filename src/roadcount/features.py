@@ -139,12 +139,45 @@ def mb_lbp_code(ii: IntegralImage, x: int, y: int, g: BlockGeometry) -> int:
     return code
 
 
-def mb_lbp_code_map(ii: IntegralImage, g: BlockGeometry) -> np.ndarray:
-    """MB-LBP codes of every valid footprint top-left position in the image(s).
+def _block_sums(pixels: np.ndarray, g: BlockGeometry) -> np.ndarray:
+    """Sums of all cell_w x cell_h blocks of (..., h, w) uint8 pixels that hold
+    at least one block; entry (..., y, x) covers [x, x + cell_w) x [y, y + cell_h).
 
-    int32 block sums are exact: table differences wrap modulo 2**32, and a block
-    (at most a ninth of a 4096x4096 8-bit image) sums below 2**31."""
-    return _codes_from_grid(ii.block_sums(g.cell_w, g.cell_h, np.int32), g.cell_w, g.cell_h)
+    Shifted adds, first along rows then along columns, in the narrowest
+    unsigned dtype that holds 255 * cell_w * cell_h, so every sum is exact.
+    1x1 blocks are the pixels themselves.
+    """
+    dtype = np.min_scalar_type(255 * g.cell_w * g.cell_h)
+    sums = pixels
+    if g.cell_w > 1:
+        n = sums.shape[-1] - g.cell_w + 1
+        rows = sums[..., :n].astype(dtype)
+        for dx in range(1, g.cell_w):
+            rows += sums[..., dx : dx + n]
+        sums = rows
+    if g.cell_h > 1:
+        n = sums.shape[-2] - g.cell_h + 1
+        cols = sums[..., :n, :].astype(dtype)
+        for dy in range(1, g.cell_h):
+            cols += sums[..., dy : dy + n, :]
+        sums = cols
+    return sums
+
+
+def mb_lbp_code_map(pixels: np.ndarray, g: BlockGeometry) -> np.ndarray:
+    """MB-LBP codes of every valid footprint top-left position of a frame's
+    (h, w) uint8 pixels or of an (n, h, w) uint8 stack of equal-size images.
+
+    The nine blocks of a footprint are compared by their exact sums, which
+    come straight from the pixels (_block_sums); no integral image is built.
+    The codes equal mb_lbp_code at every position.
+    """
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"code maps take uint8 pixels, got {pixels.dtype}")
+    h, w = pixels.shape[-2:]
+    if g.footprint_w > w or g.footprint_h > h:
+        raise ValueError(f"footprint {g.footprint_w}x{g.footprint_h} exceeds {w}x{h} image")
+    return _codes_from_grid(_block_sums(pixels, g), g.cell_w, g.cell_h)
 
 
 def lbp_histogram(frame: Frame, region: Rect) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Grayscale frame representation, PGM I/O, integral images and downscaling.
 
 Frames are 8-bit grayscale only. Integral images accumulate in int64, which
-holds exact sums for frames up to 4096x4096 (4096*4096*255 < 2^63).
+holds exact sums for frames up to 4096x4096 (4096*4096*255 < 2^63). They
+back the scalar MB-LBP helpers (features.mb_lbp_code, mb_lbp_histogram);
+code maps, and so training and detection, take block sums straight from the
+pixels instead.
 """
 
 from __future__ import annotations

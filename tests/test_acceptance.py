@@ -126,7 +126,7 @@ def test_feature_layer_oracles(capsys):
 
         geometries = (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 2))
         tables = {
-            g: build_rank_table([mb_lbp_code_map(ii, g).ravel()]) for g in geometries
+            g: build_rank_table([mb_lbp_code_map(frame.pixels, g).ravel()]) for g in geometries
         }
         for i in range(100):
             g = geometries[i % len(geometries)]

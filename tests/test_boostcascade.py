@@ -1,11 +1,14 @@
 """Stump training, AdaBoost stages, cascade calibration and window detection."""
 
+import functools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from roadcount import boostcascade
 from roadcount.boostcascade import (
@@ -26,7 +29,7 @@ from roadcount.boostcascade import (
     _presort,
     _scaled_geometries,
     _shortlist,
-    _site_gatherer,
+    _site_views,
     _stage_scores,
     _stump_predict,
     calibrate_stage,
@@ -41,11 +44,12 @@ from roadcount.features import (
     RANK_HISTOGRAM_BINS,
     BlockGeometry,
     RankTable,
+    _codes_from_grid,
     build_rank_table,
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, Rect, integral, round_half_up
+from roadcount.imaging import Frame, Rect, integral, load_pgm, round_half_up, sequence_paths
 
 
 def weak_classify(s, x):
@@ -73,10 +77,10 @@ def window_features(model, rank_maps, win_w, win_h, xs, ys):
     cell * geometries + geometry: the cell's rank histogram divided by its
     site count. The result has shape stack + (len(ys), len(xs), feature_count).
     """
-    gather = _site_gatherer(rank_maps.__getitem__)
+    sites = _site_views(rank_maps.__getitem__)
     chunks = []
     for cell, g in _chunk_layout(model, win_w, win_h):
-        bins = gather(cell, g, ys[:, None], xs[None, :])
+        bins = sites(cell, g)[..., ys[:, None], xs[None, :], :, :]
         windows = math.prod(bins.shape[:-2])
         keys = bins.reshape(windows, -1) + np.arange(windows)[:, None] * RANK_HISTOGRAM_BINS
         counts = np.bincount(keys.ravel(), minlength=windows * RANK_HISTOGRAM_BINS)
@@ -119,9 +123,9 @@ def _oracle_classify(model, ii, window):
     return True, score, evaluated
 
 
-def _rank_maps(model, ii, win_w, win_h):
+def _rank_maps(model, pixels, win_w, win_h):
     geoms = _scaled_geometries(model, win_w, win_h)
-    return {g: model.rank_table.bins[mb_lbp_code_map(ii, g)] for g in geoms}
+    return {g: model.rank_table.bins[mb_lbp_code_map(pixels, g)] for g in geoms}
 
 
 def _oracle_stump(xs, labels, weights):
@@ -431,6 +435,9 @@ def test_cascade_model_validation():
         CascadeModel(stages=(), window_w=30, window_h=30, rank_table=rt, grid=0)
     with pytest.raises(ValueError):
         CascadeModel(stages=(), window_w=30, window_h=30, rank_table=rt, geometries=())
+    for geometries, text in (((1, -2, 3), "1,-2,3"), ((0, 2, 3), "0,2,3")):
+        with pytest.raises(ValueError, match=f"^geometries must be >= 1, got {text}$"):
+            CascadeModel(stages=(), window_w=30, window_h=30, rank_table=rt, geometries=geometries)
     two = StrongClassifier(stumps=((Stump(0, 0.0, 1), 1.0), (Stump(0, 0.0, 1), 1.0)))
     one = StrongClassifier(stumps=((Stump(0, 0.0, 1), 1.0),))
     with pytest.raises(ValueError):
@@ -470,8 +477,7 @@ def test_window_features_layout():
     )
     crops = rng.integers(0, 256, (5, 18, 18)).astype(np.uint8)
     origin = np.zeros(1, dtype=np.intp)
-    stack_ii = integral(crops)
-    vecs = window_features(model, _rank_maps(model, stack_ii, 18, 18), 18, 18, origin, origin)
+    vecs = window_features(model, _rank_maps(model, crops, 18, 18), 18, 18, origin, origin)
     assert vecs.shape == (5, 1, 1, model.feature_count) == (5, 1, 1, 9 * 2 * 64)
     assert vecs.min() >= 0.0 and vecs.max() <= 1.0
     # each (cell, geometry) chunk is one normalized histogram
@@ -483,8 +489,7 @@ def test_window_features_layout():
     trained, codes, values = _crop_features(model, crops)
     assert codes.dtype == np.uint8 and codes.shape == (5, model.feature_count)
     assert np.array_equal(values, np.unique(values)) and values[0] == 0.0 and values[-1] == 1.0
-    stack_ii = integral(crops)
-    vecs = window_features(trained, _rank_maps(trained, stack_ii, 18, 18), 18, 18, origin, origin)
+    vecs = window_features(trained, _rank_maps(trained, crops, 18, 18), 18, 18, origin, origin)
     assert np.array_equal(values[codes], vecs[:, 0, 0])
 
     # one frame, windows at nonzero origins, at the canonical size and at a
@@ -495,7 +500,9 @@ def test_window_features_layout():
         geoms = _scaled_geometries(model, win_w, win_h)
         xs = np.array([0, 5, frame.width - win_w])
         ys = np.array([3, frame.height - win_h])
-        vecs = window_features(model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys)
+        vecs = window_features(
+            model, _rank_maps(model, frame.pixels, win_w, win_h), win_w, win_h, xs, ys
+        )
         assert vecs.shape == (2, 3, model.feature_count)
         for j, y in enumerate(ys):
             for i, x in enumerate(xs):
@@ -560,11 +567,10 @@ def _float_train_cascade(positives, negatives, stages, mhr, rounds, geometries):
     h, w = positives.shape[1:]
     crops = np.concatenate([positives, negatives])
     probe = CascadeModel((), w, h, RankTable(np.zeros(256)), geometries=geometries)
-    ii = integral(crops)
     geoms = _scaled_geometries(probe, w, h)
-    model = replace(probe, rank_table=build_rank_table([mb_lbp_code_map(ii, g) for g in geoms]))
+    model = replace(probe, rank_table=build_rank_table([mb_lbp_code_map(crops, g) for g in geoms]))
     origin = np.zeros(1, dtype=np.intp)
-    x = window_features(model, _rank_maps(model, ii, w, h), w, h, origin, origin)[:, 0, 0]
+    x = window_features(model, _rank_maps(model, crops, w, h), w, h, origin, origin)[:, 0, 0]
     x_pos, x_neg = x[: len(positives)], x[len(positives) :]
     trained = []
     for s in range(stages):
@@ -636,16 +642,16 @@ def test_train_cascade_validation():
         train_cascade(crops, crops, 3, 0.9, rounds=(2,))
 
 
-def _frame_gatherer(model, ii, requested=None):
-    """Fresh site gatherer of one integral image; `requested` collects the
-    geometries whose rank map it builds."""
+def _frame_sites(model, frame, requested=None):
+    """Fresh site views of one frame; `requested` collects the geometries
+    whose rank map they build."""
 
     def rank_map(g):
         if requested is not None:
             requested.append(g)
-        return model.rank_table.bins[mb_lbp_code_map(ii, g)]
+        return model.rank_table.bins[mb_lbp_code_map(frame.pixels, g)]
 
-    return _site_gatherer(rank_map)
+    return _site_views(rank_map)
 
 
 def _quantile_cascade(base, x, stage_features, keep):
@@ -671,11 +677,16 @@ def _quantile_cascade(base, x, stage_features, keep):
     return replace(base, stages=tuple(stages))
 
 
-def _grid_against_oracle(model, ii, win_w, win_h, xs, ys):
+def _grid_against_oracle(model, frame, win_w, win_h, xs, ys):
     """Check _classify_grid against the scalar cascade on every window of the
-    grid; returns the decisions and how many stages the oracle ran per window."""
-    alive, scores = _classify_grid(model, _frame_gatherer(model, ii), win_w, win_h, xs, ys)
-    x = window_features(model, _rank_maps(model, ii, win_w, win_h), win_w, win_h, xs, ys)
+    grid of origin ranges xs, ys; returns the decisions and how many stages
+    the oracle ran per window."""
+    ii = integral(frame)
+    alive, scores = _classify_grid(model, _frame_sites(model, frame), win_w, win_h, xs, ys)
+    x = window_features(
+        model, _rank_maps(model, frame.pixels, win_w, win_h), win_w, win_h,
+        np.asarray(xs), np.asarray(ys),
+    )
     evaluated = np.zeros(alive.shape, dtype=int)
     for j, y in enumerate(ys):
         for i, x0 in enumerate(xs):
@@ -697,10 +708,11 @@ def test_grid_evaluation_matches_scalar_classifier():
     trained = train_cascade(positives, negatives, stages=2, mhr=0.95, geometries=(1, 2))
     frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
     frame.pixels[5:23, 7:25] = positives[0]
-    ii = integral(frame)
-    xs = np.arange(0, frame.width - 18 + 1, 3)
-    ys = np.arange(0, frame.height - 18 + 1, 3)
-    x = window_features(trained, _rank_maps(trained, ii, 18, 18), 18, 18, xs, ys)
+    xs = range(0, frame.width - 18 + 1, 3)
+    ys = range(0, frame.height - 18 + 1, 3)
+    x = window_features(
+        trained, _rank_maps(trained, frame.pixels, 18, 18), 18, 18, np.asarray(xs), np.asarray(ys)
+    )
     x = x.reshape(-1, trained.feature_count)
     varied = [f for f in range(trained.feature_count) if len(np.unique(x[:, f])) >= 4]
     by_chunk = {}
@@ -727,20 +739,20 @@ def test_grid_evaluation_matches_scalar_classifier():
         trained, x, [(shared[0],), (shared[1], shared[0]), (shared[2], shared[0])], (0.5, 0.5, 0.5)
     )
     for model in (trained, staged, one_chunk):
-        alive, evaluated = _grid_against_oracle(model, ii, 18, 18, xs, ys)
+        alive, evaluated = _grid_against_oracle(model, frame, 18, 18, xs, ys)
         assert alive.any()
         if model is staged:
             assert np.mean(evaluated == 1) >= 0.7 and np.mean(evaluated == 2) >= 0.1
             assert (~alive & (evaluated == 3)).any()
         # a scaled window whose geometries differ
-        _grid_against_oracle(model, ii, 24, 21, np.arange(0, 29, 3), np.arange(0, 20, 3))
+        _grid_against_oracle(model, frame, 24, 21, range(0, 29, 3), range(0, 20, 3))
 
 
 def test_grid_evaluation_stage_one_rejects_every_window():
     rng = np.random.default_rng(91)
     frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
     ii = integral(frame)
-    rt = build_rank_table([mb_lbp_code_map(ii, BlockGeometry(1, 1))])
+    rt = build_rank_table([mb_lbp_code_map(frame.pixels, BlockGeometry(1, 1))])
     # stage 1 reads geometry 1 only and needs more than its stumps can score;
     # stage 2 reads geometry 2 only
     stages = (
@@ -750,15 +762,15 @@ def test_grid_evaluation_stage_one_rejects_every_window():
         StrongClassifier(((Stump(3 * 64 + 1, 0.1, 1), 1.0),) * 2, stage_threshold=-5.0),
     )
     model = CascadeModel(stages, 18, 18, rt, geometries=(1, 2))
-    xs = np.arange(0, 35, 2)
-    ys = np.arange(0, 23, 2)
+    xs = range(0, 35, 2)
+    ys = range(0, 23, 2)
     requested = []
-    alive, scores = _classify_grid(model, _frame_gatherer(model, ii, requested), 18, 18, xs, ys)
+    alive, scores = _classify_grid(model, _frame_sites(model, frame, requested), 18, 18, xs, ys)
     assert not alive.any()
     assert requested == [BlockGeometry(1, 1)]  # stage 2's rank map is never built
     for j, y in enumerate(ys):
         for i, x0 in enumerate(xs):
-            accepted, score, evaluated = _oracle_classify(model, ii, Rect(int(x0), int(y), 18, 18))
+            accepted, score, evaluated = _oracle_classify(model, ii, Rect(x0, y, 18, 18))
             assert not accepted and evaluated == 1 and score == scores[j, i]
     assert detect(model, frame, scales=(1.0, 1.5), stride=2) == []
 
@@ -777,23 +789,135 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
     built = []
     code_map = boostcascade.mb_lbp_code_map
     monkeypatch.setattr(
-        boostcascade, "mb_lbp_code_map", lambda ii, g: built.append(g) or code_map(ii, g)
+        boostcascade, "mb_lbp_code_map", lambda pixels, g: built.append(g) or code_map(pixels, g)
     )
     got = detect(model, frame, scales=scales, stride=2, mcc=1)
     hits, per_scale = [], []
     for scale in scales:
         win = round_half_up(18 * scale)
-        xs = np.arange(0, frame.width - win + 1, 2)
-        ys = np.arange(0, frame.height - win + 1, 2)
-        gather = _frame_gatherer(model, integral(frame), per_scale)
-        alive, scores = _classify_grid(model, gather, win, win, xs, ys)
-        hits += [(Rect(int(xs[i]), int(ys[j]), win, win), float(scores[j, i]))
+        xs = range(0, frame.width - win + 1, 2)
+        ys = range(0, frame.height - win + 1, 2)
+        sites = _frame_sites(model, frame, per_scale)
+        alive, scores = _classify_grid(model, sites, win, win, xs, ys)
+        hits += [(Rect(xs[i], ys[j], win, win), float(scores[j, i]))
                  for j, i in np.argwhere(alive)]
     assert len({rect.w for rect, _ in hits}) >= 2
     assert got == _cluster_hits(hits, 1)
     # scales 1.0 and 1.25 scale to the same geometries: detect builds each
     # rank map once per frame, where per-scale evaluation builds it twice
     assert len(built) == len(set(built)) < len(per_scale) and set(built) == set(per_scale)
+
+
+def _oracle_gatherer(model, frame):
+    """gather(cell, g, ys, xs) of the earlier detector: each code map comes
+    from int32 block sums of an int64 integral image, and the sites of the
+    windows at origins (ys, xs) are gathered with index arrays."""
+    ii = integral(frame)
+
+    @functools.cache
+    def rank_map(g):
+        sums = ii.block_sums(g.cell_w, g.cell_h, np.int32)
+        return model.rank_table.bins[_codes_from_grid(sums, g.cell_w, g.cell_h)]
+
+    @functools.cache
+    def view(g, span):
+        return sliding_window_view(rank_map(g), span, axis=(-2, -1))
+
+    def gather(cell, g, ys, xs):
+        span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
+        return view(g, span)[..., ys + cell.y, xs + cell.x, :, :]
+
+    return gather
+
+
+def _oracle_grid(model, gather, win_w, win_h, xs, ys):
+    """The earlier _classify_grid: every stage, the first included, gathers
+    its alive windows; values are int64 counts over the site count, scored
+    as alpha * _stump_predict."""
+    layout = _chunk_layout(model, win_w, win_h)
+    alive = np.arange(len(ys) * len(xs))
+    scores = np.zeros(len(alive))
+    for stage in model.stages:
+        wy, wx = ys[alive // len(xs)], xs[alive % len(xs)]
+        stage_scores = np.zeros(len(alive))
+        for stump, alpha in stage.stumps:
+            chunk, b = divmod(stump.feature_index, RANK_HISTOGRAM_BINS)
+            bins = gather(*layout[chunk], wy, wx)
+            values = (bins == b).sum(axis=(-2, -1)) / math.prod(bins.shape[-2:])
+            stage_scores += alpha * _stump_predict(stump, values)
+        scores[alive] = stage_scores
+        alive = alive[stage_scores >= stage.stage_threshold]
+        if not len(alive):
+            break
+    accepted = np.bincount(alive, minlength=len(scores)) > 0
+    return accepted.reshape(len(ys), len(xs)), scores.reshape(len(ys), len(xs))
+
+
+def _oracle_detect(model, frame, scales, stride, mcc):
+    """The earlier detect, kept as an exactness oracle for detect."""
+    gather = _oracle_gatherer(model, frame)
+    hits = []
+    for scale in scales:
+        win_w = round_half_up(model.window_w * scale)
+        win_h = round_half_up(model.window_h * scale)
+        if win_w > frame.width or win_h > frame.height:
+            continue
+        xs = np.arange(0, frame.width - win_w + 1, stride)
+        ys = np.arange(0, frame.height - win_h + 1, stride)
+        alive, scores = _oracle_grid(model, gather, win_w, win_h, xs, ys)
+        for j, i in np.argwhere(alive):
+            hits.append((Rect(int(xs[i]), int(ys[j]), win_w, win_h), float(scores[j, i])))
+    return _cluster_hits(hits, mcc)
+
+
+def _exact(detections):
+    """Detections as comparable tuples, scores bit for bit."""
+    return [(d.rect, d.score.hex(), d.cluster_count) for d in detections]
+
+
+def test_detect_matches_integral_gather_oracle(small_cascade, ten_vehicle_scene):
+    model = load_model(small_cascade)
+    paths = sequence_paths(f"{ten_vehicle_scene}/frames")
+    scene = [load_pgm(paths[k]) for k in (100, 160, 230)]
+    rng = np.random.default_rng(113)
+    noise = [Frame(rng.integers(0, 256, (100, 120)).astype(np.uint8)) for _ in range(2)]
+    first = model.stages[0]
+    closed = replace(first, stage_threshold=sum(alpha for _, alpha in first.stumps) + 1.0)
+    rejecting = replace(model, stages=(closed,) + model.stages[1:])
+    # at scale 3 the cells of geometry 1 hold 22 x 22 = 484 sites
+    assert [(g.cell_w, g.cell_h) for g in _scaled_geometries(model, 90, 90)][0] == (3, 3)
+    found = 0
+    for stride in range(1, 8):
+        frames = scene if stride in (2, 7) else scene[stride % 3 : stride % 3 + 1]
+        for frame in frames + noise[stride % 2 :]:
+            for scales in ((1.0, 1.25, 1.6),) + (((1.0, 3.0),) if stride in (1, 7) else ()):
+                for mcc in (1, 2):
+                    got = detect(model, frame, scales=scales, stride=stride, mcc=mcc)
+                    want = _oracle_detect(model, frame, scales, stride, mcc)
+                    assert _exact(got) == _exact(want)
+                    found += len(got)
+            assert detect(rejecting, frame, (1.0, 1.25), stride) == []
+            assert _oracle_detect(rejecting, frame, (1.0, 1.25), stride, 1) == []
+    assert found > 0
+    # every window's decision and score, rejected ones included, at the
+    # 484-site scale and at the canonical size; on a flat patch one bin holds
+    # every site of a cell, more than a uint8 count holds
+    frame = Frame(scene[1].pixels.copy())
+    frame.pixels[:70, :100] = 128
+    flat_bin = int(model.rank_table.bins[255])
+    flat = replace(model, stages=(
+        StrongClassifier(((Stump(flat_bin, 0.75, 1), 1.0), (Stump(flat_bin + 64, 0.5, -1), 0.5))),
+    ) + model.stages[1:])
+    for win, stride in ((90, 1), (90, 4), (30, 1), (30, 7)):
+        xs = range(0, frame.width - win + 1, stride)
+        ys = range(0, frame.height - win + 1, stride)
+        for m in (model, rejecting, flat):
+            alive, scores = _classify_grid(m, _frame_sites(m, frame), win, win, xs, ys)
+            want_alive, want_scores = _oracle_grid(
+                m, _oracle_gatherer(m, frame), win, win, np.asarray(xs), np.asarray(ys)
+            )
+            assert np.array_equal(alive, want_alive)
+            assert np.array_equal(scores.view(np.int64), want_scores.view(np.int64))
 
 
 def test_cluster_hits_running_mean_and_mcc():
@@ -903,4 +1027,30 @@ def test_model_load_errors(tmp_path):
     # feature_index beyond the header's feature count
     path.write_text("".join(lines[:-1]) + "5000 0.125 1 1.5\n")
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (0, " 1,2,3 ", " 1,-2,3 ", "geometries must be >= 1, got 1,-2,3"),
+        (0, " 1,2,3 ", " 0,2,3 ", "geometries must be >= 1, got 0,2,3"),
+        (258, " 0.25 ", " nan ", "stump threshold must be finite, got nan"),
+        (258, " 0.5\n", " -inf\n", "stump alpha must be finite, got -inf"),
+        (257, " 0.10000000000000001\n", " nan\n", "stage threshold must be finite, got nan"),
+    ],
+    ids=["geometry-negative", "geometry-zero", "stump-threshold-nan", "alpha-inf", "stage-nan"],
+)
+def test_model_load_rejects_values_that_would_count_wrongly(tmp_path, line, old, new, message):
+    stages = (StrongClassifier(((Stump(5, 0.25, 1), 0.5),), stage_threshold=0.1),)
+    model = CascadeModel(
+        stages=stages, window_w=30, window_h=30, rank_table=RankTable(np.arange(256) % 64)
+    )
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_model(path)

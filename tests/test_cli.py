@@ -433,6 +433,73 @@ def test_eval_error_paths(ten_vehicle_scene, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _model_lines(path):
+    with open(path, encoding="ascii") as fh:
+        return fh.readlines()
+
+
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (0, " 1,2,3 ", " 1,-2,3 ", "geometries must be >= 1, got 1,-2,3"),
+        (0, " 1,2,3 ", " 0,2,3 ", "geometries must be >= 1, got 0,2,3"),
+        (258, None, "nan", "stump threshold must be finite, got nan"),
+        (257, None, "nan", "stage threshold must be finite, got nan"),
+    ],
+    ids=["geometry-negative", "geometry-zero", "stump-threshold-nan", "stage-threshold-nan"],
+)
+def test_count_rejects_model_that_would_count_wrongly(
+    ten_vehicle_scene, small_cascade, tmp_path, capsys, line, old, new, message
+):
+    lines = _model_lines(small_cascade)
+    if old is None:  # the threshold field of a stage line or of its first stump line
+        fields = lines[line].split()
+        fields[2 if line == 257 else 1] = new
+        lines[line] = " ".join(fields) + "\n"
+    else:
+        assert old in lines[line]
+        lines[line] = lines[line].replace(old, new)
+    model = tmp_path / "model.txt"
+    model.write_text("".join(lines), encoding="ascii")
+    events = tmp_path / "events.txt"
+    rc = cli.main(["count", "--scene", ten_vehicle_scene, "--detector", "feature",
+                   "--model", str(model), "--events_out", str(events)])
+    _one_line_failure(
+        capsys, rc, 2, f"roadcount: data error: malformed model file {model}: {message}"
+    )
+    assert not events.exists()
+
+
+def test_count_rejects_model_window_larger_than_frames(
+    ten_vehicle_scene, small_cascade, tmp_path, monkeypatch, capsys
+):
+    lines = _model_lines(small_cascade)
+    assert lines[0].startswith("mblbp-cascade v1 30 30 ")
+    model = tmp_path / "model.txt"
+    model.write_text(lines[0].replace(" 30 30 ", " 300 300 ") + "".join(lines[1:]))
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    for scales, window in (("1.0", "at scale 1 (300x300)"), ("1.5,2", "at scale 1.5 (450x450)")):
+        decoded.clear()
+        rc = cli.main(["count", "--scene", ten_vehicle_scene, "--detector", "feature",
+                       "--model", str(model), "--scales", scales])
+        _one_line_failure(
+            capsys, rc, 2,
+            f"roadcount: data error: model window 300x300 {window} does not fit "
+            "the 240x135 frames",
+        )
+        assert len(decoded) == 1  # only the first frame, for the frame size
+    # a window that fits only after downscaling by resolution_factor fails too
+    rc = cli.main(["count", "--scene", ten_vehicle_scene, "--detector", "feature",
+                   "--model", small_cascade, "--resolution_factor", "5", "--scales", "1.0"])
+    _one_line_failure(
+        capsys, rc, 2,
+        "roadcount: data error: model window 30x30 at scale 1 (30x30) does not fit "
+        "the 48x27 frames",
+    )
+
+
 @pytest.mark.parametrize("command", ["detect", "track"])
 def test_out_file_left_alone_on_setup_error(tmp_path, capsys, command):
     out_path = tmp_path / "out.txt"

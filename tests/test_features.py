@@ -90,7 +90,7 @@ def test_mb_lbp_unit_blocks_reduce_to_lbp():
         x = int(rng.integers(0, frame.width - 2))
         y = int(rng.integers(0, frame.height - 2))
         assert mb_lbp_code(ii, x, y, g) == lbp_code(frame, x + 1, y + 1)
-    code_map = mb_lbp_code_map(ii, g)
+    code_map = mb_lbp_code_map(frame.pixels, g)
     assert code_map.shape == (frame.height - 2, frame.width - 2)
     for j in range(frame.height - 2):
         for i in range(frame.width - 2):
@@ -138,39 +138,57 @@ def test_mb_lbp_code_map_matches_pointwise():
     frame = Frame(rng.integers(0, 256, (15, 19)).astype(np.uint8))
     ii = integral(frame)
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 3)):
-        grid = mb_lbp_code_map(ii, g)
+        grid = mb_lbp_code_map(frame.pixels, g)
         assert grid.shape == (15 - g.footprint_h + 1, 19 - g.footprint_w + 1)
         for y in range(grid.shape[0]):
             for x in range(grid.shape[1]):
                 assert grid[y, x] == mb_lbp_code(ii, x, y, g)
     # stacked images: one code map per image along the leading axis
     stack = np.stack([frame.pixels, frame.pixels[::-1], 255 - frame.pixels])
-    stacked = integral(stack)
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2)):
-        maps = mb_lbp_code_map(stacked, g)
+        maps = mb_lbp_code_map(stack, g)
         for k in range(3):
-            assert np.array_equal(maps[k], mb_lbp_code_map(integral(Frame(stack[k])), g))
+            assert np.array_equal(maps[k], mb_lbp_code_map(stack[k], g))
+    # the footprint must fit, and pixels are 8-bit
+    with pytest.raises(ValueError, match="^footprint 21x6 exceeds 19x15 image$"):
+        mb_lbp_code_map(frame.pixels, BlockGeometry(7, 2))
+    with pytest.raises(ValueError, match="^code maps take uint8 pixels, got int64$"):
+        mb_lbp_code_map(frame.pixels.astype(np.int64), BlockGeometry(1, 1))
 
 
 def test_mb_lbp_code_map_exact_on_offset_table():
     # adding f(row) + g(col) to an integral table leaves every block sum
-    # unchanged; with entries past 2**40 that wrap differently modulo 2**32,
-    # the int32 block sums must still give the exact codes
+    # unchanged, with entries past 2**40; the scalar codes on that table must
+    # equal the code map the pixels give, single frame or stack
     rng = np.random.default_rng(37)
-    # bright 12x12 and 13x11 blocks sum past 2**15, so narrower sums would wrap
-    for lo, geometries in ((0, [(1, 1), (2, 1), (3, 3)]), (200, [(12, 12), (13, 11)])):
-        frame = Frame(rng.integers(lo, 256, (40, 45)).astype(np.uint8))
+    # bright 12x12 and 13x11 block sums straddle 2**15 and 17x16 ones 2**16,
+    # so sums in a signed or narrower dtype would wrap some blocks only
+    for lo, size, geometries, bound in (
+        (0, (40, 45), [(1, 1), (2, 1), (3, 3)], 0),
+        (200, (40, 45), [(12, 12), (13, 11)], 2**15),
+        (227, (50, 54), [(17, 16)], 2**16),
+    ):
+        frame = Frame(rng.integers(lo, 256, size).astype(np.uint8))
         ii = integral(frame)
-        rows = np.arange(41)[:, None] * 3**25
-        cols = np.arange(46)[None, :] * 7**15
+        rows = np.arange(size[0] + 1)[:, None] * 3**25
+        cols = np.arange(size[1] + 1)[None, :] * 7**15
         offset = IntegralImage(ii.table + 2**40 + rows + cols)
         assert offset.table.min() >= 2**40
+        stack = np.stack([frame.pixels, frame.pixels[::-1], frame.pixels[:, ::-1]])
         for g in (BlockGeometry(w, h) for w, h in geometries):
-            want = mb_lbp_code_map(ii, g)
-            assert np.array_equal(mb_lbp_code_map(offset, g), want)
+            sums = ii.block_sums(g.cell_w, g.cell_h)
+            assert bound == 0 or sums.min() < bound < sums.max()
+            want = mb_lbp_code_map(frame.pixels, g)
             for y in range(want.shape[0]):
                 for x in range(want.shape[1]):
                     assert want[y, x] == mb_lbp_code(offset, x, y, g)
+            maps = mb_lbp_code_map(stack, g)
+            assert np.array_equal(maps[0], want)
+            for k in (1, 2):
+                stacked_ii = integral(Frame(stack[k]))
+                for y in range(want.shape[0]):
+                    for x in range(want.shape[1]):
+                        assert maps[k, y, x] == mb_lbp_code(stacked_ii, x, y, g)
 
 
 def test_lbp_histogram_constant_region():
