@@ -26,16 +26,16 @@ most 256 entries (uint16 beyond, e.g. for 324-site chunks). A stage trains
 on the rows of the positives and of the negatives every earlier stage
 accepted, and float values are gathered only for the columns a step reads.
 
-Stump search is histogram-shortlisted. Each boosting round builds the
-weight of every (column, class, value) in blocks of _BLOCK columns, so its
-temporaries stay a few MB; each key sums its samples in sample order, as
-one bincount over the whole matrix would. Their cumulative sums give each
-column's best error, and the columns within a proved rounding bound of the
-minimum are shortlisted. The exact search (_presort/_best_stump, sorted
-cumulative sums over the float values) then decides among the shortlisted
-columns only, so the chosen stump and its error are those of the exact
-search over every column. train_strong/train_stump bin a float matrix and
-run the same search.
+Stump search is histogram-shortlisted. Each boosting round bins the code
+matrix itself into the weight of every (column, class, code) of the value
+table, in blocks of _BLOCK columns, so its temporaries stay a few MB; each
+key sums its samples in sample order, as one bincount over the whole
+matrix would. Their cumulative sums give each column's best error, and the
+columns within a proved rounding bound of the minimum are shortlisted. The
+exact search (_presort/_best_stump, sorted cumulative sums over the float
+values) then decides among the shortlisted columns only, so the chosen
+stump and its error are those of the exact search over every column.
+train_strong/train_stump bin a float matrix and run the same search.
 """
 
 from __future__ import annotations
@@ -208,67 +208,47 @@ def _bin(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse.reshape(xs.shape).astype(np.min_scalar_type(len(values) - 1)), values
 
 
-def _bin_keys(
-    codes: np.ndarray, labels: np.ndarray, nvalues: int
-) -> tuple[np.ndarray, int] | None:
-    """Histogram keys of the (n, d) code matrix, column by column, and the bin count nb.
+def _histograms(
+    codes: np.ndarray, labels: np.ndarray, nvalues: int, weights: np.ndarray
+) -> np.ndarray:
+    """(d, 2, nvalues) weight of each column's negatives and positives at each code.
 
-    Row j of the (d, n) result holds bin + nb * is_positive for each sample
-    of column j, where bin b is the b-th smallest value that occurs in the
-    code matrix; keys take the smallest unsigned dtype that holds 2 * nb - 1.
-    None when there are more such values than samples: such a histogram
-    would be no smaller than the sorted columns.
+    One weighted bincount per block of columns of the (n, d) code matrix,
+    over the flat keys (column * 2 + is_positive) * nvalues + code. Each key
+    accumulates its samples in sample order, as one bincount over the whole
+    matrix would, so the sums are the same bit for bit; codes no sample of a
+    column holds stay exact zeros.
     """
     n, d = codes.shape
-    present = np.zeros(nvalues, dtype=bool)
-    for cols in _column_blocks(d):
-        present[codes[:, cols].ravel()] = True
-    nb = int(present.sum())
-    if nb > n:
-        return None
-    bin_of = np.cumsum(present) - 1
-    class_keys = nb * (labels > 0)
-    keys = np.empty((d, n), dtype=np.min_scalar_type(2 * nb - 1))
-    for cols in _column_blocks(d):
-        np.add(bin_of[codes[:, cols].T], class_keys, out=keys[cols], casting="unsafe")
-    return keys, nb
-
-
-def _histograms(keys: np.ndarray, nb: int, weights: np.ndarray) -> np.ndarray:
-    """(d, 2, nb) weight of each column's negatives and positives in each bin.
-
-    One weighted bincount per block of columns over the flat keys (column *
-    2 + is_positive) * nb + bin. Each key accumulates its samples in sample
-    order, as one bincount over the whole matrix would, so the sums are the
-    same bit for bit.
-    """
-    d, n = keys.shape
-    hist = np.empty((d, 2, nb))
-    tiled = np.tile(weights, min(d, _BLOCK))
+    offsets = (2 * np.arange(min(d, _BLOCK))[:, None] + (labels > 0)) * nvalues
+    tiled = np.tile(weights, len(offsets))
+    hist = np.empty((d, 2, nvalues))
     for cols in _column_blocks(d):
         k = cols.stop - cols.start
-        flat = np.add(keys[cols], 2 * nb * np.arange(k)[:, None], dtype=np.intp)
-        block = np.bincount(flat.ravel(), tiled[: k * n], minlength=2 * k * nb)
-        hist[cols] = block.reshape(k, 2, nb)
+        keys = np.add(codes[:, cols].T, offsets[:k], dtype=np.intp, order="C")
+        block = np.bincount(keys.ravel(), tiled[: k * n], minlength=2 * k * nvalues)
+        hist[cols] = block.reshape(k, 2, nvalues)
     return hist
 
 
 def _shortlist(hist: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Columns whose histogram-best error may be the dense search's minimum.
 
-    The per-class bin weights of each column (_histograms) and their cumsums
-    give the error of a split after every bin, in the form _best_stump uses.
-    A split after an empty bin repeats its neighbour's error, so in exact
-    arithmetic each column has the same error set as in the dense search.
+    The per-class weights of each column at each code (_histograms) and their
+    cumsums give the error of a split after every code, in the form
+    _best_stump uses. An empty bin adds an exact zero, so a split after it
+    repeats its neighbour's error: in exact arithmetic each column has the
+    same error set as in the dense search.
 
-    The two searches round differently. With u = eps / 2, W = sum(weights)
-    and m = n + nb, every prefix sum either forms (n sorted samples, or bin
-    sums then nb bins) is off by at most m * u (1 + O(m u)) times its exact
-    value. One split error reads five such sums whose exact values total at
-    most 3 * W, plus four roundings of at most u * W each, so it is off by
-    at most (3m + 4) u W. The dense winner's histogram error thus exceeds
-    the histogram minimum by at most twice both searches' bounds,
-    (12n + 6nb + 16) u W, which the tolerance 8 (n + nb + 1) eps W covers.
+    The two searches round differently. With u = eps / 2, W = sum(weights),
+    nb the histogram's bin count and m = n + nb, every prefix sum either forms
+    (n sorted samples, or bin sums then nb bins) is off by at most
+    m * u (1 + O(m u)) times its exact value. One split error reads five such
+    sums whose exact values total at most 3 * W, plus four roundings of at
+    most u * W each, so it is off by at most (3m + 4) u W. The dense winner's
+    histogram error thus exceeds the histogram minimum by at most twice both
+    searches' bounds, (12n + 6nb + 16) u W, which the tolerance
+    8 (n + nb + 1) eps W covers.
     """
     n = len(weights)
     d, _, nb = hist.shape
@@ -287,18 +267,14 @@ def _search(
     values: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    keyed: tuple[np.ndarray, int] | None,
 ) -> tuple[Stump, float]:
     """_best_stump over all columns of values[codes], run densely on the shortlisted ones only.
 
     Each column's dense errors do not depend on the other columns, so the
     stump, its error and the tie-break match the search over every column
-    bit for bit. Without histogram keys every column is searched.
+    bit for bit.
     """
-    if keyed is None:
-        cols = np.arange(codes.shape[1])
-    else:
-        cols = _shortlist(_histograms(*keyed, weights), weights)
+    cols = _shortlist(_histograms(codes, labels, len(values), weights), weights)
     stump, err = _best_stump(*_presort(values[codes[:, cols]]), labels, weights)
     return replace(stump, feature_index=int(cols[stump.feature_index])), err
 
@@ -325,7 +301,7 @@ def train_stump(xs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> Stum
     if np.all(labels < 0):
         return Stump(0, float(xs[:, 0].max()) + 1.0, 1)
     codes, values = _bin(xs)
-    stump, _ = _search(codes, values, labels, weights, _bin_keys(codes, labels, len(values)))
+    stump, _ = _search(codes, values, labels, weights)
     return stump
 
 
@@ -345,10 +321,9 @@ def _boost(
         raise ValueError("training set must contain both classes")
     n = len(codes)
     weights = np.full(n, 1.0 / n)
-    keyed = _bin_keys(codes, labels, len(values))
     stumps = []
     for _ in range(rounds):
-        stump, err = _search(codes, values, labels, weights, keyed)
+        stump, err = _search(codes, values, labels, weights)
         err = min(max(err, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
@@ -362,7 +337,9 @@ def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClass
     """AdaBoost over decision stumps on a float feature matrix; stage_threshold starts at 0.
 
     The features are binned to their distinct values once, then boosted as
-    train_cascade boosts its stages (_boost).
+    train_cascade boosts its stages (_boost). Each round's histogram holds
+    d x 2 x (distinct values) floats, so this suits small or quantized
+    matrices: a float matrix of distinct values holds n * d of them.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

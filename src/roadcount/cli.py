@@ -262,12 +262,8 @@ def _resolve_markers(config: PipelineConfig, scene_dir: str, width: int, height:
         rects = [_scale_rect(m, config.resolution_factor) for m in scenario.markers]
     else:
         try:
-            rects = [
-                Rect(*(int(p) for p in chunk.split(",")))
-                for chunk in config.markers.split(";")
-                if chunk
-            ]
-        except (TypeError, ValueError) as exc:
+            rects = synthgen.parse_rects(config.markers)
+        except ValueError as exc:
             raise UsageError(f"bad markers value {config.markers!r}: {exc}") from exc
     try:
         markers = MarkerSet.from_rects(rects)
@@ -690,7 +686,7 @@ def _cmd_synth(args, overrides: dict[str, str]) -> int:
     values.update(overrides)
     try:
         scenario = synthgen.config_from_values(values)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
     gt = synthgen.save_scene(args.out, scenario)
     print(f"wrote {scenario.frames} frames, {len(gt.boxes)} boxes, "

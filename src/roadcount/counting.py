@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .imaging import Rect, round_half_up
-from .tracking import Track
+from .tracking import Track, greedy_pairs, normalize_angle
 
 PHI_MIN = 9.0 * math.pi / 8.0
 PHI_MAX = 15.0 * math.pi / 8.0
@@ -83,10 +83,7 @@ class CountingPolicy:
 
 def direction_in_interval(phi: float, phi_min: float = PHI_MIN, phi_max: float = PHI_MAX) -> bool:
     """True iff phi (normalized to [0, 2pi)) lies in the closed interval."""
-    phi = math.fmod(phi, 2.0 * math.pi)
-    if phi < 0.0:
-        phi += 2.0 * math.pi
-    return phi_min <= phi <= phi_max
+    return phi_min <= normalize_angle(phi) <= phi_max
 
 
 def _overlapped_marker(rect: Rect, markers: MarkerSet) -> int | None:
@@ -166,28 +163,19 @@ def accuracy(fp: int, fn: int, gt: int) -> tuple[float, int]:
 def evaluate_counts(
     counted: list[tuple[int, int]], gt: list[tuple[int, int]], tol: int
 ) -> tuple[int, int]:
-    """Greedy nearest-first matching of counted to GT (frame, marker) events.
+    """Greedy nearest-first matching (greedy_pairs) of counted to GT (frame, marker) events.
 
     Events match only on the same marker within |frame difference| <= tol;
     unmatched counted events are FP, unmatched GT events are FN.
     """
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    candidates = []
-    for ci, (cf, cm) in enumerate(counted):
-        for gi, (gf, gm) in enumerate(gt):
-            if cm == gm and abs(cf - gf) <= tol:
-                candidates.append((abs(cf - gf), ci, gi))
-    candidates.sort()
-    used_c: set[int] = set()
-    used_g: set[int] = set()
-    matched = 0
-    for _, ci, gi in candidates:
-        if ci in used_c or gi in used_g:
-            continue
-        used_c.add(ci)
-        used_g.add(gi)
-        matched += 1
+    matched = len(greedy_pairs(
+        (abs(cf - gf), ci, gi)
+        for ci, (cf, cm) in enumerate(counted)
+        for gi, (gf, gm) in enumerate(gt)
+        if cm == gm and abs(cf - gf) <= tol
+    ))
     return len(counted) - matched, len(gt) - matched
 
 

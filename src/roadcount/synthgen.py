@@ -221,11 +221,8 @@ def generate_scene(config: ScenarioConfig) -> tuple[list[Frame], GroundTruth]:
             visible = spawn_rect(config, vid, frame_idx)
             if visible is None:
                 continue
-            full = vehicle_rect(config, vid, frame_idx)
-            crop = textures[vid][
-                visible.y - full.y : visible.bottom - full.y,
-                visible.x - full.x : visible.right - full.x,
-            ]
+            # only the bottom clips: ScenarioConfig rejects spawns that overflow sideways
+            crop = textures[vid][: visible.h, : visible.w]
             canvas[visible.y : visible.bottom, visible.x : visible.right] = crop
             boxes.append((frame_idx, vid, visible))
             if vid not in exited and visible.overlaps(config.markers[spawn.lane]):
@@ -368,6 +365,28 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return values
 
 
+def _entries(key: str, text: str, sep: str, types: tuple) -> list[tuple]:
+    """The `;`-separated entries of a list value, each split at sep into exactly
+    len(types) fields converted by types; ValueError names the key and a bad entry."""
+    entries = []
+    for entry in text.split(";"):
+        if not entry:
+            continue
+        parts = entry.split(sep)
+        try:
+            if len(parts) != len(types):
+                raise ValueError(f"expected {len(types)} fields, got {len(parts)}")
+            entries.append(tuple(convert(part) for convert, part in zip(types, parts)))
+        except ValueError as exc:
+            raise ValueError(f"{key} entry {entry!r}: {exc}") from None
+    return entries
+
+
+def parse_rects(text: str) -> tuple[Rect, ...]:
+    """Rects of an `x,y,w,h;...` markers list; ValueError names any malformed entry."""
+    return tuple(Rect(*fields) for fields in _entries("markers", text, ",", (int,) * 4))
+
+
 def config_from_values(values: dict[str, str]) -> ScenarioConfig:
     known = {
         "width", "height", "frames", "seed", "background_seed", "noise_sigma",
@@ -379,32 +398,17 @@ def config_from_values(values: dict[str, str]) -> ScenarioConfig:
     missing = known - set(values)
     if missing:
         raise ValueError(f"missing scenario keys: {sorted(missing)}")
-    markers = tuple(
-        Rect(*(int(p) for p in chunk.split(",")))
-        for chunk in values["markers"].split(";")
-        if chunk
-    )
-    spawns = []
-    for chunk in values["spawns"].split(";"):
-        if not chunk:
-            continue
-        f, lane, speed, w, h = chunk.split(",")
-        spawns.append(VehicleSpawn(int(f), int(lane), float(speed), int(w), int(h)))
-    illumination = tuple(
-        (int(part.split(":")[0]), int(part.split(":")[1]))
-        for part in values["illumination"].split(";")
-        if part
-    )
+    spawns = _entries("spawns", values["spawns"], ",", (int, int, float, int, int))
     return ScenarioConfig(
         width=int(values["width"]),
         height=int(values["height"]),
         frames=int(values["frames"]),
-        markers=markers,
-        spawns=tuple(spawns),
+        markers=parse_rects(values["markers"]),
+        spawns=tuple(VehicleSpawn(*fields) for fields in spawns),
         seed=int(values["seed"]),
         background_seed=int(values["background_seed"]),
         noise_sigma=float(values["noise_sigma"]),
-        illumination=illumination,
+        illumination=tuple(_entries("illumination", values["illumination"], ":", (int, int))),
         jitter_amplitude=int(values["jitter_amplitude"]),
     )
 

@@ -2,17 +2,18 @@
 
 State is (x, y, v, a, phi, omega) in image coordinates: position in px,
 speed px/s, acceleration px/s^2, heading rad in [0, 2pi), turn rate rad/s.
-Rows grow downward, so the heading convention negates the row axis before
-atan2 and straight-down motion has phi = 3pi/2. Only positions are observed;
-speed and heading are inferred by the filter (or bootstrapped from the first
-two observations).
+Rows grow downward, so headings negate the row axis: the bootstrap takes
+atan2(-dy, dx), the transition and its Jacobian move y by -v t sin(phi), and
+straight-down motion has phi = 3pi/2, inside counting's direction interval.
+Only positions are observed; speed and heading are inferred by the filter
+(or bootstrapped from the first two observations).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _transition(state: StateVector, c: float, s: float, t: float) -> StateVector
     """transition, given c, s = cos(state.phi), sin(state.phi)."""
     return StateVector(
         x=state.x + state.v * t * c,
-        y=state.y + state.v * t * s,
+        y=state.y - state.v * t * s,
         v=state.v + state.a * t,
         a=state.a,
         phi=normalize_angle(state.phi + state.omega * t),
@@ -112,8 +113,8 @@ def _jacobian(v: float, c: float, s: float, t: float) -> np.ndarray:
     f = _EYE6.copy()
     f[0, 2] = t * c
     f[0, 4] = -v * t * s
-    f[1, 2] = t * s
-    f[1, 4] = v * t * c
+    f[1, 2] = -t * s
+    f[1, 4] = -v * t * c
     f[2, 3] = t
     f[4, 5] = t
     return f
@@ -222,10 +223,24 @@ def derive_kinematics(track: Track, z: Measurement, t: float) -> Track:
     return replace(track, state=_bootstrap(track.state, z.z_x, z.z_y, t))
 
 
+def greedy_pairs(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[int, int]]:
+    """Greedy nearest-first matching: the (a, b) of each candidate (cost, a, b), taken
+    in ascending (cost, a, b) order, whose a and b no earlier pair holds."""
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    pairs = []
+    for _, a, b in sorted(candidates):
+        if a not in used_a and b not in used_b:
+            pairs.append((a, b))
+            used_a.add(a)
+            used_b.add(b)
+    return pairs
+
+
 def associate(
     tracks: Sequence[Track], detections: Sequence[Rect], gate: float
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Greedy nearest-first matching of track positions to detection centers.
+    """Greedy nearest-first matching (greedy_pairs) of track positions to detection centers.
 
     Returns (matched (track_id, detection_index) pairs, unmatched track ids,
     unmatched detection indices). Pairs beyond the gate distance are never
@@ -234,23 +249,14 @@ def associate(
     if gate <= 0.0:
         raise ValueError(f"gate must be positive, got {gate}")
     centers = [rect.center() for rect in detections]
-    candidates = []
-    for track in tracks:
-        tx, ty = track.state.x, track.state.y
-        for det_idx, (cx, cy) in enumerate(centers):
-            distance = math.hypot(tx - cx, ty - cy)
-            if distance <= gate:
-                candidates.append((distance, track.id, det_idx))
-    candidates.sort()
-    matched_tracks: set[int] = set()
-    matched_dets: set[int] = set()
-    pairs = []
-    for distance, track_id, det_idx in candidates:
-        if track_id in matched_tracks or det_idx in matched_dets:
-            continue
-        pairs.append((track_id, det_idx))
-        matched_tracks.add(track_id)
-        matched_dets.add(det_idx)
+    pairs = greedy_pairs(
+        (distance, track.id, det_idx)
+        for track in tracks
+        for det_idx, (cx, cy) in enumerate(centers)
+        if (distance := math.hypot(track.state.x - cx, track.state.y - cy)) <= gate
+    )
+    matched_tracks = {track_id for track_id, _ in pairs}
+    matched_dets = {det_idx for _, det_idx in pairs}
     unmatched_tracks = [t.id for t in tracks if t.id not in matched_tracks]
     unmatched_dets = [i for i in range(len(detections)) if i not in matched_dets]
     return pairs, unmatched_tracks, unmatched_dets

@@ -19,7 +19,6 @@ from roadcount.boostcascade import (
     Stump,
     _best_stump,
     _bin,
-    _bin_keys,
     _cell_rects,
     _chunk_layout,
     _classify_grid,
@@ -287,8 +286,9 @@ def _single_bincount_histograms(xs, labels, weights):
 
 
 def _keyed(xs, labels):
+    """The (codes, labels, nvalues) arguments _histograms takes for a float matrix."""
     codes, values = _bin(xs)
-    return _bin_keys(codes, labels, len(values))
+    return codes, labels, len(values)
 
 
 def _dense_boost(xs, labels, rounds):
@@ -305,10 +305,9 @@ def _dense_boost(xs, labels, rounds):
     for _ in range(rounds):
         stump, err = _best_stump(*_presort(xs), labels, weights)
         assert train_stump(xs, labels, weights) == stump
-        if keyed is not None:
-            hist = _histograms(*keyed, weights)
-            assert np.array_equal(hist, _single_bincount_histograms(xs, labels, weights))
-            shortlists.append(_shortlist(hist, weights).tolist())
+        hist = _histograms(*keyed, weights)
+        assert np.array_equal(hist, _single_bincount_histograms(xs, labels, weights))
+        shortlists.append(_shortlist(hist, weights).tolist())
         err = min(max(err, 1e-10), 1.0 - 1e-10)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
@@ -339,7 +338,6 @@ def test_train_strong_shortlist_matches_full_search():
     noise = [rng.integers(0, s + 1, n) / s for s in (64, 25, 4, 64, 25, 4)]
     # column 6 duplicates column 1
     xs = np.column_stack([noise[0], a, noise[1], strong, noise[2], b, a, noise[3]])
-    assert _keyed(xs, labels) is not None
     want, shortlists = _dense_boost(xs, labels, 8)
     assert train_strong(xs, labels, 8).stumps == want
     # in round 2 b wins on rounding while a ties with it in exact
@@ -357,30 +355,27 @@ def test_train_strong_shortlist_matches_full_search():
     for d in (_BLOCK + 1, _BLOCK - 3):
         xs = np.column_stack([rng.integers(0, s + 1, n) / s for s in rng.choice([4, 25, 64], d)])
         xs[:, -1] = strong
-        assert _keyed(xs, labels) is not None
         want, shortlists = _dense_boost(xs, labels, 6)
         assert train_strong(xs, labels, 6).stumps == want
         assert want[0][0].feature_index == d - 1 and d - 1 in shortlists[0]
 
-    # more than 256 distinct values but no more than samples: uint16 codes
-    # and keys, and the histogram still runs
+    # more than 256 distinct values: uint16 codes, and the histogram still runs
     wide = 400
     wide_labels = rng.choice([-1, 1], wide)
     xs = np.column_stack(
         [rng.integers(0, 301, wide) / 300 for _ in range(4)]
         + [(rng.integers(0, 151, wide) + 150 * (wide_labels > 0)) / 300]
     )
-    codes, values = _bin(xs)
-    keys, nb = _keyed(xs, wide_labels)
-    assert codes.dtype == keys.dtype == np.uint16 and 256 < nb == len(values) <= wide
+    codes, _, nvalues = _keyed(xs, wide_labels)
+    assert codes.dtype == np.uint16 and nvalues > 256
     want, shortlists = _dense_boost(xs, wide_labels, 6)
     assert train_strong(xs, wide_labels, 6).stumps == want
     assert want[0][0].feature_index == 4 and len(shortlists) == 6
 
-    # more distinct values than samples: no histogram, every column searched
+    # more distinct values than samples: most bins of every column are empty
     xs = rng.normal(size=(40, 3))
     labels = np.where(xs[:, 0] + 0.3 * rng.normal(size=40) > 0, 1, -1)
-    assert _keyed(xs, labels) is None
+    assert _keyed(xs, labels)[2] == 120
     want, _ = _dense_boost(xs, labels, 6)
     assert train_strong(xs, labels, 6).stumps == want
 

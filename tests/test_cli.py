@@ -854,6 +854,49 @@ def test_eval_counted_marker_outside_scene_markers_is_a_data_error(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize("command", ["count", "sweep", "eval", "train", "synth"])
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("markers", "4,26,24,22;36,26,24", "'36,26,24': expected 4 fields, got 3"),
+        ("spawns", "0,0,4,12,12;4,1,4", "'4,1,4': expected 5 fields, got 3"),
+        ("illumination", "5", "'5': expected 2 fields, got 1"),
+        ("illumination", "5:1:2", "'5:1:2': expected 2 fields, got 3"),
+    ],
+    ids=["markers", "spawns", "illumination-1", "illumination-3"],
+)
+def test_malformed_scenario_list_entry(tmp_path, capsys, command, key, value, detail):
+    scene = _small_scene(tmp_path)
+    cfg = os.path.join(scene, "scenario.cfg")
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_scenario_text(), flags=re.M)
+    with open(cfg, "w", encoding="ascii") as fh:
+        fh.write(text)
+    events = tmp_path / "events.txt"
+    events.write_text("5 0\n", encoding="ascii")
+    extra = {
+        "sweep": ["--grid", "tfc=4,8"],
+        "eval": ["--events", str(events)],
+        "train": ["--model", str(tmp_path / "m.txt")],
+    }.get(command, [])
+    if command == "synth":
+        rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "out")])
+        rc_want, prefix = 1, "roadcount: error: bad scenario: "
+    else:
+        rc = cli.main([command, "--scene", scene] + extra)
+        what = "cannot load scenario" if command == "train" else "cannot derive auto markers"
+        rc_want, prefix = 2, f"roadcount: data error: {what} from {scene}: "
+    _one_line_failure(capsys, rc, rc_want, f"{prefix}{key} entry {detail}")
+
+
+def test_malformed_markers_key_is_a_usage_error(tmp_path, capsys):
+    rc = cli.main(["count", "--scene", _small_scene(tmp_path), "--markers", "4,26,24;36,26,24,22"])
+    _one_line_failure(
+        capsys, rc, 1,
+        "roadcount: error: bad markers value '4,26,24;36,26,24,22': "
+        "markers entry '4,26,24': expected 4 fields, got 3",
+    )
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)

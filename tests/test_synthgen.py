@@ -18,6 +18,7 @@ from roadcount.synthgen import (
     load_gt_events,
     load_scene_config,
     parse_flat_config,
+    parse_rects,
     save_scene,
     spawn_schedule,
     spawn_rect,
@@ -253,6 +254,14 @@ def test_parse_flat_config_rules():
         config_from_text(config_to_text(_scenario()) + "mystery = 1\n")
     with pytest.raises(ValueError):
         config_from_text("width = 10\n")
+
+
+def test_parse_rects_names_a_wrong_arity_entry():
+    assert parse_rects("1,2,3,4;;5,6,7,8;") == (Rect(1, 2, 3, 4), Rect(5, 6, 7, 8))
+    with pytest.raises(ValueError, match=r"^markers entry '5,6,7': expected 4 fields, got 3$"):
+        parse_rects("1,2,3,4;5,6,7")
+    with pytest.raises(ValueError, match=r"^markers entry '1,2,3,4,5': expected 4 fields"):
+        parse_rects("1,2,3,4,5")
 
 
 def test_save_scene_round_trip(tmp_path):

@@ -19,6 +19,7 @@ from roadcount.tracking import (
     Tracker,
     _update,
     associate,
+    greedy_pairs,
     derive_kinematics,
     jacobian,
     normalize_angle,
@@ -78,7 +79,7 @@ def test_transition_hand_cases():
     s = StateVector(10.0, 20.0, 4.0, 0.5, math.pi / 2, 0.1)
     out = transition(s, 2.0)
     assert out.x == pytest.approx(10.0)
-    assert out.y == pytest.approx(28.0)
+    assert out.y == pytest.approx(12.0)  # phi = pi/2 heads up the image: y shrinks
     assert out.v == pytest.approx(5.0)
     assert out.a == 0.5 and out.omega == 0.1
     assert out.phi == pytest.approx(math.pi / 2 + 0.2)
@@ -216,6 +217,14 @@ def test_associate_gate_and_ties():
         associate(tracks, detections, gate=0.0)
 
 
+def test_greedy_pairs_take_candidates_in_cost_a_b_order():
+    # equal costs break by a, then by b, whatever order the candidates come in
+    candidates = [(1.0, 2, 0), (1.0, 1, 1), (1.0, 1, 0), (0.5, 3, 1), (2.0, 2, 2)]
+    assert greedy_pairs(candidates) == [(3, 1), (1, 0), (2, 2)]
+    assert greedy_pairs(reversed(candidates)) == [(3, 1), (1, 0), (2, 2)]
+    assert greedy_pairs([]) == []
+
+
 def test_tracker_straight_line_convergence():
     tracker = Tracker(kind="ekf", gate=40.0)
     live = []
@@ -227,7 +236,7 @@ def test_tracker_straight_line_convergence():
     assert track.frames_seen == 30
     assert track.heading_valid
     assert track.state.phi == pytest.approx(1.5 * math.pi, abs=1e-2)
-    assert abs(track.state.v) == pytest.approx(4.0, abs=0.01)
+    assert track.state.v == pytest.approx(4.0, abs=0.01)
     assert track.state.y == pytest.approx(121.0, abs=0.01)
     assert track.total_distance == pytest.approx(116.0, abs=0.1)
     assert track.last_seen_frame == 29
