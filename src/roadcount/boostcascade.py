@@ -10,10 +10,10 @@ stage.
 
 Training and detection share one site path: mb_lbp_code_map turns pixels
 (a stack of crops, or one frame) into a code map per block geometry, the
-rank table maps it to a rank map, and _site_views gives a sliding-window
-view of a (cell, geometry) chunk's footprint-site bins at every window
-origin. Detection builds no histogram: it runs the stages over the windows
-still alive, each stump counting the sites of its chunk that hold its bin.
+rank table maps it to a rank map, and _site_views gives a strided view of
+a (cell, geometry) chunk's footprint-site bins at every window origin.
+Detection builds no histogram: it runs the stages over the windows still
+alive, each stump counting the sites of its chunk that hold its bin.
 The first stage reads every window of the grid by strided slicing; later
 stages gather the alive windows only. Rank maps are built lazily, once per
 geometry a reached stage reads, and shared across a frame's scales.
@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import (
     RANK_HISTOGRAM_BINS,
@@ -395,10 +394,22 @@ def _scaled_geometries(model: CascadeModel, win_w: int, win_h: int) -> list[Bloc
     return out
 
 
-def _chunk_layout(model: CascadeModel, win_w: int, win_h: int) -> list[tuple[Rect, BlockGeometry]]:
-    """(cell, geometry) of chunk c = cell * geometries + geometry, for each c."""
-    geoms = _scaled_geometries(model, win_w, win_h)
-    return [(cell, g) for cell in _cell_rects(Rect(0, 0, win_w, win_h), model.grid) for g in geoms]
+_Layout = tuple[tuple[Rect, BlockGeometry], ...]
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
+def _chunk_layout(model: CascadeModel, win_w: int, win_h: int) -> _Layout:
+    """(cell, geometry) of chunk c = cell * geometries + geometry, for each c.
+
+    The layout depends on the window size and on the model's grid, window
+    size and geometries only, so each such key is laid out once.
+    """
+    key = (model.grid, model.window_w, model.window_h, model.geometries, win_w, win_h)
+    if key not in _LAYOUTS:
+        geoms = _scaled_geometries(model, win_w, win_h)
+        cells = _cell_rects(Rect(0, 0, win_w, win_h), model.grid)
+        _LAYOUTS[key] = tuple((cell, g) for cell in cells for g in geoms)
+    return _LAYOUTS[key]
 
 
 def _site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
@@ -406,14 +417,20 @@ def _site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
 
     The result is a view of shape stack + (origin_y, origin_x, span_h, span_w);
     [..., y, x, :, :] holds the bins of the window whose origin is (x, y).
-    `rank_map(g)`, the rank map of one image or a stack, runs once per g, and
-    each (g, span) sliding-window view is built once.
+    `rank_map(g)`, the C-contiguous rank map of one image or a stack, runs
+    once per g, and each (g, span) strided view is built once, read-only,
+    straight over the rank map's buffer.
     """
     rank_map = functools.cache(rank_map)
 
     @functools.cache
     def view(g: BlockGeometry, span: tuple[int, int]) -> np.ndarray:
-        return sliding_window_view(rank_map(g), span, axis=(-2, -1))
+        bins = rank_map(g)
+        h, w = bins.shape[-2:]
+        shape = bins.shape[:-2] + (h - span[0] + 1, w - span[1] + 1) + span
+        out = np.ndarray(shape, bins.dtype, bins, 0, bins.strides + bins.strides[-2:])
+        out.flags.writeable = False
+        return out
 
     def sites(cell: Rect, g: BlockGeometry) -> np.ndarray:
         span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
@@ -580,17 +597,22 @@ def _iou_float(a: tuple[float, float, float, float], b: tuple[float, float, floa
 
 
 class _Cluster:
+    """Running float64 sums of the member rects' x, y, w, h, and the max score."""
+
     def __init__(self, rect: Rect, score: float):
-        self.sums = np.array([rect.x, rect.y, rect.w, rect.h], dtype=np.float64)
+        self.x, self.y, self.w, self.h = float(rect.x), float(rect.y), float(rect.w), float(rect.h)
         self.count = 1
         self.score = score
 
     def mean(self) -> tuple[float, float, float, float]:
-        m = self.sums / self.count
-        return m[0], m[1], m[2], m[3]
+        n = self.count
+        return self.x / n, self.y / n, self.w / n, self.h / n
 
     def add(self, rect: Rect, score: float) -> None:
-        self.sums += (rect.x, rect.y, rect.w, rect.h)
+        self.x += rect.x
+        self.y += rect.y
+        self.w += rect.w
+        self.h += rect.h
         self.count += 1
         self.score = max(self.score, score)
 

@@ -16,7 +16,8 @@ import numpy as np
 from .imaging import Frame, IntegralImage, Rect
 
 # (dx, dy, bit shift) for the 8 neighbors in clockwise order TL,T,TR,R,BR,B,BL,L;
-# offsets are in block units, the center block sits at (1, 1).
+# offsets are in block units, the center block sits at (1, 1). The shifts run
+# from bit 7 down, the order in which _codes_from_grid packs the code.
 _NEIGHBORS = (
     (0, 0, 7),
     (1, 0, 6),
@@ -89,6 +90,9 @@ def _codes_from_grid(values: np.ndarray, step_x: int, step_y: int) -> np.ndarray
     `values` holds one scalar per block position (pixels for plain LBP,
     block sums for MB-LBP) in its last two axes; leading axes are kept.
     The last two output axes count the valid footprint top-left positions.
+    Codes are packed in Horner form, neighbours in _NEIGHBORS order from
+    bit 7 down: each compares into one reused bool buffer, the codes double
+    and the bits are added.
     """
     h, w = values.shape[-2:]
     out_h = h - 2 * step_y
@@ -97,12 +101,12 @@ def _codes_from_grid(values: np.ndarray, step_x: int, step_y: int) -> np.ndarray
         raise ValueError("grid too small for a 3x3 footprint")
     center = values[..., step_y : step_y + out_h, step_x : step_x + out_w]
     codes = np.zeros(values.shape[:-2] + (out_h, out_w), dtype=np.uint8)
-    bits = np.empty_like(codes)
-    for dx, dy, shift in _NEIGHBORS:
+    bits = np.empty(codes.shape, dtype=bool)
+    for dx, dy, _shift in _NEIGHBORS:
         block = values[..., dy * step_y : dy * step_y + out_h, dx * step_x : dx * step_x + out_w]
-        np.greater_equal(block, center, out=bits.view(bool))
-        bits <<= shift
-        codes |= bits
+        np.greater_equal(block, center, out=bits)
+        np.add(codes, codes, out=codes)
+        np.add(codes, bits.view(np.uint8), out=codes)
     return codes
 
 

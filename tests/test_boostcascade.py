@@ -803,6 +803,60 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
     assert len(built) == len(set(built)) < len(per_scale) and set(built) == set(per_scale)
 
 
+def test_site_views_match_sliding_window_view():
+    rng = np.random.default_rng(101)
+    rank_maps = {
+        BlockGeometry(1, 1): rng.integers(0, 64, (38, 50)).astype(np.uint8),
+        BlockGeometry(2, 1): rng.integers(0, 64, (5, 16, 13)).astype(np.uint8),
+    }
+    # (cell, geometry): spans 1x1, 4x6, 9x3 and the whole rank map
+    cases = [
+        (Rect(4, 7, 3, 3), BlockGeometry(1, 1)),
+        (Rect(0, 2, 8, 6), BlockGeometry(1, 1)),
+        (Rect(3, 0, 5, 11), BlockGeometry(1, 1)),
+        (Rect(0, 0, 52, 40), BlockGeometry(1, 1)),
+        (Rect(0, 0, 6, 3), BlockGeometry(2, 1)),
+        (Rect(2, 1, 9, 7), BlockGeometry(2, 1)),
+        (Rect(0, 0, 18, 18), BlockGeometry(2, 1)),
+    ]
+    sites = _site_views(rank_maps.__getitem__)
+    for cell, g in cases:
+        bins = rank_maps[g]
+        span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
+        want = sliding_window_view(bins, span, axis=(-2, -1))[..., cell.y :, cell.x :, :, :]
+        got = sites(cell, g)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, bins)
+        with pytest.raises(ValueError, match="read-only"):
+            got[..., 0, 0] = 0
+    assert sites(Rect(0, 0, 52, 40), BlockGeometry(1, 1)).shape == (1, 1, 38, 50)
+
+
+def test_chunk_layout_cache_keyed_on_geometry(monkeypatch):
+    rng = np.random.default_rng(103)
+    positives = _block_crops(rng, 30, 18, 18)
+    negatives = _noise_crops(rng, 30, 18, 18, lo=0, hi=90)
+    model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
+    # the same stages and rank table on a layout that reads other chunks
+    swapped = replace(model, geometries=(2, 1))
+    frame = Frame(rng.integers(0, 90, (64, 80)).astype(np.uint8))
+    frame.pixels[12:30, 20:38] = positives[5]
+    near = np.arange(29) * 18 // 29
+    frame.pixels[30:59, 44:73] = positives[7][near][:, near]
+    calls = [(m, scales) for scales in ((1.0,), (1.6,)) for m in (model, swapped)]
+
+    def run(order):
+        monkeypatch.setattr(boostcascade, "_LAYOUTS", {})
+        return {k: _exact(detect(calls[k][0], frame, calls[k][1], stride=2)) for k in order}
+
+    forward = run(range(len(calls)))
+    assert forward == run(reversed(range(len(calls))))
+    # every call finds something, and no two find the same
+    assert all(forward.values())
+    assert len({tuple(found) for found in forward.values()}) == len(calls)
+
+
 def _oracle_gatherer(model, frame):
     """gather(cell, g, ys, xs) of the earlier detector: each code map comes
     from int32 block sums of an int64 integral image, and the sites of the

@@ -191,6 +191,34 @@ def test_mb_lbp_code_map_exact_on_offset_table():
                         assert maps[k, y, x] == mb_lbp_code(stacked_ii, x, y, g)
 
 
+def test_mb_lbp_code_map_bit_order():
+    # one block above the centre and every other one below sets exactly the
+    # neighbour's bit, MSB first, clockwise from top-left; all nine equal
+    # gives 255, every neighbour lower gives 0
+    positions = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
+    for cw, ch in ((1, 1), (2, 2)):
+        g = BlockGeometry(cw, ch)
+        patches, want = [], []
+        for i, (dx, dy) in enumerate(positions):
+            blocks = np.full((3, 3), 50, dtype=np.uint8)
+            blocks[1, 1] = 100
+            blocks[dy, dx] = 150
+            patches.append(blocks)
+            want.append(1 << (7 - i))
+        patches.append(np.full((3, 3), 77, dtype=np.uint8))
+        want.append(255)
+        lower = np.full((3, 3), 99, dtype=np.uint8)
+        lower[1, 1] = 100
+        patches.append(lower)
+        want.append(0)
+        # each block value fills a cw x ch cell of the footprint-size patch
+        stack = np.stack([np.kron(b, np.ones((ch, cw), dtype=np.uint8)) for b in patches])
+        assert stack.shape == (10, g.footprint_h, g.footprint_w)
+        for pixels, code in zip(stack, want):
+            assert mb_lbp_code_map(pixels, g).tolist() == [[code]]
+        assert mb_lbp_code_map(stack, g)[:, 0, 0].tolist() == want
+
+
 def test_lbp_histogram_constant_region():
     frame = Frame(np.full((10, 10), 128))
     hist = lbp_histogram(frame, Rect(0, 0, 10, 10))
