@@ -9,11 +9,13 @@ calibrated pass threshold; the cascade rejects a window at the first failing
 stage.
 
 Training and detection share one site path: mb_lbp_code_map turns pixels
-(a stack of crops, or one frame) into a code map per block geometry, the
-rank table maps it to a rank map, and _site_views gives a strided view of
-a (cell, geometry) chunk's footprint-site bins at every window origin.
-Detection builds no histogram: it runs the stages over the windows still
-alive, each stump counting the sites of its chunk that hold its bin.
+(a stack of crops, or one frame) into a code map per block geometry, and
+the rank table maps it to a rank map. Training counts every crop's
+footprint sites of a (cell, geometry) chunk with mb_lbp_histogram.
+Detection builds no histogram: _site_views gives a strided view of a
+chunk's footprint-site bins at every window origin, and the stages run
+over the windows still alive, each stump counting the sites of its chunk
+that hold its bin.
 The first stage reads every window of the grid by strided slicing; later
 stages gather the alive windows only. Rank maps are built lazily, once per
 geometry a reached stage reads, and shared across a frame's scales.
@@ -54,6 +56,7 @@ from .features import (
     RankTable,
     build_rank_table,
     mb_lbp_code_map,
+    mb_lbp_histogram,
 )
 from .imaging import Frame, Rect, round_half_up
 
@@ -461,28 +464,22 @@ def _crop_features(
     the chunk's site count. The value table holds every such ratio of the
     layout's site counts, sorted; the codes take the smallest unsigned dtype
     that indexes it. Each geometry's code map of the whole stack feeds both
-    the rank table and the rank map.
+    the rank table and the rank map whose chunk sites mb_lbp_histogram counts.
     """
     geoms = _scaled_geometries(probe, probe.window_w, probe.window_h)
     code_maps = {g: mb_lbp_code_map(crops, g) for g in geoms}
     model = replace(probe, rank_table=build_rank_table([code_maps[g] for g in geoms]))
     # fancy indexing: np.take would copy the whole stack's codes to intp
-    sites = _site_views(lambda g: model.rank_table.bins[code_maps[g]])
+    rank_maps = {g: model.rank_table.bins[code_maps[g]] for g in geoms}
     layout = _chunk_layout(model, probe.window_w, probe.window_h)
-    site_counts = {
-        (cell.h - g.footprint_h + 1) * (cell.w - g.footprint_w + 1) for cell, g in layout
-    }
-    values = np.unique(np.concatenate([np.arange(s + 1) / s for s in site_counts]))
+    sites = [(cell.h - g.footprint_h + 1) * (cell.w - g.footprint_w + 1) for cell, g in layout]
+    values = np.unique(np.concatenate([np.arange(s + 1) / s for s in set(sites)]))
     dtype = np.min_scalar_type(len(values) - 1)
-    code_of = {s: np.searchsorted(values, np.arange(s + 1) / s).astype(dtype) for s in site_counts}
-    n = len(crops)
-    codes = np.empty((n, model.feature_count), dtype=dtype)
-    rows = np.arange(n)[:, None] * RANK_HISTOGRAM_BINS
+    code_of = {s: np.searchsorted(values, np.arange(s + 1) / s).astype(dtype) for s in set(sites)}
+    codes = np.empty((len(crops), model.feature_count), dtype=dtype)
     for c, (cell, g) in enumerate(layout):
-        bins = sites(cell, g)[..., 0, 0, :, :].reshape(n, -1)
-        counts = np.bincount((bins + rows).ravel(), minlength=n * RANK_HISTOGRAM_BINS)
         chunk = slice(c * RANK_HISTOGRAM_BINS, (c + 1) * RANK_HISTOGRAM_BINS)
-        codes[:, chunk] = code_of[bins.shape[1]][counts.reshape(n, RANK_HISTOGRAM_BINS)]
+        codes[:, chunk] = code_of[sites[c]][mb_lbp_histogram(rank_maps[g], cell, g)]
     return model, codes, values
 
 
@@ -712,6 +709,8 @@ def load_model(path: str | os.PathLike) -> CascadeModel:
     window_w, window_h, grid = int(header[2]), int(header[3]), int(header[4])
     geometries = tuple(int(g) for g in header[5].split(","))
     feature_count, n_stages = int(header[6]), int(header[7])
+    if n_stages < 1:
+        raise ValueError(f"stage count must be >= 1, got {n_stages}")
     rank_table = RankTable.from_text("\n".join(lines[1:257]))
     stages = []
     pos = 257
@@ -720,6 +719,8 @@ def load_model(path: str | os.PathLike) -> CascadeModel:
         if len(fields) != 3 or fields[0] != "stage":
             raise ValueError(f"expected stage {len(stages) + 1} of {n_stages} at line {pos + 1}")
         count = int(fields[1])
+        if count < 1:
+            raise ValueError(f"stage {len(stages) + 1} declares {count} stumps, needs at least 1")
         stump_lines = lines[pos + 1 : pos + 1 + count]
         if len(stump_lines) != count:
             raise ValueError(

@@ -40,6 +40,7 @@ from .counting import (
     CountingPolicy,
     CountingReport,
     MarkerSet,
+    accuracy_fields,
     count_tracks,
     make_report,
     report_text,
@@ -551,11 +552,8 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
     header = keys + ["fp", "fn", "gt", "acc_real", "acc_int"]
     rows = []
     for combo, report in zip(combos, reports):
-        if report.accuracy_real is None:
-            acc_real, acc_int = "NA", "NA"
-        else:
-            acc_real, acc_int = f"{report.accuracy_real:.2f}", str(report.accuracy_int)
-        rows.append(list(combo) + [str(report.fp), str(report.fn), str(report.gt), acc_real, acc_int])
+        counts = [str(report.fp), str(report.fn), str(report.gt)]
+        rows.append(list(combo) + counts + list(accuracy_fields(report)))
     return header, rows
 
 
@@ -670,6 +668,8 @@ def _load_config(args, overrides: dict[str, str]) -> PipelineConfig:
                 config = config_from_text(fh.read())
         except FileNotFoundError as exc:
             raise DataError(f"config file not found: {args.config}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {args.config} is not ASCII: {exc}") from exc
     else:
         config = PipelineConfig()
     return apply_overrides(config, overrides)

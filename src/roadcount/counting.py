@@ -224,12 +224,16 @@ def make_report(
     )
 
 
+def accuracy_fields(report: CountingReport) -> tuple[str, str]:
+    """acc_real to two decimals and acc_int, both NA when GT is empty."""
+    if report.accuracy_real is None:
+        return "NA", "NA"
+    return f"{report.accuracy_real:.2f}", str(report.accuracy_int)
+
+
 def result_line(report: CountingReport) -> str:
     """Machine-readable one-liner; accuracy printed as NA when GT is empty."""
-    if report.accuracy_real is None:
-        acc_real, acc_int = "NA", "NA"
-    else:
-        acc_real, acc_int = f"{report.accuracy_real:.2f}", str(report.accuracy_int)
+    acc_real, acc_int = accuracy_fields(report)
     return (
         f"RESULT fp={report.fp} fn={report.fn} gt={report.gt} "
         f"acc_real={acc_real} acc_int={acc_int} counted={report.counted_total}"

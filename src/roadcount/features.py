@@ -5,15 +5,20 @@ clockwise from the top-left neighbor, most-significant bit first: a bit is 1
 when neighbor >= center. MB-LBP replaces single pixels with the means of
 equal-sized blocks in a 3x3 grid; since all nine blocks share one size, the
 mean comparison is performed on exact integer block sums.
+
+MB-LBP features take one path, code map -> rank map -> site counts
+(mb_lbp_code_map, RankTable, mb_lbp_histogram). The scalar per-footprint
+code over an integral image is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Frame, IntegralImage, Rect
+from .imaging import Frame, Rect
 
 # (dx, dy, bit shift) for the 8 neighbors in clockwise order TL,T,TR,R,BR,B,BL,L;
 # offsets are in block units, the center block sits at (1, 1). The shifts run
@@ -123,26 +128,6 @@ def lbp_code(frame: Frame, x: int, y: int) -> int:
     return code
 
 
-def mb_lbp_code(ii: IntegralImage, x: int, y: int, g: BlockGeometry) -> int:
-    """MB-LBP code for the footprint whose top-left corner is (x, y).
-
-    Block means are compared via exact integer block sums (all nine blocks
-    share one size). A 1x1 geometry reduces to lbp_code at (x+1, y+1).
-    """
-    if x < 0 or y < 0 or x + g.footprint_w > ii.width or y + g.footprint_h > ii.height:
-        raise ValueError(
-            f"footprint {g.footprint_w}x{g.footprint_h} at ({x},{y}) exceeds "
-            f"{ii.width}x{ii.height} image"
-        )
-    center = ii.rect_sum(Rect(x + g.cell_w, y + g.cell_h, g.cell_w, g.cell_h))
-    code = 0
-    for dx, dy, shift in _NEIGHBORS:
-        s = ii.rect_sum(Rect(x + dx * g.cell_w, y + dy * g.cell_h, g.cell_w, g.cell_h))
-        if s >= center:
-            code |= 1 << shift
-    return code
-
-
 def _block_sums(pixels: np.ndarray, g: BlockGeometry) -> np.ndarray:
     """Sums of all cell_w x cell_h blocks of (..., h, w) uint8 pixels that hold
     at least one block; entry (..., y, x) covers [x, x + cell_w) x [y, y + cell_h).
@@ -174,7 +159,7 @@ def mb_lbp_code_map(pixels: np.ndarray, g: BlockGeometry) -> np.ndarray:
 
     The nine blocks of a footprint are compared by their exact sums, which
     come straight from the pixels (_block_sums); no integral image is built.
-    The codes equal mb_lbp_code at every position.
+    The codes equal those of the scalar test oracle at every position.
     """
     if pixels.dtype != np.uint8:
         raise ValueError(f"code maps take uint8 pixels, got {pixels.dtype}")
@@ -227,16 +212,21 @@ class RankTable:
 
     @classmethod
     def from_text(cls, text: str) -> "RankTable":
-        bins = np.full(256, -1, dtype=np.int64)
+        bins: dict[int, int] = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             code_s, bin_s = line.split()
-            bins[int(code_s)] = int(bin_s)
-        if (bins < 0).any():
+            code = int(code_s)
+            if not 0 <= code <= 255:
+                raise ValueError(f"rank table code {code} is outside 0..255")
+            if code in bins:
+                raise ValueError(f"rank table code {code} is given twice")
+            bins[code] = int(bin_s)
+        if len(bins) != 256:
             raise ValueError("rank table text does not cover all 256 codes")
-        return cls(bins)
+        return cls([bins[code] for code in range(256)])
 
 
 def build_rank_table(code_sets) -> RankTable:
@@ -261,25 +251,30 @@ def build_rank_table(code_sets) -> RankTable:
     return RankTable(bins)
 
 
-def mb_lbp_histogram(
-    ii: IntegralImage, region: Rect, g: BlockGeometry, rt: RankTable
-) -> np.ndarray:
-    """64-bin rank histogram of MB-LBP codes over all footprints inside region.
+def mb_lbp_histogram(rank_map: np.ndarray, region: Rect, g: BlockGeometry) -> np.ndarray:
+    """64-bin rank histogram of the geometry-g footprints inside region.
 
-    Footprints slide with stride 1; bin sum equals
-    (w - 3*cell_w + 1) * (h - 3*cell_h + 1).
+    `rank_map` is rt.bins[mb_lbp_code_map(pixels, g)] of one image or of an
+    (n, h, w) stack of them; leading axes are kept. Footprints slide with
+    stride 1, so each histogram sums to (w - 3*cell_w + 1) * (h - 3*cell_h + 1).
+    Every image's sites are counted by one bincount, offset by 64 per image.
     """
-    if region.right > ii.width or region.bottom > ii.height:
-        raise ValueError(f"region {region} exceeds {ii.width}x{ii.height} image")
+    h = rank_map.shape[-2] + g.footprint_h - 1
+    w = rank_map.shape[-1] + g.footprint_w - 1
+    if region.right > w or region.bottom > h:
+        raise ValueError(f"region {region} exceeds {w}x{h} image")
     if region.w < g.footprint_w or region.h < g.footprint_h:
         raise ValueError(
             f"region {region.w}x{region.h} too small for footprint "
             f"{g.footprint_w}x{g.footprint_h}"
         )
-    sums = ii.block_sums(g.cell_w, g.cell_h)
-    sub = sums[
-        region.y : region.y + region.h - g.cell_h + 1,
-        region.x : region.x + region.w - g.cell_w + 1,
+    sites = rank_map[
+        ...,
+        region.y : region.bottom - g.footprint_h + 1,
+        region.x : region.right - g.footprint_w + 1,
     ]
-    codes = _codes_from_grid(sub, g.cell_w, g.cell_h)
-    return np.bincount(rt.bins[codes.ravel()], minlength=RANK_HISTOGRAM_BINS)
+    lead = sites.shape[:-2]
+    n = math.prod(lead)
+    keys = sites.reshape(n, -1) + np.arange(n)[:, None] * RANK_HISTOGRAM_BINS
+    counts = np.bincount(keys.ravel(), minlength=n * RANK_HISTOGRAM_BINS)
+    return counts.reshape(lead + (RANK_HISTOGRAM_BINS,))

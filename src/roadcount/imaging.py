@@ -1,10 +1,7 @@
-"""Grayscale frame representation, PGM I/O, integral images and downscaling.
+"""Grayscale frame representation, PGM I/O and downscaling.
 
-Frames are 8-bit grayscale only. Integral images accumulate in int64, which
-holds exact sums for frames up to 4096x4096 (4096*4096*255 < 2^63). They
-back the scalar MB-LBP helpers (features.mb_lbp_code, mb_lbp_histogram);
-code maps, and so training and detection, take block sums straight from the
-pixels instead.
+Frames are 8-bit grayscale only. No integral image is built: MB-LBP code
+maps take their block sums straight from the pixels (features._block_sums).
 """
 
 from __future__ import annotations
@@ -104,54 +101,6 @@ class Frame:
 
     def __repr__(self) -> str:
         return f"Frame({self.width}x{self.height})"
-
-
-class IntegralImage:
-    """Cumulative-sum table; entry (j, i) = sum of pixels with row < j, col < i.
-
-    The table has shape (..., h+1, w+1) with a zero first row and column, so
-    any rectangle sum costs four lookups. Leading axes, if any, index a stack
-    of equal-size images.
-    """
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-
-    @property
-    def width(self) -> int:
-        return self.table.shape[-1] - 1
-
-    @property
-    def height(self) -> int:
-        return self.table.shape[-2] - 1
-
-    def rect_sum(self, r: Rect) -> int:
-        if r.right > self.width or r.bottom > self.height:
-            raise ValueError(f"rect {r} exceeds {self.width}x{self.height} image")
-        t = self.table
-        return int(t[r.bottom, r.right] - t[r.y, r.right] - t[r.bottom, r.x] + t[r.y, r.x])
-
-    def block_sums(self, bw: int, bh: int, dtype=np.int64) -> np.ndarray:
-        """Sums of all bw x bh blocks; entry (..., y, x) covers [x, x+bw) x [y, y+bh).
-        A narrower integer dtype gives the sums modulo its range."""
-        if bw < 1 or bh < 1 or bw > self.width or bh > self.height:
-            raise ValueError(f"block {bw}x{bh} does not fit {self.width}x{self.height}")
-        t = self.table
-        sums = np.subtract(t[..., bh:, bw:], t[..., :-bh, bw:], dtype=dtype, casting="unsafe")
-        np.subtract(sums, t[..., bh:, :-bw], out=sums, dtype=dtype, casting="unsafe")
-        return np.add(sums, t[..., :-bh, :-bw], out=sums, dtype=dtype, casting="unsafe")
-
-
-def integral(image: Frame | np.ndarray) -> IntegralImage:
-    """Integral image of a frame, or of a (..., h, w) stack of equal-size pixel arrays."""
-    pixels = image.pixels if isinstance(image, Frame) else image
-    h, w = pixels.shape[-2:]
-    table = np.zeros(pixels.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
-    sums = table[..., 1:, 1:]
-    sums[...] = pixels
-    np.cumsum(sums, axis=-2, out=sums)
-    np.cumsum(sums, axis=-1, out=sums)
-    return IntegralImage(table)
 
 
 def downscale(frame: Frame, factor: int) -> Frame:

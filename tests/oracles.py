@@ -1,0 +1,115 @@
+"""Scalar MB-LBP reference code over integral images, kept as test oracles.
+
+The package computes MB-LBP features on one path: code map -> rank map ->
+site counts (features.mb_lbp_code_map, features.mb_lbp_histogram). The
+helpers here compute the same codes and histograms from an int64 integral
+image, one footprint at a time, so tests can check that path against them.
+Integral images accumulate in int64, which holds exact sums for frames up to
+4096x4096 (4096*4096*255 < 2^63).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from roadcount.features import (
+    _NEIGHBORS,
+    RANK_HISTOGRAM_BINS,
+    BlockGeometry,
+    RankTable,
+    _codes_from_grid,
+)
+from roadcount.imaging import Frame, Rect
+
+
+class IntegralImage:
+    """Cumulative-sum table; entry (j, i) = sum of pixels with row < j, col < i.
+
+    The table has shape (..., h+1, w+1) with a zero first row and column, so
+    any rectangle sum costs four lookups. Leading axes, if any, index a stack
+    of equal-size images.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    @property
+    def width(self) -> int:
+        return self.table.shape[-1] - 1
+
+    @property
+    def height(self) -> int:
+        return self.table.shape[-2] - 1
+
+    def rect_sum(self, r: Rect) -> int:
+        if r.right > self.width or r.bottom > self.height:
+            raise ValueError(f"rect {r} exceeds {self.width}x{self.height} image")
+        t = self.table
+        return int(t[r.bottom, r.right] - t[r.y, r.right] - t[r.bottom, r.x] + t[r.y, r.x])
+
+    def block_sums(self, bw: int, bh: int, dtype=np.int64) -> np.ndarray:
+        """Sums of all bw x bh blocks; entry (..., y, x) covers [x, x+bw) x [y, y+bh).
+        A narrower integer dtype gives the sums modulo its range."""
+        if bw < 1 or bh < 1 or bw > self.width or bh > self.height:
+            raise ValueError(f"block {bw}x{bh} does not fit {self.width}x{self.height}")
+        t = self.table
+        sums = np.subtract(t[..., bh:, bw:], t[..., :-bh, bw:], dtype=dtype, casting="unsafe")
+        np.subtract(sums, t[..., bh:, :-bw], out=sums, dtype=dtype, casting="unsafe")
+        return np.add(sums, t[..., :-bh, :-bw], out=sums, dtype=dtype, casting="unsafe")
+
+
+def integral(image: Frame | np.ndarray) -> IntegralImage:
+    """Integral image of a frame, or of a (..., h, w) stack of equal-size pixel arrays."""
+    pixels = image.pixels if isinstance(image, Frame) else image
+    h, w = pixels.shape[-2:]
+    table = np.zeros(pixels.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
+    sums = table[..., 1:, 1:]
+    sums[...] = pixels
+    np.cumsum(sums, axis=-2, out=sums)
+    np.cumsum(sums, axis=-1, out=sums)
+    return IntegralImage(table)
+
+
+def mb_lbp_code(ii: IntegralImage, x: int, y: int, g: BlockGeometry) -> int:
+    """MB-LBP code for the footprint whose top-left corner is (x, y).
+
+    Block means are compared via exact integer block sums (all nine blocks
+    share one size). A 1x1 geometry reduces to lbp_code at (x+1, y+1).
+    """
+    if x < 0 or y < 0 or x + g.footprint_w > ii.width or y + g.footprint_h > ii.height:
+        raise ValueError(
+            f"footprint {g.footprint_w}x{g.footprint_h} at ({x},{y}) exceeds "
+            f"{ii.width}x{ii.height} image"
+        )
+    center = ii.rect_sum(Rect(x + g.cell_w, y + g.cell_h, g.cell_w, g.cell_h))
+    code = 0
+    for dx, dy, shift in _NEIGHBORS:
+        s = ii.rect_sum(Rect(x + dx * g.cell_w, y + dy * g.cell_h, g.cell_w, g.cell_h))
+        if s >= center:
+            code |= 1 << shift
+    return code
+
+
+def integral_histogram(
+    ii: IntegralImage, region: Rect, g: BlockGeometry, rt: RankTable
+) -> np.ndarray:
+    """64-bin rank histogram of MB-LBP codes over all footprints inside region,
+    coded from the integral image's block sums.
+
+    Footprints slide with stride 1; bin sum equals
+    (w - 3*cell_w + 1) * (h - 3*cell_h + 1).
+    """
+    if region.right > ii.width or region.bottom > ii.height:
+        raise ValueError(f"region {region} exceeds {ii.width}x{ii.height} image")
+    if region.w < g.footprint_w or region.h < g.footprint_h:
+        raise ValueError(
+            f"region {region.w}x{region.h} too small for footprint "
+            f"{g.footprint_w}x{g.footprint_h}"
+        )
+    sums = ii.block_sums(g.cell_w, g.cell_h)
+    sub = sums[
+        region.y : region.y + region.h - g.cell_h + 1,
+        region.x : region.x + region.w - g.cell_w + 1,
+    ]
+    codes = _codes_from_grid(sub, g.cell_w, g.cell_h)
+    return np.bincount(rt.bins[codes.ravel()], minlength=RANK_HISTOGRAM_BINS)

@@ -46,9 +46,10 @@ from roadcount.features import (
     _codes_from_grid,
     build_rank_table,
     mb_lbp_code_map,
-    mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, Rect, integral, load_pgm, round_half_up, sequence_paths
+from roadcount.imaging import Frame, Rect, load_pgm, round_half_up, sequence_paths
+
+from oracles import integral, integral_histogram
 
 
 def weak_classify(s, x):
@@ -97,13 +98,13 @@ def stage_scores(stage, xs):
 
 
 def _oracle_window_features(model, ii, window):
-    """Scalar reference: one mb_lbp_histogram per (cell, geometry) of one window."""
+    """Scalar reference: one integral_histogram per (cell, geometry) of one window."""
     if window.right > ii.width or window.bottom > ii.height:
         raise ValueError(f"window {window} exceeds {ii.width}x{ii.height} image")
     vec = []
     for cell in _cell_rects(window, model.grid):
         for g in _scaled_geometries(model, window.w, window.h):
-            hist = mb_lbp_histogram(ii, cell, g, model.rank_table)
+            hist = integral_histogram(ii, cell, g, model.rank_table)
             sites = (cell.w - g.footprint_w + 1) * (cell.h - g.footprint_h + 1)
             vec.append(hist / sites)
     return np.concatenate(vec)
@@ -506,7 +507,7 @@ def test_window_features_layout():
                 for c, cell in enumerate(_cell_rects(window, model.grid)):
                     for k, g in enumerate(geoms):
                         sites = (cell.w - g.footprint_w + 1) * (cell.h - g.footprint_h + 1)
-                        want = mb_lbp_histogram(ii, cell, g, rt) / sites
+                        want = integral_histogram(ii, cell, g, rt) / sites
                         assert np.array_equal(chunks[c * len(geoms) + k], want)
     assert [(g.cell_w, g.cell_h) for g in _scaled_geometries(model, 27, 36)] == [(2, 2), (3, 4)]
     with pytest.raises(ValueError):
@@ -1087,8 +1088,18 @@ def test_model_load_errors(tmp_path):
         (258, " 0.25 ", " nan ", "stump threshold must be finite, got nan"),
         (258, " 0.5\n", " -inf\n", "stump alpha must be finite, got -inf"),
         (257, " 0.10000000000000001\n", " nan\n", "stage threshold must be finite, got nan"),
+        (1, "0 0\n", "300 0\n", "rank table code 300 is outside 0..255"),
+        (256, "255 63\n", "-1 63\n", "rank table code -1 is outside 0..255"),
+        (256, "255 63\n", "254 62\n", "rank table code 254 is given twice"),
+        (0, " 1728 1\n", " 1728 -1\n", "stage count must be >= 1, got -1"),
+        (257, "stage 1 ", "stage 0 ", "stage 1 declares 0 stumps, needs at least 1"),
+        (0, " 1728 ", " 999 ", "header feature count 999 does not match layout 1728"),
     ],
-    ids=["geometry-negative", "geometry-zero", "stump-threshold-nan", "alpha-inf", "stage-nan"],
+    ids=[
+        "geometry-negative", "geometry-zero", "stump-threshold-nan", "alpha-inf", "stage-nan",
+        "rank-code-too-large", "rank-code-negative", "rank-code-repeated",
+        "stage-count-negative", "stage-without-stumps", "feature-count-mismatch",
+    ],
 )
 def test_model_load_rejects_values_that_would_count_wrongly(tmp_path, line, old, new, message):
     stages = (StrongClassifier(((Stump(5, 0.25, 1), 0.5),), stage_threshold=0.1),)

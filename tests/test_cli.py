@@ -133,6 +133,18 @@ def test_count_command_reads_config_file(ten_vehicle_scene, tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == PERFECT
 
 
+def test_count_rejects_non_ascii_config(ten_vehicle_scene, tmp_path, capsys):
+    path = tmp_path / "pipeline.cfg"
+    text = "# caf\u00e9\n" + cli.config_to_text(PipelineConfig(scene=ten_vehicle_scene))
+    path.write_text(text, encoding="utf-8")
+    rc = cli.main(["count", "--config", str(path)])
+    _one_line_failure(
+        capsys, rc, 1,
+        f"roadcount: error: config file {path} is not ASCII: 'ascii' codec can't decode "
+        "byte 0xc3 in position 5: ordinal not in range(128)",
+    )
+
+
 def test_feature_pipeline_close_to_bgsub(ten_vehicle_scene, small_cascade):
     base = PipelineConfig(scene=ten_vehicle_scene)
     bgsub_report, _ = cli.run_pipeline(base)
@@ -445,8 +457,12 @@ def _model_lines(path):
         (0, " 1,2,3 ", " 0,2,3 ", "geometries must be >= 1, got 0,2,3"),
         (258, None, "nan", "stump threshold must be finite, got nan"),
         (257, None, "nan", "stage threshold must be finite, got nan"),
+        (1, "0 ", "300 ", "rank table code 300 is outside 0..255"),
     ],
-    ids=["geometry-negative", "geometry-zero", "stump-threshold-nan", "stage-threshold-nan"],
+    ids=[
+        "geometry-negative", "geometry-zero", "stump-threshold-nan", "stage-threshold-nan",
+        "rank-code-too-large",
+    ],
 )
 def test_count_rejects_model_that_would_count_wrongly(
     ten_vehicle_scene, small_cascade, tmp_path, capsys, line, old, new, message
@@ -773,6 +789,18 @@ def test_train_rejects_scene_without_full_vehicle(tmp_path, capsys):
         "scenario produced no fully visible vehicle boxes",
     )
     assert not model.exists()
+
+
+def test_empty_ground_truth_reads_na_in_result_line_and_sweep_rows(tmp_path):
+    scene = tmp_path / "empty"
+    scenario = replace(synthgen.config_from_text(_small_scenario_text()), spawns=())
+    synthgen.save_scene(str(scene), scenario)
+    config = PipelineConfig(scene=str(scene))
+    report, _ = cli.run_pipeline(config)
+    assert result_line(report) == "RESULT fp=0 fn=0 gt=0 acc_real=NA acc_int=NA counted=0"
+    header, rows = cli.sweep(config, {"th": ["10", "12"]})
+    assert header == ["th", "fp", "fn", "gt", "acc_real", "acc_int"]
+    assert rows == [["10", "0", "0", "0", "NA", "NA"], ["12", "0", "0", "0", "NA", "NA"]]
 
 
 def _small_scene(tmp_path) -> str:

@@ -1,5 +1,7 @@
 """LBP / MB-LBP codes, uniform patterns, rank tables and histograms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,12 @@ from roadcount.features import (
     is_uniform,
     lbp_code,
     lbp_histogram,
-    mb_lbp_code,
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, IntegralImage, Rect, integral
+from roadcount.imaging import Frame, Rect
+
+from oracles import integral, mb_lbp_code
 
 
 def _uniform_oracle(code: int) -> bool:
@@ -156,41 +159,6 @@ def test_mb_lbp_code_map_matches_pointwise():
         mb_lbp_code_map(frame.pixels.astype(np.int64), BlockGeometry(1, 1))
 
 
-def test_mb_lbp_code_map_exact_on_offset_table():
-    # adding f(row) + g(col) to an integral table leaves every block sum
-    # unchanged, with entries past 2**40; the scalar codes on that table must
-    # equal the code map the pixels give, single frame or stack
-    rng = np.random.default_rng(37)
-    # bright 12x12 and 13x11 block sums straddle 2**15 and 17x16 ones 2**16,
-    # so sums in a signed or narrower dtype would wrap some blocks only
-    for lo, size, geometries, bound in (
-        (0, (40, 45), [(1, 1), (2, 1), (3, 3)], 0),
-        (200, (40, 45), [(12, 12), (13, 11)], 2**15),
-        (227, (50, 54), [(17, 16)], 2**16),
-    ):
-        frame = Frame(rng.integers(lo, 256, size).astype(np.uint8))
-        ii = integral(frame)
-        rows = np.arange(size[0] + 1)[:, None] * 3**25
-        cols = np.arange(size[1] + 1)[None, :] * 7**15
-        offset = IntegralImage(ii.table + 2**40 + rows + cols)
-        assert offset.table.min() >= 2**40
-        stack = np.stack([frame.pixels, frame.pixels[::-1], frame.pixels[:, ::-1]])
-        for g in (BlockGeometry(w, h) for w, h in geometries):
-            sums = ii.block_sums(g.cell_w, g.cell_h)
-            assert bound == 0 or sums.min() < bound < sums.max()
-            want = mb_lbp_code_map(frame.pixels, g)
-            for y in range(want.shape[0]):
-                for x in range(want.shape[1]):
-                    assert want[y, x] == mb_lbp_code(offset, x, y, g)
-            maps = mb_lbp_code_map(stack, g)
-            assert np.array_equal(maps[0], want)
-            for k in (1, 2):
-                stacked_ii = integral(Frame(stack[k]))
-                for y in range(want.shape[0]):
-                    for x in range(want.shape[1]):
-                        assert maps[k, y, x] == mb_lbp_code(stacked_ii, x, y, g)
-
-
 def test_mb_lbp_code_map_bit_order():
     # one block above the centre and every other one below sets exactly the
     # neighbour's bit, MSB first, clockwise from top-left; all nine equal
@@ -309,11 +277,15 @@ def test_rank_table_text_round_trip():
         RankTable(np.full(256, 64))
 
 
+def _rank_map(pixels, g, rt):
+    return rt.bins[mb_lbp_code_map(pixels, g)]
+
+
 def test_mb_lbp_histogram_constant_region():
-    ii = integral(Frame(np.full((20, 20), 99)))
+    pixels = Frame(np.full((20, 20), 99)).pixels
     rt = build_rank_table([np.array([255] * 10 + [0] * 5)])
     g = BlockGeometry(2, 2)
-    hist = mb_lbp_histogram(ii, Rect(0, 0, 20, 20), g, rt)
+    hist = mb_lbp_histogram(_rank_map(pixels, g, rt), Rect(0, 0, 20, 20), g)
     assert hist.shape == (RANK_HISTOGRAM_BINS,)
     assert hist.sum() == (20 - 6 + 1) * (20 - 6 + 1)
     assert hist[rt.bins[255]] == hist.sum()
@@ -325,12 +297,13 @@ def test_mb_lbp_histogram_naive_recount():
     ii = integral(frame)
     rt = build_rank_table([rng.integers(0, 256, 3000)])
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 3)):
+        rank_map = _rank_map(frame.pixels, g, rt)
         for _ in range(15):
             w = int(rng.integers(g.footprint_w, 16))
             h = int(rng.integers(g.footprint_h, 16))
             x = int(rng.integers(0, 26 - w + 1))
             y = int(rng.integers(0, 26 - h + 1))
-            hist = mb_lbp_histogram(ii, Rect(x, y, w, h), g, rt)
+            hist = mb_lbp_histogram(rank_map, Rect(x, y, w, h), g)
             sites_x = w - g.footprint_w + 1
             sites_y = h - g.footprint_h + 1
             assert hist.sum() == sites_x * sites_y
@@ -343,9 +316,55 @@ def test_mb_lbp_histogram_naive_recount():
 
 
 def test_mb_lbp_histogram_region_errors():
-    ii = integral(Frame(np.zeros((10, 10), dtype=np.uint8)))
+    pixels = np.zeros((10, 10), dtype=np.uint8)
     rt = build_rank_table([np.array([0])])
+    g = BlockGeometry(2, 2)
+    rank_map = _rank_map(pixels, g, rt)
     with pytest.raises(ValueError):
-        mb_lbp_histogram(ii, Rect(0, 0, 5, 5), BlockGeometry(2, 2), rt)
+        mb_lbp_histogram(rank_map, Rect(0, 0, 5, 5), g)
+    g = BlockGeometry(1, 1)
+    rank_map = _rank_map(pixels, g, rt)
     with pytest.raises(ValueError):
-        mb_lbp_histogram(ii, Rect(6, 6, 5, 5), BlockGeometry(1, 1), rt)
+        mb_lbp_histogram(rank_map, Rect(6, 6, 5, 5), g)
+
+
+def test_mb_lbp_histogram_stack_matches_per_image():
+    # an (n, h, w) stack gives one histogram per image, each the per-image
+    # call's, and every histogram sums to the region's footprint count
+    rng = np.random.default_rng(53)
+    stack = rng.integers(0, 256, (5, 21, 17)).astype(np.uint8)
+    rt = build_rank_table([rng.integers(0, 256, 3000)])
+    for g in (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 2)):
+        rank_maps = _rank_map(stack, g, rt)
+        for _ in range(10):
+            w = int(rng.integers(g.footprint_w, 18))
+            h = int(rng.integers(g.footprint_h, 22))
+            x = int(rng.integers(0, 17 - w + 1))
+            y = int(rng.integers(0, 21 - h + 1))
+            region = Rect(x, y, w, h)
+            hists = mb_lbp_histogram(rank_maps, region, g)
+            assert hists.shape == (5, RANK_HISTOGRAM_BINS)
+            sites = (w - g.footprint_w + 1) * (h - g.footprint_h + 1)
+            assert (hists.sum(axis=1) == sites).all()
+            for k in range(5):
+                assert np.array_equal(hists[k], mb_lbp_histogram(rank_maps[k], region, g))
+        # more leading axes are kept as they are
+        grid = mb_lbp_histogram(rank_maps[:4].reshape((2, 2) + rank_maps.shape[1:]), region, g)
+        assert np.array_equal(grid.reshape(4, RANK_HISTOGRAM_BINS), hists[:4])
+
+
+def test_mb_lbp_histogram_refuses_region_outside_or_smaller_than_footprint():
+    rt = build_rank_table([np.array([0])])
+    g = BlockGeometry(2, 3)
+    rank_maps = _rank_map(np.zeros((3, 12, 10), dtype=np.uint8), g, rt)
+    assert rank_maps.shape == (3, 12 - 9 + 1, 10 - 6 + 1)
+    # the region may touch the image's right and bottom edges, not pass them
+    assert (mb_lbp_histogram(rank_maps, Rect(4, 3, 6, 9), g)[:, rt.bins[255]] == 1).all()
+    for region in (Rect(5, 3, 6, 9), Rect(4, 4, 6, 9)):
+        with pytest.raises(ValueError, match=f"^region {re.escape(str(region))} exceeds 10x12"):
+            mb_lbp_histogram(rank_maps, region, g)
+    for region in (Rect(0, 0, 5, 9), Rect(0, 0, 6, 8)):
+        with pytest.raises(
+            ValueError, match=f"^region {region.w}x{region.h} too small for footprint 6x9$"
+        ):
+            mb_lbp_histogram(rank_maps, region, g)

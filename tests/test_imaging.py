@@ -1,16 +1,14 @@
-"""Frame, Rect, integral image, downscaling and PGM round-trip checks."""
+"""Frame, Rect, downscaling and PGM round-trip checks."""
 
 import numpy as np
 import pytest
 
 from roadcount.imaging import (
     Frame,
-    IntegralImage,
     PgmError,
     Rect,
     downscale,
     frame_filename,
-    integral,
     load_pgm,
     round_half_up,
     save_pgm,
@@ -88,58 +86,6 @@ def test_frame_validation_and_equality():
     assert a.width == 2 and a.height == 2
     assert a.contains(Rect(0, 0, 2, 2))
     assert not a.contains(Rect(1, 0, 2, 2))
-
-
-def test_integral_matches_brute_force():
-    rng = np.random.default_rng(11)
-    frame = Frame(rng.integers(0, 256, (17, 23)).astype(np.uint8))
-    ii = integral(frame)
-    assert ii.width == 23 and ii.height == 17
-    assert ii.table[0].sum() == 0 and ii.table[:, 0].sum() == 0
-    px = frame.pixels.astype(np.int64)
-    for _ in range(300):
-        x, y = int(rng.integers(0, 23)), int(rng.integers(0, 17))
-        w = int(rng.integers(1, 23 - x + 1))
-        h = int(rng.integers(1, 17 - y + 1))
-        r = Rect(x, y, w, h)
-        assert ii.rect_sum(r) == px[y : y + h, x : x + w].sum()
-
-
-def test_integral_rect_sum_bounds():
-    ii = integral(Frame(np.zeros((5, 5), dtype=np.uint8)))
-    with pytest.raises(ValueError):
-        ii.rect_sum(Rect(3, 0, 3, 2))
-    with pytest.raises(ValueError):
-        ii.rect_sum(Rect(0, 3, 2, 3))
-
-
-def test_block_sums_matches_rect_sum():
-    rng = np.random.default_rng(13)
-    frame = Frame(rng.integers(0, 256, (9, 12)).astype(np.uint8))
-    ii = integral(frame)
-    for bw, bh in [(1, 1), (2, 3), (4, 2), (12, 9)]:
-        sums = ii.block_sums(bw, bh)
-        assert sums.shape == (9 - bh + 1, 12 - bw + 1)
-        assert sums.dtype == np.int64
-        narrow = ii.block_sums(bw, bh, np.int32)
-        assert narrow.dtype == np.int32 and np.array_equal(narrow, sums)
-        # in int8 the sums come out modulo 2**8
-        assert np.array_equal(ii.block_sums(bw, bh, np.int8).view(np.uint8), sums % 256)
-        for y in range(sums.shape[0]):
-            for x in range(sums.shape[1]):
-                assert sums[y, x] == ii.rect_sum(Rect(x, y, bw, bh))
-    with pytest.raises(ValueError):
-        ii.block_sums(13, 1)
-    with pytest.raises(ValueError):
-        ii.block_sums(0, 1)
-    # a stack of images keeps its leading axis through integral and block_sums
-    stack = rng.integers(0, 256, (3, 9, 12)).astype(np.uint8)
-    stacked = integral(stack)
-    assert stacked.width == 12 and stacked.height == 9
-    for k in range(3):
-        single = integral(Frame(stack[k]))
-        assert np.array_equal(stacked.table[k], single.table)
-        assert np.array_equal(stacked.block_sums(2, 3)[k], single.block_sums(2, 3))
 
 
 def test_downscale_block_mean():
