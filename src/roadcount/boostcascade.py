@@ -309,13 +309,16 @@ def train_stump(xs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> Stum
 
 def _boost(
     codes: np.ndarray, values: np.ndarray, labels: np.ndarray, rounds: int
-) -> StrongClassifier:
-    """AdaBoost over decision stumps on the features values[codes]; stage_threshold starts at 0.
+) -> tuple[StrongClassifier, np.ndarray]:
+    """AdaBoost over decision stumps on the features values[codes]: the strong
+    classifier, its stage_threshold at 0, and the stage score of every row.
 
     Each round a weighted histogram shortlists the columns whose best error
     is within a rounding bound of the minimum, and the dense search decides
     among them (see _shortlist). Stumps and alphas equal those of a dense
-    search over every column of the float matrix.
+    search over every column of the float matrix. Scores accumulate
+    alpha * output round by round, so each equals the scalar sum over one
+    row's stumps in stage order bit for bit.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -323,6 +326,7 @@ def _boost(
         raise ValueError("training set must contain both classes")
     n = len(codes)
     weights = np.full(n, 1.0 / n)
+    scores = np.zeros(n)
     stumps = []
     for _ in range(rounds):
         stump, err = _search(codes, values, labels, weights)
@@ -330,9 +334,10 @@ def _boost(
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
         predictions = _stump_predict(stump, values[codes[:, stump.feature_index]])
+        scores += alpha * predictions
         weights = weights * np.exp(-alpha * labels * predictions)
         weights /= weights.sum()
-    return StrongClassifier(stumps=tuple(stumps), stage_threshold=0.0)
+    return StrongClassifier(stumps=tuple(stumps), stage_threshold=0.0), scores
 
 
 def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClassifier:
@@ -345,7 +350,7 @@ def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClass
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    return _boost(*_bin(xs), labels, rounds)
+    return _boost(*_bin(xs), labels, rounds)[0]
 
 
 def calibrate_stage(
@@ -442,18 +447,6 @@ def _site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
     return sites
 
 
-def _stage_scores(stage: StrongClassifier, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Stage score of every row of the code matrix, whose features are values[codes].
-
-    Scores accumulate stump by stump in stage order, so each equals the
-    scalar sum of alpha * output over one window's stumps bit for bit.
-    """
-    scores = np.zeros(len(codes))
-    for stump, alpha in stage.stumps:
-        scores += alpha * _stump_predict(stump, values[codes[:, stump.feature_index]])
-    return scores
-
-
 def _crop_features(
     probe: CascadeModel, crops: np.ndarray
 ) -> tuple[CascadeModel, np.ndarray, np.ndarray]:
@@ -528,8 +521,7 @@ def train_cascade(
             break
         stage_codes = codes[np.concatenate([np.arange(n_pos), negs])]
         labels = np.repeat(np.array([1, -1]), [n_pos, len(negs)])
-        stage = _boost(stage_codes, values, labels, rounds[s])
-        scores = _stage_scores(stage, stage_codes, values)
+        stage, scores = _boost(stage_codes, values, labels, rounds[s])
         stage = calibrate_stage(stage, scores[:n_pos], mhr)
         trained.append(stage)
         negs = negs[scores[n_pos:] >= stage.stage_threshold]
@@ -636,6 +628,21 @@ def _cluster_hits(hits: Sequence[tuple[Rect, float]], mcc: int) -> list[Detectio
     return detections
 
 
+def scaled_window(
+    model: CascadeModel, scale: float, width: int, height: int
+) -> tuple[int, int] | None:
+    """The model window at scale, rounded half up, or None where it does not fit a
+    width x height frame.
+
+    The fit is decided before rounding: side * scale >= extent + 0.5 exactly
+    when the rounded side exceeds extent, and also when side * scale is inf.
+    """
+    w, h = model.window_w * scale, model.window_h * scale
+    if w >= width + 0.5 or h >= height + 0.5:
+        return None
+    return round_half_up(w), round_half_up(h)
+
+
 def detect(
     model: CascadeModel,
     frame: Frame,
@@ -660,10 +667,10 @@ def detect(
     sites = _site_views(lambda g: np.take(model.rank_table.bins, mb_lbp_code_map(frame.pixels, g)))
     hits: list[tuple[Rect, float]] = []
     for scale in scales:
-        win_w = round_half_up(model.window_w * scale)
-        win_h = round_half_up(model.window_h * scale)
-        if win_w > frame.width or win_h > frame.height:
+        window = scaled_window(model, scale, frame.width, frame.height)
+        if window is None:
             continue
+        win_w, win_h = window
         xs = range(0, frame.width - win_w + 1, stride)
         ys = range(0, frame.height - win_h + 1, stride)
         alive, scores = _classify_grid(model, sites, win_w, win_h, xs, ys)

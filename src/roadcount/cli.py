@@ -31,6 +31,7 @@ from .boostcascade import (
     detect,
     load_model,
     save_model,
+    scaled_window,
     train_cascade,
 )
 from .counting import (
@@ -46,7 +47,7 @@ from .counting import (
     report_text,
     result_line,
 )
-from .imaging import Frame, PgmError, Rect, downscale, load_pgm, round_half_up, sequence_paths
+from .imaging import Frame, PgmError, Rect, downscale, load_pgm, sequence_paths
 from .tracking import DEFAULT_GATE_FRACTION, DEFAULT_MAX_MISSES, Track, Tracker, track_log_line
 
 
@@ -323,12 +324,11 @@ def _detector(
     if config.detector == "feature":
         cascade = _load_cascade(config)
         scale = config.scales[0]
-        win_w = round_half_up(cascade.window_w * scale)
-        win_h = round_half_up(cascade.window_h * scale)
-        if win_w > width or win_h > height:
+        if scaled_window(cascade, scale, width, height) is None:
+            w, h = cascade.window_w, cascade.window_h
             raise DataError(
-                f"model window {cascade.window_w}x{cascade.window_h} at scale {scale:g} "
-                f"({win_w}x{win_h}) does not fit the {width}x{height} frames"
+                f"model window {w}x{h} at scale {scale:g} ({w * scale:g}x{h * scale:g}) "
+                f"does not fit the {width}x{height} frames"
             )
 
         def detect_vehicles(frame: Frame) -> list[tuple[Rect, float]]:
@@ -423,9 +423,14 @@ def _policy(config: PipelineConfig) -> CountingPolicy:
     )
 
 
-def _check_markers(events: list[tuple[int, int]], n_markers: int, what: str) -> None:
-    """Refuse a (frame, marker) event naming a marker the scene does not have."""
+def _check_events(
+    events: list[tuple[int, int]], n_markers: int, what: str, n_frames: int | None = None
+) -> None:
+    """Refuse a (frame, marker) event naming a marker the scene does not have or,
+    given n_frames, a frame outside [0, n_frames)."""
     for frame_idx, marker in events:
+        if n_frames is not None and not 0 <= frame_idx < n_frames:
+            raise DataError(f"{what} names frame {frame_idx}, but the scene has {n_frames} frames")
         if not 0 <= marker < n_markers:
             raise DataError(
                 f"{what} at frame {frame_idx} names marker {marker}, "
@@ -444,7 +449,7 @@ def _gt_pairs(scene: str, n_markers: int, required: bool = False) -> list[tuple[
     except ValueError as exc:
         raise DataError(f"malformed ground truth: {exc}") from exc
     gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
-    _check_markers(gt_pairs, n_markers, "ground-truth event")
+    _check_events(gt_pairs, n_markers, "ground-truth event")
     return gt_pairs
 
 
@@ -780,9 +785,10 @@ def _cmd_eval(args, overrides: dict[str, str]) -> int:
         raise DataError(f"events file not found: {args.events}") from exc
     except ValueError as exc:
         raise DataError(f"malformed events file {args.events}: {exc}") from exc
-    width, height = _working_size(config, load_pgm(_scene_frame_paths(config.scene)[0]))
+    frame_paths = _scene_frame_paths(config.scene)
+    width, height = _working_size(config, load_pgm(frame_paths[0]))
     n_markers = len(_resolve_markers(config, config.scene, width, height).markers)
-    _check_markers(counted, n_markers, f"counted event in {args.events}")
+    _check_events(counted, n_markers, f"counted event in {args.events}", len(frame_paths))
     gt_pairs = _gt_pairs(config.scene, n_markers, required=True)
     report = make_report(counted, gt_pairs, config.match_tol, n_markers)
     print(result_line(report))

@@ -26,15 +26,10 @@ class MarkerSet:
     """Counting markers, one per lane, pairwise non-overlapping."""
 
     markers: tuple[Rect, ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         if not self.markers:
             raise ValueError("marker set must not be empty")
-        if len(self.labels) != len(self.markers):
-            raise ValueError(
-                f"{len(self.markers)} markers but {len(self.labels)} labels"
-            )
         for i, a in enumerate(self.markers):
             for b in self.markers[i + 1 :]:
                 if a.overlaps(b):
@@ -42,8 +37,7 @@ class MarkerSet:
 
     @classmethod
     def from_rects(cls, rects) -> "MarkerSet":
-        rects = tuple(rects)
-        return cls(rects, tuple(str(i) for i in range(len(rects))))
+        return cls(tuple(rects))
 
     def check_bottom_third(self, frame_w: int, frame_h: int) -> None:
         """Markers must overlap the bottom third of the frame."""

@@ -7,12 +7,15 @@ atan2(-dy, dx), the transition and its Jacobian move y by -v t sin(phi), and
 straight-down motion has phi = 3pi/2, inside counting's direction interval.
 Only positions are observed; speed and heading are inferred by the filter
 (or bootstrapped from the first two observations).
+
+Tracker.step runs the filter in place through the kernels _predict,
+_bootstrap, _update and _observed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,33 +48,6 @@ class StateVector:
     phi: float
     omega: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.v, self.a, self.phi, self.omega])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "StateVector":
-        x, y, v, a, phi, omega = (float(c) for c in arr)
-        return cls(x, y, v, a, normalize_angle(phi), omega)
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """Detection centroid plus the rect it came from."""
-
-    z_x: float
-    z_y: float
-    rect: Rect
-
-    def __post_init__(self):
-        cx, cy = self.rect.center()
-        if self.z_x != cx or self.z_y != cy:
-            raise ValueError(f"centroid ({self.z_x},{self.z_y}) is not the center of {self.rect}")
-
-    @classmethod
-    def from_rect(cls, rect: Rect) -> "Measurement":
-        cx, cy = rect.center()
-        return cls(cx, cy, rect)
-
 
 @dataclass
 class Track:
@@ -87,7 +63,6 @@ class Track:
     state: StateVector
     covariance: np.ndarray
     last_rect: Rect
-    entry_position: tuple[float, float]
     frames_seen: int = 1
     misses: int = 0
     total_distance: float = 0.0
@@ -97,7 +72,8 @@ class Track:
 
 
 def _transition(state: StateVector, c: float, s: float, t: float) -> StateVector:
-    """transition, given c, s = cos(state.phi), sin(state.phi)."""
+    """Constant-turn-rate/constant-acceleration step of length t seconds,
+    given c, s = cos(state.phi), sin(state.phi)."""
     return StateVector(
         x=state.x + state.v * t * c,
         y=state.y - state.v * t * s,
@@ -109,7 +85,7 @@ def _transition(state: StateVector, c: float, s: float, t: float) -> StateVector
 
 
 def _jacobian(v: float, c: float, s: float, t: float) -> np.ndarray:
-    """jacobian at speed v, given c, s = cos(phi), sin(phi)."""
+    """Analytic Jacobian of _transition at speed v, given c, s = cos(phi), sin(phi)."""
     f = _EYE6.copy()
     f[0, 2] = t * c
     f[0, 4] = -v * t * s
@@ -120,20 +96,10 @@ def _jacobian(v: float, c: float, s: float, t: float) -> np.ndarray:
     return f
 
 
-def transition(state: StateVector, t: float) -> StateVector:
-    """Constant-turn-rate/constant-acceleration step of length t seconds."""
-    return _transition(state, math.cos(state.phi), math.sin(state.phi), t)
-
-
-def jacobian(state: StateVector, t: float) -> np.ndarray:
-    """Analytic Jacobian of transition at the given state."""
-    return _jacobian(state.v, math.cos(state.phi), math.sin(state.phi), t)
-
-
 def _predict(
     state: StateVector, p: np.ndarray, t: float, q: np.ndarray
 ) -> tuple[StateVector, np.ndarray]:
-    """EKF time-update kernel: (state, P) -> (f(state), F*P*F^T + q*t)."""
+    """EKF time-update kernel: (state, P) -> (f(state), F*P*F^T + q*t), q per second."""
     c = math.cos(state.phi)
     s = math.sin(state.phi)
     f = _jacobian(state.v, c, s, t)
@@ -173,7 +139,8 @@ def _update(
 
 
 def _bootstrap(state: StateVector, zx: float, zy: float, t: float) -> StateVector:
-    """derive_kinematics on the state alone."""
+    """Speed and heading from the displacement to (zx, zy) over t seconds; zero
+    displacement keeps the heading and sets speed to zero."""
     dx = zx - state.x
     dy = zy - state.y
     if dx == 0.0 and dy == 0.0:
@@ -192,35 +159,6 @@ def _observed(track: Track, rect: Rect) -> None:
     track.frames_seen += 1
     track.misses = 0
     track.last_rect = rect
-
-
-def predict(track: Track, t: float, q: np.ndarray = DEFAULT_Q) -> Track:
-    """EKF time update: propagate the state and inflate P by F*P*F^T + q*t.
-
-    q holds per-second process noise rates, hence the scaling by t.
-    """
-    if t <= 0.0:
-        raise ValueError(f"time step must be positive, got {t}")
-    state, covariance = _predict(track.state, track.covariance, t, q)
-    return replace(track, state=state, covariance=covariance)
-
-
-def update(track: Track, z: Measurement, r: np.ndarray = DEFAULT_R) -> Track:
-    """EKF measurement update from a position observation."""
-    state, covariance = _update(track.state, track.covariance, z.z_x, z.z_y, r)
-    track = replace(track, state=state, covariance=covariance)
-    _observed(track, z.rect)
-    return track
-
-
-def derive_kinematics(track: Track, z: Measurement, t: float) -> Track:
-    """Bootstrap speed and heading from the displacement to a new observation.
-
-    Zero displacement keeps the previous heading and sets speed to zero.
-    """
-    if t <= 0.0:
-        raise ValueError(f"time step must be positive, got {t}")
-    return replace(track, state=_bootstrap(track.state, z.z_x, z.z_y, t))
 
 
 def greedy_pairs(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[int, int]]:
@@ -300,7 +238,6 @@ class Tracker:
             state=StateVector(cx, cy, 0.0, 0.0, 0.0, 0.0),
             covariance=self.p0.copy(),
             last_rect=rect,
-            entry_position=(cx, cy),
             frames_seen=1,
             last_seen_frame=self.frame_idx,
             heading_valid=self.kind == "ekf",

@@ -8,7 +8,7 @@ when every test passes.
 import contextlib
 import math
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -38,13 +38,13 @@ from roadcount.features import (
 from roadcount.imaging import Frame, Rect
 from roadcount.tracking import (
     DEFAULT_P0,
-    Measurement,
+    DEFAULT_Q,
+    DEFAULT_R,
     StateVector,
-    Track,
-    jacobian,
-    predict,
-    transition,
-    update,
+    _jacobian,
+    _predict,
+    _transition,
+    _update,
 )
 
 from oracles import integral, mb_lbp_code
@@ -182,17 +182,20 @@ def test_illumination_step_invariance(capsys, small_cascade):
         info["detail"] = f"mask foreground {fraction * 100.0:.1f}%, {elapsed:.1f} s"
 
 
+def _transition_array(values: np.ndarray, t: float) -> np.ndarray:
+    state = StateVector(*values.tolist())
+    return np.array(astuple(_transition(state, math.cos(state.phi), math.sin(state.phi), t)))
+
+
 def _fd_jacobian(state: StateVector, t: float, h: float = 1e-6) -> np.ndarray:
-    base = state.as_array()
+    base = np.array(astuple(state))
     out = np.zeros((6, 6))
     for j in range(6):
         plus = base.copy()
         minus = base.copy()
         plus[j] += h
         minus[j] -= h
-        fp = transition(StateVector.from_array(plus), t).as_array()
-        fm = transition(StateVector.from_array(minus), t).as_array()
-        out[:, j] = (fp - fm) / (2.0 * h)
+        out[:, j] = (_transition_array(plus, t) - _transition_array(minus, t)) / (2.0 * h)
     return out
 
 
@@ -210,41 +213,26 @@ def test_ekf_numerics(capsys):
                 omega=float(rng.uniform(-0.5, 0.5)),
             )
             t = float(rng.uniform(0.5, 2.0))
-            analytic = jacobian(state, t)
+            analytic = _jacobian(state.v, math.cos(state.phi), math.sin(state.phi), t)
             numeric = _fd_jacobian(state, t)
             rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
             worst = max(worst, float(rel.max()))
         assert worst < 1e-6
 
-        rect = Rect(50, 20, 10, 10)
-        track = Track(
-            id=0,
-            state=StateVector(55.0, 25.0, 4.0, 0.0, 4.71, 0.0),
-            covariance=DEFAULT_P0.copy(),
-            last_rect=rect,
-            entry_position=(55.0, 25.0),
-            anchor=(55.0, 25.0),
-        )
+        state, p = StateVector(55.0, 25.0, 4.0, 0.0, 4.71, 0.0), DEFAULT_P0.copy()
         for cycle in range(1000):
-            track = predict(track, 1.0)
+            state, p = _predict(state, p, 1.0, DEFAULT_Q)
             cx = 55.0 + 3.0 * math.sin(cycle / 25.0)
             cy = 25.0 + 0.1 * cycle
             z_rect = Rect(int(cx) - 5, int(cy) - 5, 10, 10)
-            track = update(track, Measurement.from_rect(z_rect))
-            p = track.covariance
+            state, p = _update(state, p, *z_rect.center(), DEFAULT_R)
             assert float(np.abs(p - p.T).max()) <= 1e-9
             np.linalg.cholesky(p)
 
-        still = Track(
-            id=1,
-            state=StateVector(55.0, 25.0, 0.0, 0.0, 0.0, 0.0),
-            covariance=DEFAULT_P0.copy(),
-            last_rect=rect,
-            entry_position=(55.0, 25.0),
-            anchor=(55.0, 25.0),
-        )
-        updated = update(still, Measurement.from_rect(rect))
-        assert np.array_equal(updated.state.as_array(), still.state.as_array())
+        still = StateVector(55.0, 25.0, 0.0, 0.0, 0.0, 0.0)
+        zx, zy = Rect(50, 20, 10, 10).center()  # exactly (55, 25): zero innovation
+        updated, _ = _update(still, DEFAULT_P0.copy(), zx, zy, DEFAULT_R)
+        assert np.array(astuple(updated)).tobytes() == np.array(astuple(still)).tobytes()
 
         info["detail"] = f"max Jacobian rel err {worst:.2e}"
 

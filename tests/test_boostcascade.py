@@ -18,6 +18,7 @@ from roadcount.boostcascade import (
     StrongClassifier,
     Stump,
     _best_stump,
+    _boost,
     _bin,
     _cell_rects,
     _chunk_layout,
@@ -29,12 +30,12 @@ from roadcount.boostcascade import (
     _scaled_geometries,
     _shortlist,
     _site_views,
-    _stage_scores,
     _stump_predict,
     calibrate_stage,
     detect,
     load_model,
     save_model,
+    scaled_window,
     train_cascade,
     train_strong,
     train_stump,
@@ -90,7 +91,8 @@ def window_features(model, rank_maps, win_w, win_h, xs, ys):
 
 
 def stage_scores(stage, xs):
-    """Float reference of _stage_scores: stage score of every vector along xs's last axis."""
+    """Float reference of the scores _boost returns: stage score of every vector along xs's
+    last axis."""
     scores = np.zeros(xs.shape[:-1])
     for stump, alpha in stage.stumps:
         scores += alpha * _stump_predict(stump, xs[..., stump.feature_index])
@@ -186,12 +188,18 @@ def test_strong_classify_weighted_vote_and_tie():
     assert score == -3.0 and label == -1
     empty = StrongClassifier(stumps=(), stage_threshold=0.0)
     assert strong_classify(empty, np.array([1.0])) == (0.0, 1)
-    # the production stage scorer gives the same scores for a batch of
-    # binned rows, and so does the float reference
+    # the float reference gives the same scores for a batch of rows
     xs = np.array([[0.5, 0.4], [0.4, 0.6], [0.9, 0.9]])
     want = [strong_classify(h, x)[0] for x in xs]
-    assert _stage_scores(h, *_bin(xs)).tolist() == stage_scores(h, xs).tolist() == want
-    assert _stage_scores(empty, *_bin(xs[:, :1])).tolist() == [0.0, 0.0, 0.0]
+    assert stage_scores(h, xs).tolist() == want
+    assert stage_scores(empty, xs[:, :1]).tolist() == [0.0, 0.0, 0.0]
+    # the scores the boosting loop returns are the reference scores of its own classifier
+    rng = np.random.default_rng(157)
+    xs = rng.integers(0, 6, size=(40, 5)) / 5.0
+    labels = np.where(rng.uniform(size=40) < 0.4, 1, -1)
+    boosted, scores = _boost(*_bin(xs), labels, 4)
+    assert len(boosted.stumps) == 4
+    assert scores.tolist() == stage_scores(boosted, xs).tolist()
 
 
 def test_train_stump_matches_exhaustive_oracle():
@@ -968,6 +976,38 @@ def test_detect_matches_integral_gather_oracle(small_cascade, ten_vehicle_scene)
             )
             assert np.array_equal(alive, want_alive)
             assert np.array_equal(scores.view(np.int64), want_scores.view(np.int64))
+
+
+def test_detect_decides_scale_fit_before_rounding(small_cascade, monkeypatch):
+    model = load_model(small_cascade)
+    assert (model.window_w, model.window_h) == (30, 30)
+    # 30 * 1.25 = 37.5 rounds half up to a 38 px window
+    assert scaled_window(model, 1.25, 38, 38) == (38, 38)
+    assert scaled_window(model, 1.25, 37, 38) is None
+    assert scaled_window(model, 1.25, 38, 37) is None
+    assert scaled_window(model, 1e308, 240, 135) is None  # 30 * 1e308 overflows to inf
+    rng = np.random.default_rng(163)
+    for _ in range(500):
+        side, extent = int(rng.integers(9, 60)), int(rng.integers(9, 150))
+        scale = float(rng.choice([rng.uniform(1.0, 4.0), (extent + 0.5) / side]))
+        sized = replace(model, window_w=side, window_h=side)
+        fits = round_half_up(side * scale) <= extent
+        assert (scaled_window(sized, scale, extent, extent) is not None) == fits
+    grids = []
+    classify_grid = boostcascade._classify_grid
+    monkeypatch.setattr(
+        boostcascade, "_classify_grid",
+        lambda m, sites, win_w, win_h, xs, ys: grids.append((win_w, win_h))
+        or classify_grid(m, sites, win_w, win_h, xs, ys),
+    )
+    pixels = np.random.default_rng(167).integers(0, 256, (38, 38)).astype(np.uint8)
+    for size, want in ((37, [(30, 30)]), (38, [(30, 30), (38, 38)])):
+        grids.clear()
+        frame = Frame(pixels[:size, :size].copy())
+        found = detect(model, frame, scales=(1.0, 1.25), stride=1, mcc=1)
+        assert grids == want
+        if size == 37:  # the scale that does not fit is skipped
+            assert _exact(found) == _exact(detect(model, frame, scales=(1.0,), stride=1, mcc=1))
 
 
 def test_cluster_hits_running_mean_and_mcc():

@@ -432,6 +432,23 @@ def test_eval_round_trips_counted_events(ten_vehicle_scene, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == PERFECT
 
 
+@pytest.mark.parametrize("frame", [-5, 259, 260])
+def test_eval_refuses_counted_frame_outside_scene(ten_vehicle_scene, tmp_path, capsys, frame):
+    events = tmp_path / "events.txt"
+    events.write_text(f"{frame} 0\n", encoding="ascii")
+    rc = cli.main(["eval", "--events", str(events), "--scene", ten_vehicle_scene])
+    if frame == 259:  # the scene's last frame
+        assert rc == 0
+        want = "RESULT fp=1 fn=10 gt=10 acc_real=-10.00 acc_int=-10 counted=1\n"
+        assert capsys.readouterr().out == want
+    else:
+        _one_line_failure(
+            capsys, rc, 2,
+            f"roadcount: data error: counted event in {events} names frame {frame}, "
+            "but the scene has 260 frames",
+        )
+
+
 def test_eval_error_paths(ten_vehicle_scene, tmp_path, capsys):
     rc = cli.main(["eval", "--events", str(tmp_path / "missing.txt"),
                    "--scene", ten_vehicle_scene])
@@ -514,6 +531,25 @@ def test_count_rejects_model_window_larger_than_frames(
         "roadcount: data error: model window 30x30 at scale 1 (30x30) does not fit "
         "the 48x27 frames",
     )
+
+
+@pytest.mark.parametrize("command", ["count", "detect"])
+def test_huge_scale_is_refused_first_and_skipped_later(
+    ten_vehicle_scene, small_cascade, capsys, command
+):
+    args = [command, "--scene", ten_vehicle_scene, "--detector", "feature",
+            "--model", small_cascade]
+    rc = cli.main(args + ["--scales", "1e308"])
+    _one_line_failure(
+        capsys, rc, 2,
+        "roadcount: data error: model window 30x30 at scale 1e+308 (infxinf) does not fit "
+        "the 240x135 frames",
+    )
+    assert cli.main(args + ["--scales", "1"]) == 0
+    want = capsys.readouterr()
+    assert want.out
+    assert cli.main(args + ["--scales", "1,1e308"]) == 0
+    assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("command", ["detect", "track"])

@@ -57,7 +57,6 @@ def _mk_track(
         state=StateVector(25.0, 120.0, 4.0, 0.0, phi, 0.0),
         covariance=np.eye(6),
         last_rect=last_rect,
-        entry_position=(25.0, 0.0),
         frames_seen=frames_seen,
         total_distance=total_distance,
         heading_valid=heading_valid,
@@ -91,8 +90,6 @@ def test_marker_set_validation():
         MarkerSet.from_rects([])
     with pytest.raises(ValueError):
         MarkerSet.from_rects([Rect(0, 0, 10, 10), Rect(5, 5, 10, 10)])
-    with pytest.raises(ValueError):
-        MarkerSet((Rect(0, 0, 10, 10),), ("a", "b"))
     MarkerSet.from_rects([Rect(0, 0, 10, 10), Rect(10, 0, 10, 10)])  # touching is fine
     MARKERS.check_bottom_third(240, 135)
     with pytest.raises(ValueError):

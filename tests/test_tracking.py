@@ -2,7 +2,7 @@
 
 import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -13,20 +13,19 @@ from roadcount.tracking import (
     DEFAULT_P0,
     DEFAULT_Q,
     DEFAULT_R,
-    Measurement,
     StateVector,
     Track,
     Tracker,
+    _bootstrap,
+    _jacobian,
+    _observed,
+    _predict,
+    _transition,
     _update,
     associate,
     greedy_pairs,
-    derive_kinematics,
-    jacobian,
     normalize_angle,
-    predict,
     track_log_line,
-    transition,
-    update,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -39,11 +38,33 @@ def _mk_track(track_id: int, x: float, y: float, **kwargs) -> Track:
         state=StateVector(x, y, 0.0, 0.0, 0.0, 0.0),
         covariance=DEFAULT_P0.copy(),
         last_rect=rect,
-        entry_position=(x, y),
         anchor=(x, y),
     )
     defaults.update(kwargs)
     return Track(**defaults)
+
+
+def _step(state: StateVector, t: float) -> StateVector:
+    return _transition(state, math.cos(state.phi), math.sin(state.phi), t)
+
+
+def _predicted(track: Track, t: float) -> Track:
+    """A copy of track after the time update Tracker.step makes."""
+    state, covariance = _predict(track.state, track.covariance, t, DEFAULT_Q)
+    return replace(track, state=state, covariance=covariance)
+
+
+def _updated(track: Track, rect: Rect) -> Track:
+    """A copy of track after the measurement update and bookkeeping of an observed rect."""
+    state, covariance = _update(track.state, track.covariance, *rect.center(), DEFAULT_R)
+    track = replace(track, state=state, covariance=covariance)
+    _observed(track, rect)
+    return track
+
+
+def _bootstrapped(track: Track, rect: Rect, t: float) -> Track:
+    """A copy of track with speed and heading bootstrapped from an observed rect."""
+    return replace(track, state=_bootstrap(track.state, *rect.center(), t))
 
 
 def test_normalize_angle():
@@ -59,25 +80,11 @@ def test_normalize_angle():
         assert math.isclose(math.sin(out), math.sin(phi), abs_tol=1e-9)
 
 
-def test_state_vector_round_trip():
-    s = StateVector(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert StateVector.from_array(s.as_array()) == s
-    wrapped = StateVector.from_array(np.array([0, 0, 0, 0, -math.pi / 2, 0]))
-    assert wrapped.phi == pytest.approx(1.5 * math.pi)
-
-
-def test_measurement_centroid_binding():
-    z = Measurement.from_rect(Rect(10, 20, 4, 6))
-    assert (z.z_x, z.z_y) == (12.0, 23.0)
-    with pytest.raises(ValueError):
-        Measurement(0.0, 0.0, Rect(10, 20, 4, 6))
-
-
 def test_transition_hand_cases():
     s = StateVector(10.0, 20.0, 4.0, 0.0, 0.0, 0.0)
-    assert transition(s, 1.0) == StateVector(14.0, 20.0, 4.0, 0.0, 0.0, 0.0)
+    assert _step(s, 1.0) == StateVector(14.0, 20.0, 4.0, 0.0, 0.0, 0.0)
     s = StateVector(10.0, 20.0, 4.0, 0.5, math.pi / 2, 0.1)
-    out = transition(s, 2.0)
+    out = _step(s, 2.0)
     assert out.x == pytest.approx(10.0)
     assert out.y == pytest.approx(12.0)  # phi = pi/2 heads up the image: y shrinks
     assert out.v == pytest.approx(5.0)
@@ -85,7 +92,7 @@ def test_transition_hand_cases():
     assert out.phi == pytest.approx(math.pi / 2 + 0.2)
     # turn rate wraps the heading back into [0, 2pi)
     spin = StateVector(0.0, 0.0, 0.0, 0.0, 6.0, 1.0)
-    assert transition(spin, 1.0).phi == pytest.approx(7.0 - TWO_PI)
+    assert _step(spin, 1.0).phi == pytest.approx(7.0 - TWO_PI)
 
 
 def test_jacobian_matches_finite_differences():
@@ -104,15 +111,15 @@ def test_jacobian_matches_finite_differences():
             ]
         )
         state = StateVector(*base)
-        analytic = jacobian(state, t)
+        analytic = _jacobian(state.v, math.cos(state.phi), math.sin(state.phi), t)
         fd = np.empty((6, 6))
         for j in range(6):
             hi, lo = base.copy(), base.copy()
             hi[j] += h
             lo[j] -= h
             fd[:, j] = (
-                transition(StateVector(*hi), t).as_array()
-                - transition(StateVector(*lo), t).as_array()
+                np.array(astuple(_step(StateVector(*hi), t)))
+                - np.array(astuple(_step(StateVector(*lo), t)))
             ) / (2 * h)
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - fd).max() / scale < 1e-6
@@ -122,34 +129,30 @@ def test_predict_covariance_rule():
     rng = np.random.default_rng(137)
     a = rng.normal(size=(6, 6))
     p = a @ a.T + np.eye(6)
-    track = _mk_track(0, 30.0, 40.0, covariance=p.copy())
-    track = Track(**{**track.__dict__, "state": StateVector(30.0, 40.0, 3.0, 0.1, 1.0, 0.01)})
+    state = StateVector(30.0, 40.0, 3.0, 0.1, 1.0, 0.01)
     for t in (1.0, 2.5):
-        out = predict(track, t, DEFAULT_Q)
-        f = jacobian(track.state, t)
-        assert np.allclose(out.covariance, f @ p @ f.T + DEFAULT_Q * t, atol=1e-12)
-        assert out.state == transition(track.state, t)
-    with pytest.raises(ValueError):
-        predict(track, 0.0)
+        out_state, out_p = _predict(state, p, t, DEFAULT_Q)
+        f = _jacobian(state.v, math.cos(state.phi), math.sin(state.phi), t)
+        assert np.allclose(out_p, f @ p @ f.T + DEFAULT_Q * t, atol=1e-12)
+        assert out_state == _step(state, t)
 
 
 def test_update_zero_innovation_keeps_mean():
     track = _mk_track(0, 55.0, 25.0)
-    z = Measurement.from_rect(Rect(50, 20, 10, 10))  # center exactly (55, 25)
-    out = update(track, z, DEFAULT_R)
+    rect = Rect(50, 20, 10, 10)  # center exactly (55, 25)
+    out = _updated(track, rect)
     assert out.state == track.state  # innovation is exactly zero
     assert out.frames_seen == track.frames_seen + 1
     assert out.misses == 0
     assert out.total_distance == 0.0
     assert out.anchor == (55.0, 25.0)
-    assert out.last_rect == z.rect
+    assert out.last_rect == rect
     assert np.array_equal(out.covariance, out.covariance.T)
 
 
 def test_update_accumulates_distance_from_anchor():
     track = _mk_track(0, 10.0, 10.0, covariance=np.diag([1e-9] * 6))
-    z = Measurement.from_rect(Rect(8, 16, 10, 10))  # center (13, 21)
-    out = update(track, z, DEFAULT_R)
+    out = _updated(track, Rect(8, 16, 10, 10))  # center (13, 21)
     # with a near-certain prior the mean barely moves, so the accumulated
     # step is the anchor-to-new-mean distance, not anchor-to-measurement
     step = math.hypot(out.state.x - 10.0, out.state.y - 10.0)
@@ -159,16 +162,14 @@ def test_update_accumulates_distance_from_anchor():
 
 def test_covariance_stays_symmetric_positive_definite():
     rng = np.random.default_rng(139)
-    track = _mk_track(0, 120.0, 60.0)
-    track = Track(**{**track.__dict__, "state": StateVector(120.0, 60.0, 4.0, 0.0, 4.7, 0.0)})
+    state, p = StateVector(120.0, 60.0, 4.0, 0.0, 4.7, 0.0), DEFAULT_P0.copy()
     for i in range(1000):
-        track = predict(track, 1.0, DEFAULT_Q)
-        cx = track.state.x + rng.normal(0.0, 1.0)
-        cy = track.state.y + rng.normal(0.0, 1.0)
+        state, p = _predict(state, p, 1.0, DEFAULT_Q)
+        cx = state.x + rng.normal(0.0, 1.0)
+        cy = state.y + rng.normal(0.0, 1.0)
         x = min(max(0, int(round(cx - 5))), 10_000)
         y = min(max(0, int(round(cy - 5))), 10_000)
-        track = update(track, Measurement.from_rect(Rect(x, y, 10, 10)), DEFAULT_R)
-        p = track.covariance
+        state, p = _update(state, p, *Rect(x, y, 10, 10).center(), DEFAULT_R)
         assert np.abs(p - p.T).max() <= 1e-9
         np.linalg.cholesky(p)
 
@@ -181,19 +182,16 @@ def test_derive_kinematics_directions():
         ((-4.0, 0.0), math.pi),  # left
         ((3.0, 3.0), 1.75 * math.pi),  # down-right diagonal
     ]
+    start = StateVector(50.0, 50.0, 0.0, 0.0, 0.0, 0.0)
     for (dx, dy), want_phi in cases:
-        track = _mk_track(0, 50.0, 50.0)
-        z = Measurement.from_rect(Rect(int(45 + dx), int(45 + dy), 10, 10))
-        out = derive_kinematics(track, z, 1.0)
-        assert out.state.phi == pytest.approx(want_phi)
-        assert out.state.v == pytest.approx(math.hypot(dx, dy))
-    track = _mk_track(0, 50.0, 50.0, state=StateVector(50.0, 50.0, 3.0, 0.0, 1.0, 0.0))
-    out = derive_kinematics(track, Measurement.from_rect(Rect(45, 45, 10, 10)), 1.0)
-    assert out.state.v == 0.0 and out.state.phi == 1.0  # zero displacement
-    out = derive_kinematics(track, Measurement.from_rect(Rect(45, 53, 10, 10)), 2.0)
-    assert out.state.v == pytest.approx(4.0)  # displacement spread over t=2
-    with pytest.raises(ValueError):
-        derive_kinematics(track, Measurement.from_rect(Rect(45, 45, 10, 10)), 0.0)
+        out = _bootstrap(start, 50.0 + dx, 50.0 + dy, 1.0)
+        assert out.phi == pytest.approx(want_phi)
+        assert out.v == pytest.approx(math.hypot(dx, dy))
+    moving = StateVector(50.0, 50.0, 3.0, 0.0, 1.0, 0.0)
+    out = _bootstrap(moving, 50.0, 50.0, 1.0)
+    assert out.v == 0.0 and out.phi == 1.0  # zero displacement
+    out = _bootstrap(moving, 50.0, 58.0, 2.0)
+    assert out.v == pytest.approx(4.0)  # displacement spread over t=2
 
 
 def test_associate_greedy_nearest_first():
@@ -240,7 +238,6 @@ def test_tracker_straight_line_convergence():
     assert track.state.y == pytest.approx(121.0, abs=0.01)
     assert track.total_distance == pytest.approx(116.0, abs=0.1)
     assert track.last_seen_frame == 29
-    assert track.entry_position == (55.0, 5.0)
 
 
 def test_tracker_miss_lifecycle():
@@ -317,13 +314,13 @@ def test_update_matches_textbook_form():
         zx, zy = state.x + rng.normal(0.0, 5.0), state.y + rng.normal(0.0, 5.0)
         got_state, got_p = _update(state, p, zx, zy, r)
 
-        x = state.as_array()
+        x = np.array(astuple(state))
         gain = p @ h.T @ np.linalg.inv(h @ p @ h.T + r)
         want_mean = x + gain @ (np.array([zx, zy]) - h @ x)
         want_p = (np.eye(6) - gain @ h) @ p
         want_p = (want_p + want_p.T) / 2.0
 
-        got_mean = got_state.as_array()
+        got_mean = np.array(astuple(got_state))
         scale = np.abs(want_mean).max()
         # phi is compared modulo 2pi: the kernel maps it into [0, 2pi)
         got_mean[4] = want_mean[4] + math.remainder(got_mean[4] - want_mean[4], TWO_PI)
@@ -333,19 +330,17 @@ def test_update_matches_textbook_form():
 
 
 def test_update_singular_innovation_covariance_raises():
-    track = _mk_track(0, 10.0, 10.0, covariance=np.zeros((6, 6)))
-    z = Measurement.from_rect(Rect(8, 16, 10, 10))
+    state = StateVector(10.0, 10.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="singular innovation covariance"):
-        update(track, z, np.zeros((2, 2)))
+        _update(state, np.zeros((6, 6)), 13.0, 21.0, np.zeros((2, 2)))
     # rank-one S: the determinant cancels to exactly zero
     with pytest.raises(ValueError, match="singular innovation covariance"):
-        update(track, z, np.ones((2, 2)))
+        _update(state, np.zeros((6, 6)), 13.0, 21.0, np.ones((2, 2)))
     # a non-finite determinant is refused as well
-    blown = _mk_track(0, 10.0, 10.0, covariance=np.diag([np.inf] * 6))
     with pytest.raises(ValueError, match="singular innovation covariance"):
-        update(blown, z, DEFAULT_R)
+        _update(state, np.diag([np.inf] * 6), 13.0, 21.0, DEFAULT_R)
     with pytest.raises(ValueError, match="singular innovation covariance"):
-        update(_mk_track(0, 10.0, 10.0, covariance=np.full((6, 6), np.nan)), z, DEFAULT_R)
+        _update(state, np.full((6, 6), np.nan), 13.0, 21.0, DEFAULT_R)
 
 
 @dataclass
@@ -359,30 +354,31 @@ class _OracleTracker:
 
 
 def _oracle_step(oracle: _OracleTracker, detections, t: float):
-    """The functional tracker step: every track rebuilt each frame from the
-    public predict/update/derive_kinematics and dataclasses.replace."""
+    """The functional tracker step: every track rebuilt each frame with
+    dataclasses.replace, by _predicted, _bootstrapped and _updated."""
     oracle.frame_idx += 1
     if oracle.kind == "ekf":
-        oracle.tracks = [predict(track, t) for track in oracle.tracks]
+        oracle.tracks = [_predicted(track, t) for track in oracle.tracks]
     pairs, unmatched_tracks, unmatched_dets = associate(oracle.tracks, detections, oracle.gate)
     by_id = {track.id: track for track in oracle.tracks}
     for track_id, det_idx in pairs:
         track = by_id[track_id]
-        z = Measurement.from_rect(detections[det_idx])
+        rect = detections[det_idx]
         if oracle.kind == "ekf":
             if track.frames_seen == 1:
-                track = derive_kinematics(track, z, (track.misses + 1) * t)
-            track = update(track, z)
+                track = _bootstrapped(track, rect, (track.misses + 1) * t)
+            track = _updated(track, rect)
         else:
-            step = math.hypot(z.z_x - track.anchor[0], z.z_y - track.anchor[1])
+            zx, zy = rect.center()
+            step = math.hypot(zx - track.anchor[0], zy - track.anchor[1])
             track = replace(
                 track,
-                state=replace(track.state, x=z.z_x, y=z.z_y),
+                state=replace(track.state, x=zx, y=zy),
                 frames_seen=track.frames_seen + 1,
                 misses=0,
                 total_distance=track.total_distance + step,
-                anchor=(z.z_x, z.z_y),
-                last_rect=z.rect,
+                anchor=(zx, zy),
+                last_rect=rect,
             )
         by_id[track_id] = replace(track, last_seen_frame=oracle.frame_idx)
     for track_id in unmatched_tracks:
@@ -399,7 +395,6 @@ def _oracle_step(oracle: _OracleTracker, detections, t: float):
             state=StateVector(cx, cy, 0.0, 0.0, 0.0, 0.0),
             covariance=DEFAULT_P0.copy(),
             last_rect=rect,
-            entry_position=(cx, cy),
             last_seen_frame=oracle.frame_idx,
             heading_valid=oracle.kind == "ekf",
             anchor=(cx, cy),
