@@ -1,11 +1,13 @@
 """Command-line pipeline: configuration, orchestration, sweeps and timing.
 
 Subcommands: synth, train, detect, track, count, sweep, bench, eval. Each
-reads one flat `key = value` config file plus `--key value` overrides.
-detect, track, count, sweep and bench are loops over one decode -> detect
--> track pass per scene, which yields a record per frame; the pass reads
-`_PASS_KEYS` plus its detector's `_DETECTOR_KEYS`, and counting its
-finished tracks reads `_COUNT_KEYS`.
+reads one flat `key = value` config file plus `--key value` overrides, each
+key at most once. detect, track, count, sweep and bench are loops over one
+decode -> detect -> track pass per scene, which yields a record per frame;
+the pass reads `_PASS_KEYS` plus its detector's `_DETECTOR_KEYS`, and
+counting its finished tracks reads `_COUNT_KEYS`. count and sweep count and
+score through one routine, `_reports`, which reads markers and ground truth
+before a pass runs; bench alone times frames.
 Exit codes: 0 success, 1 usage error (bad flags, bad config keys/values),
 2 input/data error (missing or malformed scene, model, or image files).
 """
@@ -249,7 +251,7 @@ def _scale_rect(rect: Rect, factor: int) -> Rect:
     return Rect(x, y, max(right - x, 1), max(bottom - y, 1))
 
 
-def _resolve_markers(config: PipelineConfig, scene_dir: str, width: int, height: int) -> MarkerSet:
+def _resolve_markers(config: PipelineConfig, width: int, height: int) -> MarkerSet:
     """Markers from the config string, or from scenario.cfg when set to auto.
 
     Auto markers live in native scene resolution and are scaled down by the
@@ -258,9 +260,9 @@ def _resolve_markers(config: PipelineConfig, scene_dir: str, width: int, height:
     """
     if config.markers == "auto":
         try:
-            scenario = synthgen.load_scene_config(scene_dir)
+            scenario = synthgen.load_scene_config(config.scene)
         except (OSError, ValueError) as exc:
-            raise DataError(f"cannot derive auto markers from {scene_dir}: {exc}") from exc
+            raise DataError(f"cannot derive auto markers from {config.scene}: {exc}") from exc
         rects = [_scale_rect(m, config.resolution_factor) for m in scenario.markers]
     else:
         try:
@@ -453,17 +455,10 @@ def _gt_pairs(scene: str, n_markers: int, required: bool = False) -> list[tuple[
     return gt_pairs
 
 
-def _score(config: PipelineConfig, counted: list[tuple[int, int]], n_markers: int) -> CountingReport:
-    """Evaluate counted events against the scene's ground truth (none if it has no file)."""
-    return make_report(counted, _gt_pairs(config.scene, n_markers), config.match_tol, n_markers)
-
-
-def _bench_records(times: dict[str, list[float]], warmup: int = 0) -> list[BenchRecord]:
+def _bench_records(times: dict[str, list[float]], warmup: int) -> list[BenchRecord]:
     records = []
     for stage in ("detect", "track", "count"):
         samples = np.array(times[stage][warmup:]) * 1000.0
-        if len(samples) == 0:
-            raise UsageError("no frames measured after warmup")
         records.append(
             BenchRecord(
                 stage=stage,
@@ -476,31 +471,38 @@ def _bench_records(times: dict[str, list[float]], warmup: int = 0) -> list[Bench
     return records
 
 
-def _timed_run(config: PipelineConfig, limit: int | None = None):
-    """One pass, counted frame by frame; returns (counted, marker count, stage times).
+def _reports(points: list[PipelineConfig]) -> list[CountingReport]:
+    """Count and score every point; points with equal `_pass_key` share one pass.
 
-    Each frame's finished tracks are counted and timed in turn; the tracks
-    flushed after the last frame are counted untimed.
+    Every pass is set up, and every point's markers and ground truth are
+    read, before any frame past a pass's first is decoded. Each pass then
+    runs once, and its finished tracks, the flushed ones last, are counted
+    under each of its points' policies.
     """
-    run = _Pass(config)
-    markers = _resolve_markers(config, config.scene, run.width, run.height)
-    policy = _policy(config)
-    counted: list[tuple[int, int]] = []
-    times: dict[str, list[float]] = {"detect": [], "track": [], "count": []}
-    for record in run.frames(limit):
-        t0 = time.perf_counter()
-        counted += count_tracks(record.finished, policy, markers, run.width, run.height)
-        times["count"].append(time.perf_counter() - t0)
-        times["detect"].append(record.detect_s)
-        times["track"].append(record.track_s)
-    counted += count_tracks(run.tracker.flush(), policy, markers, run.width, run.height)
-    return counted, len(markers.markers), times
+    passes: dict[tuple, tuple[_Pass, list[int]]] = {}
+    truths = []
+    for i, point in enumerate(points):
+        key = _pass_key(point)
+        if key not in passes:
+            passes[key] = (_Pass(point), [])
+        run, members = passes[key]
+        members.append(i)
+        markers = _resolve_markers(point, run.width, run.height)
+        truths.append((markers, _gt_pairs(point.scene, len(markers.markers))))
+    reports: list[CountingReport | None] = [None] * len(points)
+    for run, members in passes.values():
+        finished = [track for record in run.frames() for track in record.finished]
+        finished += run.tracker.flush()
+        for i in members:
+            markers, gt_pairs = truths[i]
+            counted = count_tracks(finished, _policy(points[i]), markers, run.width, run.height)
+            reports[i] = make_report(counted, gt_pairs, points[i].match_tol, len(markers.markers))
+    return reports
 
 
-def run_pipeline(config: PipelineConfig) -> tuple[CountingReport, list[BenchRecord]]:
-    """Process the whole scene; returns the counting report and stage timings."""
-    counted, n_markers, times = _timed_run(config)
-    return _score(config, counted, n_markers), _bench_records(times)
+def run_pipeline(config: PipelineConfig) -> CountingReport:
+    """Count the whole scene and score it against its ground truth (none without a file)."""
+    return _reports([config])[0]
 
 
 def bench(config: PipelineConfig, warmup: int, measured: int) -> list[BenchRecord]:
@@ -509,7 +511,19 @@ def bench(config: PipelineConfig, warmup: int, measured: int) -> list[BenchRecor
         raise UsageError(f"measured frames must be >= 1, got {measured}")
     if warmup < 0:
         raise UsageError(f"warmup must be >= 0, got {warmup}")
-    _, _, times = _timed_run(config, limit=warmup + measured)
+    run = _Pass(config)
+    if warmup + measured > len(run.paths):
+        raise UsageError(f"warmup {warmup} + measured {measured} frames exceed "
+                         f"the scene's {len(run.paths)} frames")
+    markers = _resolve_markers(config, run.width, run.height)
+    policy = _policy(config)
+    times: dict[str, list[float]] = {"detect": [], "track": [], "count": []}
+    for record in run.frames(warmup + measured):
+        t0 = time.perf_counter()
+        count_tracks(record.finished, policy, markers, run.width, run.height)
+        times["count"].append(time.perf_counter() - t0)
+        times["detect"].append(record.detect_s)
+        times["track"].append(record.track_s)
     return _bench_records(times, warmup)
 
 
@@ -519,10 +533,8 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
     Keys are ordered alphabetically, values in the order given, and the
     product iterates with the rightmost key fastest, so rows come out in
     lexicographic parameter order. A key that no point's pass, detector or
-    count reads is rejected. Every point is validated and every pass set up
-    before any frame past a pass's first is decoded. Points whose pass keys
-    (`_pass_key`) are equal share one pass and are counted from its finished
-    tracks.
+    count reads is rejected. Every point is validated before any pass is
+    set up; `_reports` then counts them, one pass per distinct `_pass_key`.
     """
     if not grid:
         raise UsageError("sweep needs a nonempty grid")
@@ -538,25 +550,9 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
             raise UsageError(f"sweep key {key} does not affect counting")
     combos = list(itertools.product(*(grid[k] for k in keys)))
     points = [apply_overrides(config, dict(zip(keys, combo))) for combo in combos]
-    passes: dict[tuple, tuple[_Pass, list[int]]] = {}
-    markers = []
-    for i, point in enumerate(points):
-        key = _pass_key(point)
-        if key not in passes:
-            passes[key] = (_Pass(point), [])
-        run, members = passes[key]
-        members.append(i)
-        markers.append(_resolve_markers(point, point.scene, run.width, run.height))
-    reports: list[CountingReport | None] = [None] * len(points)
-    for run, members in passes.values():
-        finished = [track for record in run.frames() for track in record.finished]
-        finished += run.tracker.flush()
-        for i in members:
-            counted = count_tracks(finished, _policy(points[i]), markers[i], run.width, run.height)
-            reports[i] = _score(points[i], counted, len(markers[i].markers))
     header = keys + ["fp", "fn", "gt", "acc_real", "acc_int"]
     rows = []
-    for combo, report in zip(combos, reports):
+    for combo, report in zip(combos, _reports(points)):
         counts = [str(report.fp), str(report.fn), str(report.gt)]
         rows.append(list(combo) + counts + list(accuracy_fields(report)))
     return header, rows
@@ -662,6 +658,8 @@ def _parse_overrides(rest: list[str]) -> dict[str, str]:
                 raise UsageError(f"override {arg!r} is missing a value")
             value = rest[i + 1]
             i += 2
+        if key in overrides:
+            raise UsageError(f"override --{key} is given more than once")
         overrides[key] = value
     return overrides
 
@@ -734,7 +732,7 @@ def _cmd_count(args, overrides: dict[str, str]) -> int:
     config = _load_config(args, overrides)
     if config.events_out:
         _check_out_path("events_out", config.events_out)
-    report, _ = run_pipeline(config)
+    report = run_pipeline(config)
     if config.events_out:
         with open(config.events_out, "w", encoding="ascii") as fh:
             for frame_idx, marker in report.events:
@@ -787,7 +785,7 @@ def _cmd_eval(args, overrides: dict[str, str]) -> int:
         raise DataError(f"malformed events file {args.events}: {exc}") from exc
     frame_paths = _scene_frame_paths(config.scene)
     width, height = _working_size(config, load_pgm(frame_paths[0]))
-    n_markers = len(_resolve_markers(config, config.scene, width, height).markers)
+    n_markers = len(_resolve_markers(config, width, height).markers)
     _check_events(counted, n_markers, f"counted event in {args.events}", len(frame_paths))
     gt_pairs = _gt_pairs(config.scene, n_markers, required=True)
     report = make_report(counted, gt_pairs, config.match_tol, n_markers)

@@ -89,7 +89,7 @@ class ScenarioConfig:
         for i, spawn in enumerate(self.spawns):
             if not 0 <= spawn.lane < len(self.markers):
                 raise ValueError(f"spawn {i} references lane {spawn.lane}")
-            x = round_half_up(_lane_center_x(self, spawn.lane) - spawn.w / 2.0)
+            x = _spawn_x(self, spawn)
             if x < 0 or x + spawn.w > self.width or spawn.h > self.height:
                 raise ValueError(f"spawn {i} does not fit inside {self.width}x{self.height}")
 
@@ -128,8 +128,9 @@ def spawn_schedule(
     )
 
 
-def _lane_center_x(config: ScenarioConfig, lane: int) -> float:
-    return config.markers[lane].center()[0]
+def _spawn_x(config: ScenarioConfig, spawn: VehicleSpawn) -> int:
+    """The spawn's fixed column: its rect centred on its lane's marker."""
+    return round_half_up(config.markers[spawn.lane].center()[0] - spawn.w / 2.0)
 
 
 def vehicle_rect(config: ScenarioConfig, vehicle_id: int, frame_idx: int) -> Rect | None:
@@ -137,7 +138,7 @@ def vehicle_rect(config: ScenarioConfig, vehicle_id: int, frame_idx: int) -> Rec
     spawn = config.spawns[vehicle_id]
     if frame_idx < spawn.frame:
         return None
-    x = round_half_up(_lane_center_x(config, spawn.lane) - spawn.w / 2.0)
+    x = _spawn_x(config, spawn)
     y = round_half_up(spawn.speed * (frame_idx - spawn.frame))
     if y >= config.height:
         return None

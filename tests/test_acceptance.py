@@ -332,7 +332,7 @@ def test_end_to_end_counting(capsys, tmp_path):
             config = cli.PipelineConfig(scene=str(scene), detector=detector)
             if detector == "feature":
                 config = replace(config, model=str(model_path))
-            report, _ = cli.run_pipeline(config)
+            report = cli.run_pipeline(config)
             return report
 
         bgsub_clean = run(clean_dir, "bgsub")
@@ -372,7 +372,7 @@ def test_determinism(capsys, tmp_path):
                 scene=str(scene), model=str(model),
                 stages=3, train_pos=400, train_neg=1500, train_hard=2000,
             ))
-            report, _ = cli.run_pipeline(cli.PipelineConfig(
+            report = cli.run_pipeline(cli.PipelineConfig(
                 scene=str(scene), detector="feature", model=str(model),
             ))
             return scene, model, result_line(report)

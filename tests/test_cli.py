@@ -12,7 +12,7 @@ import pytest
 
 from roadcount import cli, synthgen
 from roadcount.cli import PipelineConfig, UsageError
-from roadcount.counting import result_line
+from roadcount.counting import CountingReport, result_line
 
 
 PERFECT = "RESULT fp=0 fn=0 gt=10 acc_real=100.00 acc_int=100 counted=10"
@@ -147,8 +147,8 @@ def test_count_rejects_non_ascii_config(ten_vehicle_scene, tmp_path, capsys):
 
 def test_feature_pipeline_close_to_bgsub(ten_vehicle_scene, small_cascade):
     base = PipelineConfig(scene=ten_vehicle_scene)
-    bgsub_report, _ = cli.run_pipeline(base)
-    feature_report, _ = cli.run_pipeline(
+    bgsub_report = cli.run_pipeline(base)
+    feature_report = cli.run_pipeline(
         replace(base, detector="feature", model=small_cascade)
     )
     assert feature_report.accuracy_int >= 90
@@ -156,14 +156,14 @@ def test_feature_pipeline_close_to_bgsub(ten_vehicle_scene, small_cascade):
 
 
 def test_tracker_none_still_counts(ten_vehicle_scene):
-    report, _ = cli.run_pipeline(
+    report = cli.run_pipeline(
         PipelineConfig(scene=ten_vehicle_scene, tracker="none")
     )
     assert result_line(report) == PERFECT
 
 
 def test_resolution_factor_smoke(ten_vehicle_scene):
-    report, _ = cli.run_pipeline(
+    report = cli.run_pipeline(
         PipelineConfig(scene=ten_vehicle_scene, resolution_factor=3)
     )
     assert report.gt == 10
@@ -175,7 +175,7 @@ def test_resolution_factor_smoke(ten_vehicle_scene):
 def test_tfc_increase_never_raises_counts(ten_vehicle_scene):
     counts = []
     for tfc in (5, 15, 30):
-        report, _ = cli.run_pipeline(PipelineConfig(scene=ten_vehicle_scene, tfc=tfc))
+        report = cli.run_pipeline(PipelineConfig(scene=ten_vehicle_scene, tfc=tfc))
         counts.append(report.counted_total)
     assert counts == sorted(counts, reverse=True)
 
@@ -233,7 +233,7 @@ def test_sweep_grid_rows(ten_vehicle_scene):
 def test_sweep_single_point_matches_run_pipeline(ten_vehicle_scene):
     config = PipelineConfig(scene=ten_vehicle_scene)
     header, rows = cli.sweep(config, {"th": ["10"]})
-    report, _ = cli.run_pipeline(replace(config, th=10.0))
+    report = cli.run_pipeline(replace(config, th=10.0))
     assert header == ["th", "fp", "fn", "gt", "acc_real", "acc_int"]
     assert rows == [[
         "10",
@@ -307,7 +307,7 @@ def test_sweep_reuses_detect_track_pass(ten_vehicle_scene, monkeypatch):
     for match_tol, phi_min, tfc, th in itertools.product(
         grid["match_tol"], grid["phi_min"], grid["tfc"], grid["th"]
     ):
-        report, _ = cli.run_pipeline(replace(
+        report = cli.run_pipeline(replace(
             config, th=float(th), tfc=int(tfc), phi_min=float(phi_min), match_tol=int(match_tol),
         ))
         expected.append([match_tol, phi_min, tfc, th] + result_line(report).split()[1:6])
@@ -336,7 +336,7 @@ def test_sweep_shares_passes_per_detector(ten_vehicle_scene, small_cascade, monk
     grid = {"detector": ["bgsub", "feature"], "th": ["8", "10"]}
     expected = []
     for detector, th in itertools.product(grid["detector"], grid["th"]):
-        report, _ = cli.run_pipeline(replace(config, detector=detector, th=float(th)))
+        report = cli.run_pipeline(replace(config, detector=detector, th=float(th)))
         expected.append([detector, th] + result_line(report).split()[1:6])
 
     trackers = []
@@ -832,7 +832,7 @@ def test_empty_ground_truth_reads_na_in_result_line_and_sweep_rows(tmp_path):
     scenario = replace(synthgen.config_from_text(_small_scenario_text()), spawns=())
     synthgen.save_scene(str(scene), scenario)
     config = PipelineConfig(scene=str(scene))
-    report, _ = cli.run_pipeline(config)
+    report = cli.run_pipeline(config)
     assert result_line(report) == "RESULT fp=0 fn=0 gt=0 acc_real=NA acc_int=NA counted=0"
     header, rows = cli.sweep(config, {"th": ["10", "12"]})
     assert header == ["th", "fp", "fn", "gt", "acc_real", "acc_int"]
@@ -875,6 +875,64 @@ def test_gt_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys, comma
         "roadcount: data error: ground-truth event at frame 9 names marker 2, "
         "but the scene has 2 markers",
     )
+
+
+@pytest.mark.parametrize("command", ["count", "sweep"])
+def test_ground_truth_errors_end_before_a_pass_runs(tmp_path, monkeypatch, capsys, command):
+    scene = _small_scene(tmp_path)
+    gt_path = os.path.join(scene, "gt_events.txt")
+    first = cli.sequence_paths(f"{scene}/frames")[0]
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    extra = ["--grid", "th=8,10"] if command == "sweep" else []  # two passes
+    for text, message in (
+        ("5 0 1\n9 1 2\n",
+         "ground-truth event at frame 9 names marker 2, but the scene has 2 markers"),
+        ("5 0 0\n7 1\n",
+         f"malformed ground truth: {gt_path} line 2: expected 'frame vehicle marker' "
+         "as three integers >= 0, got '7 1'"),
+    ):
+        with open(gt_path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        decoded.clear()
+        rc = cli.main([command, "--scene", scene] + extra)
+        _one_line_failure(capsys, rc, 2, f"roadcount: data error: {message}")
+        assert decoded == [first]  # the first pass's first frame, for the frame size
+
+
+def test_repeated_override_is_a_usage_error(ten_vehicle_scene, monkeypatch, capsys):
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    for args in (["--tfc", "8", "--tfc", "300"], ["--tfc=300", "--tfc", "8"],
+                 ["--tfc=8", "--tfc=8"]):
+        rc = cli.main(["count", "--scene", ten_vehicle_scene] + args)
+        _one_line_failure(
+            capsys, rc, 1, "roadcount: error: override --tfc is given more than once"
+        )
+    assert decoded == []
+
+
+def test_bench_frame_budget_is_checked_at_set_up(ten_vehicle_scene, monkeypatch, capsys):
+    n = len(cli.sequence_paths(f"{ten_vehicle_scene}/frames"))
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    rc = cli.main(["bench", "--warmup", "5", "--frames", str(n - 4), "--scene", ten_vehicle_scene])
+    _one_line_failure(
+        capsys, rc, 1,
+        f"roadcount: error: warmup 5 + measured {n - 4} frames exceed the scene's {n} frames",
+    )
+    assert len(decoded) == 1
+    records = cli.bench(PipelineConfig(scene=ten_vehicle_scene), warmup=5, measured=n - 5)
+    assert [record.frames for record in records] == [n - 5] * 3
+
+
+def test_run_pipeline_returns_a_counting_report(ten_vehicle_scene):
+    report = cli.run_pipeline(PipelineConfig(scene=ten_vehicle_scene))
+    assert isinstance(report, CountingReport)
+    assert result_line(report) == PERFECT
 
 
 def test_eval_gt_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys):
