@@ -12,13 +12,17 @@ Training and detection share one site path: mb_lbp_code_map turns pixels
 (a stack of crops, or one frame) into a code map per block geometry, and
 the rank table maps it to a rank map. Training counts every crop's
 footprint sites of a (cell, geometry) chunk with mb_lbp_histogram.
-Detection builds no histogram: _site_views gives a strided view of a
-chunk's footprint-site bins at every window origin, and the stages run
-over the windows still alive, each stump counting the sites of its chunk
-that hold its bin.
-The first stage reads every window of the grid by strided slicing; later
-stages gather the alive windows only. Rank maps are built lazily, once per
-geometry a reached stage reads, and shared across a frame's scales.
+Detection builds no histogram. It runs a plan (_plan) built once per model,
+window size and frame width: each stump's cell, site span, integer count
+limit (count < limit exactly when count / sites < threshold) and signed
+alpha, and the map it counts on. A bin that exactly one code maps to is
+counted on the code map as that code; any other bin (the overflow bin, an
+unused one) on the rank map, built only then. The stages run over the
+windows still alive. While every window is alive, each stump compares its
+map once and box-sums the grid's row and column bands; later stages make
+one flat gather per map for all of their stumps' sites and split it into
+per-stump counts with np.add.reduceat. Maps are built lazily, once per
+geometry per frame, and shared across the frame's scales.
 
 Training stores the features once, binned. Every feature is count / sites,
 so the whole crop set holds few distinct values (89 for the default
@@ -46,7 +50,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,6 +144,11 @@ class CascadeModel:
     @property
     def feature_count(self) -> int:
         return self.grid * self.grid * len(self.geometries) * RANK_HISTOGRAM_BINS
+
+    @functools.cached_property
+    def _plans(self) -> dict:
+        """Detection plans of this model (_plan), by window size and frame width."""
+        return {}
 
 
 def _presort(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,33 +429,6 @@ def _chunk_layout(model: CascadeModel, win_w: int, win_h: int) -> _Layout:
     return _LAYOUTS[key]
 
 
-def _site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
-    """sites(cell, g): cell's geometry-g footprint-site bins at every window origin.
-
-    The result is a view of shape stack + (origin_y, origin_x, span_h, span_w);
-    [..., y, x, :, :] holds the bins of the window whose origin is (x, y).
-    `rank_map(g)`, the C-contiguous rank map of one image or a stack, runs
-    once per g, and each (g, span) strided view is built once, read-only,
-    straight over the rank map's buffer.
-    """
-    rank_map = functools.cache(rank_map)
-
-    @functools.cache
-    def view(g: BlockGeometry, span: tuple[int, int]) -> np.ndarray:
-        bins = rank_map(g)
-        h, w = bins.shape[-2:]
-        shape = bins.shape[:-2] + (h - span[0] + 1, w - span[1] + 1) + span
-        out = np.ndarray(shape, bins.dtype, bins, 0, bins.strides + bins.strides[-2:])
-        out.flags.writeable = False
-        return out
-
-    def sites(cell: Rect, g: BlockGeometry) -> np.ndarray:
-        span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
-        return view(g, span)[..., cell.y :, cell.x :, :, :]
-
-    return sites
-
-
 def _crop_features(
     probe: CascadeModel, crops: np.ndarray
 ) -> tuple[CascadeModel, np.ndarray, np.ndarray]:
@@ -528,48 +510,214 @@ def train_cascade(
     return replace(model, stages=tuple(trained))
 
 
+class _FrameMaps:
+    """One frame's code maps, and the rank maps of those geometries whose stumps read a
+    bin (_stump_plan); each is built once per geometry, on first use, and shared by every
+    scale of the frame."""
+
+    def __init__(self, pixels: np.ndarray, rank_table: RankTable):
+        self.pixels = pixels
+        self.bins = rank_table.bins
+        self.codes: dict[BlockGeometry, np.ndarray] = {}
+        self.ranks: dict[BlockGeometry, np.ndarray] = {}
+
+    def get(self, source: tuple[BlockGeometry, bool]) -> np.ndarray:
+        """The code map of geometry g, or its rank map for source (g, True)."""
+        g, ranked = source
+        if g not in self.codes:
+            self.codes[g] = mb_lbp_code_map(self.pixels, g)
+        if not ranked:
+            return self.codes[g]
+        if g not in self.ranks:
+            self.ranks[g] = np.take(self.bins, self.codes[g])
+        return self.ranks[g]
+
+
+@dataclass(frozen=True)
+class _StumpPlan:
+    """One stump as detection reads it: the count of the span_h x span_w footprint sites at
+    `cell` of a window whose source map holds `target`; the stump scores -weight if the
+    count is below `limit`, else +weight."""
+
+    source: tuple[BlockGeometry, bool]
+    cell: Rect
+    span: tuple[int, int]
+    target: int
+    limit: int
+    weight: float
+
+
+@dataclass(frozen=True)
+class _Gather:
+    """The sites one stage's stumps read from one source map: flat offsets from a window's
+    origin in a map of the plan's frame width, the target of each site, where each stump's
+    sites start, and those stumps' positions in the stage."""
+
+    source: tuple[BlockGeometry, bool]
+    offsets: np.ndarray
+    targets: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+
+
+@dataclass(frozen=True)
+class _StagePlan:
+    """One stage's stumps in stage order, grouped by (span_h, span_w) for box counts and by
+    source map for gathers."""
+
+    stumps: tuple[_StumpPlan, ...]
+    boxes: tuple[tuple[tuple[int, int], np.ndarray], ...]
+    gathers: tuple[_Gather, ...]
+    limits: np.ndarray  # (stumps, 1)
+    weights: np.ndarray  # (stumps, 1)
+    threshold: float
+
+
+def _stump_plan(model: CascadeModel, layout: _Layout, stump: Stump, alpha: float) -> _StumpPlan:
+    """Where a stump counts and what: a bin that exactly one code maps to is counted on the
+    code map as that code, any other bin (the overflow bin, an unused one) on the rank map.
+
+    Every value count / sites is a float64 division of exact integers, rising with the
+    count, so value < threshold exactly when count < limit, the number of counts
+    0..sites whose value lies below the threshold.
+    """
+    chunk, b = divmod(stump.feature_index, RANK_HISTOGRAM_BINS)
+    cell, g = layout[chunk]
+    span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
+    sites = span[0] * span[1]
+    codes = np.flatnonzero(model.rank_table.bins == b)
+    source, target = ((g, False), int(codes[0])) if len(codes) == 1 else ((g, True), b)
+    limit = int(np.searchsorted(np.arange(sites + 1) / sites, stump.threshold))
+    return _StumpPlan(source, cell, span, target, limit, stump.polarity * alpha)
+
+
+def _gather(source, stumps: list[_StumpPlan], rows: list[int], width: int) -> _Gather:
+    """The sites of `stumps`, at stage positions `rows`, on one source map."""
+    map_w = width - source[0].footprint_w + 1
+    offsets = [
+        ((s.cell.y + np.arange(s.span[0]))[:, None] * map_w + s.cell.x + np.arange(s.span[1]))
+        .ravel()
+        for s in stumps
+    ]
+    sizes = [len(o) for o in offsets]
+    return _Gather(
+        source,
+        np.concatenate(offsets),
+        np.repeat(np.array([s.target for s in stumps], dtype=np.uint8), sizes),
+        np.cumsum([0] + sizes[:-1]),
+        np.array(rows),
+    )
+
+
+def _plan(model: CascadeModel, win_w: int, win_h: int, width: int) -> tuple[_StagePlan, ...]:
+    """The stages of model as detection runs them on win_w x win_h windows of frames
+    `width` pixels wide; built once per such key and kept with the model."""
+    key = (win_w, win_h, width)
+    if key not in model._plans:
+        layout = _chunk_layout(model, win_w, win_h)
+        stages = []
+        for stage in model.stages:
+            stumps = [_stump_plan(model, layout, s, alpha) for s, alpha in stage.stumps]
+            by_span: dict[tuple[int, int], list[int]] = {}
+            by_source: dict[tuple[BlockGeometry, bool], list[int]] = {}
+            for k, s in enumerate(stumps):
+                by_span.setdefault(s.span, []).append(k)
+                by_source.setdefault(s.source, []).append(k)
+            gathers = tuple(
+                _gather(source, [stumps[k] for k in rows], rows, width)
+                for source, rows in by_source.items()
+            )
+            stages.append(_StagePlan(
+                tuple(stumps),
+                tuple((span, np.array(group)) for span, group in by_span.items()),
+                gathers,
+                np.array([[s.limit] for s in stumps]),
+                np.array([[s.weight] for s in stumps]),
+                stage.stage_threshold,
+            ))
+        model._plans[key] = tuple(stages)
+    return model._plans[key]
+
+
+def _band_sums(a: np.ndarray, span: int, step: int, count: int, dtype) -> np.ndarray:
+    """Sums over a's second-to-last axis of its bands [k * step, k * step + span), k < count."""
+    stop = (count - 1) * step + 1
+    out = a[..., :stop:step, :].astype(dtype)
+    for r in range(1, span):
+        out += a[..., r : r + stop : step, :]
+    return out
+
+
+def _box_counts(stage: _StagePlan, maps: _FrameMaps, xs: range, ys: range) -> np.ndarray:
+    """(stumps, windows) counts of each stump's target at its sites of every window of the grid.
+
+    Each stump compares the part of its map the grid reads once; the stumps of one site
+    span then take box sums over the grid's row bands and column bands only, in the
+    narrowest unsigned dtype that holds the site count.
+    """
+    counts = np.empty((len(stage.stumps), len(ys) * len(xs)), dtype=np.intp)
+    for (rows, cols), group in stage.boxes:
+        h, w = ys[-1] - ys.start + rows, xs[-1] - xs.start + cols
+        hits = np.empty((len(group), h, w), dtype=bool)
+        for out, k in zip(hits, group):
+            s = stage.stumps[k]
+            y0, x0 = ys.start + s.cell.y, xs.start + s.cell.x
+            np.equal(maps.get(s.source)[y0 : y0 + h, x0 : x0 + w], s.target, out=out)
+        dtype = np.min_scalar_type(rows * cols)
+        by_rows = _band_sums(hits.view(np.uint8), rows, ys.step, len(ys), dtype)
+        boxes = _band_sums(by_rows.swapaxes(-1, -2), cols, xs.step, len(xs), dtype)
+        counts[group] = boxes.swapaxes(-1, -2).reshape(len(group), -1)
+    return counts
+
+
+def _gathered_counts(
+    stage: _StagePlan, maps: _FrameMaps, wx: np.ndarray, wy: np.ndarray
+) -> np.ndarray:
+    """(stumps, windows) counts of each stump's target at its sites of the windows whose
+    origins are (wx, wy): one flat gather per source map for all of its stumps."""
+    counts = np.empty((len(stage.stumps), len(wx)), dtype=np.intp)
+    for gather in stage.gathers:
+        source_map = maps.get(gather.source)
+        origins = wy * source_map.shape[1] + wx
+        hits = np.take(source_map, origins[:, None] + gather.offsets) == gather.targets
+        counts[gather.rows] = np.add.reduceat(hits, gather.starts, axis=1, dtype=np.intp).T
+    return counts
+
+
 def _classify_grid(
     model: CascadeModel,
-    sites: Callable[[Rect, BlockGeometry], np.ndarray],
+    maps: _FrameMaps,
     win_w: int,
     win_h: int,
     xs: range,
     ys: range,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cascade decisions and scores (of the rejecting or last stage) for the grid of window
-    origins (xs[i], ys[j]).
+    origins (xs[i], ys[j]) over the frame of `maps`.
 
-    Each stage scores only the windows all earlier stages accepted. While every window of the
-    grid is alive, a stump reads its sites by strided slicing of the site view; later stages
-    gather the sites of the alive windows. A stump's value is the count of its chunk's sites
-    holding its bin over the site count, the count in an unsigned dtype that holds the site
-    count; np.where(value < threshold, -a, a) with a = polarity * alpha equals
-    alpha * _stump_predict bit for bit.
+    Each stage scores only the windows all earlier stages accepted. While every window is
+    alive the stumps count by box sums over the grid's bands (_box_counts); later stages
+    gather the alive windows' sites (_gathered_counts). Counts equal those of the stumps'
+    features and count < limit decides as value < threshold (_stump_plan), so each stump
+    adds alpha * _stump_predict, bit for bit, to a stage score summed in stump order from
+    0.0.
     """
-    layout = _chunk_layout(model, win_w, win_h)
     n = len(ys) * len(xs)
     alive = np.arange(n)
     scores = np.zeros(n)
-    index = (slice(ys.start, ys.stop, ys.step), slice(xs.start, xs.stop, xs.step))
-    for stage in model.stages:
+    for stage in _plan(model, win_w, win_h, maps.pixels.shape[1]):
+        if len(alive) == n:
+            counts = _box_counts(stage, maps, xs, ys)
+        else:
+            wx, wy = np.asarray(xs)[alive % len(xs)], np.asarray(ys)[alive // len(xs)]
+            counts = _gathered_counts(stage, maps, wx, wy)
         stage_scores = np.zeros(len(alive))
-        for stump, alpha in stage.stumps:
-            chunk, b = divmod(stump.feature_index, RANK_HISTOGRAM_BINS)
-            bins = sites(*layout[chunk])[index]
-            site_count = bins.shape[-2] * bins.shape[-1]
-            # order="C" keeps each window's sites adjacent for the sum; a strided
-            # view's comparison would otherwise be laid out in the view's stride order
-            counts = np.equal(bins, b, order="C").sum(
-                axis=(-2, -1), dtype=np.min_scalar_type(site_count)
-            )
-            a = stump.polarity * alpha
-            stage_scores += np.where(counts / site_count < stump.threshold, -a, a).ravel()
+        for terms in np.where(counts < stage.limits, -stage.weights, stage.weights):
+            stage_scores += terms
         scores[alive] = stage_scores
-        alive = alive[stage_scores >= stage.stage_threshold]
+        alive = alive[stage_scores >= stage.threshold]
         if not len(alive):
             break
-        if len(alive) < n:
-            index = (np.asarray(ys)[alive // len(xs)], np.asarray(xs)[alive % len(xs)])
     accepted = np.bincount(alive, minlength=n) > 0
     return accepted.reshape(len(ys), len(xs)), scores.reshape(len(ys), len(xs))
 
@@ -664,7 +812,7 @@ def detect(
         raise ValueError(f"scales must be >= 1.0 and strictly ascending, got {list(scales)}")
     if mcc < 1:
         raise ValueError(f"MCC must be >= 1, got {mcc}")
-    sites = _site_views(lambda g: np.take(model.rank_table.bins, mb_lbp_code_map(frame.pixels, g)))
+    maps = _FrameMaps(frame.pixels, model.rank_table)
     hits: list[tuple[Rect, float]] = []
     for scale in scales:
         window = scaled_window(model, scale, frame.width, frame.height)
@@ -673,7 +821,7 @@ def detect(
         win_w, win_h = window
         xs = range(0, frame.width - win_w + 1, stride)
         ys = range(0, frame.height - win_h + 1, stride)
-        alive, scores = _classify_grid(model, sites, win_w, win_h, xs, ys)
+        alive, scores = _classify_grid(model, maps, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
             hits.append((Rect(xs[i], ys[j], win_w, win_h), float(scores[j, i])))
     return _cluster_hits(hits, mcc)

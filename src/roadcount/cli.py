@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,6 +76,15 @@ _COUNT_KEYS = frozenset({
     "tfc", "phi_min", "phi_max", "distance_fraction", "require_marker_overlap",
     "markers", "match_tol",
 })
+# The keys each pass-based subcommand reads beside its passes' keys: bench
+# counts but does not score, detect and track neither count nor score.
+_COMMAND_KEYS = {
+    "detect": frozenset(),
+    "track": frozenset(),
+    "bench": _COUNT_KEYS - {"match_tol"},
+    "count": _COUNT_KEYS | {"events_out"},
+    "sweep": _COUNT_KEYS,
+}
 
 
 @dataclass(frozen=True)
@@ -309,6 +318,19 @@ def _load_cascade(config: PipelineConfig) -> CascadeModel:
         raise DataError(f"malformed model file {config.model}: {exc}") from exc
 
 
+def _unread(keys: Iterable[str], command: str, detectors: list[str]) -> list[str]:
+    """The config keys among `keys` that no pass of `command` with one of `detectors` reads."""
+    read = _COMMAND_KEYS[command].union(_PASS_KEYS, *(_DETECTOR_KEYS[d] for d in detectors))
+    return [key for key in keys if key in _FIELD_DEFAULTS and key not in read]
+
+
+def _check_overrides(command: str, overrides: Iterable[str], detectors: list[str]) -> None:
+    """Refuse a command-line key that `command` never reads; a config file's are ignored."""
+    unread = _unread(overrides, command, detectors)
+    if unread:
+        raise UsageError(f"{command} --detector {','.join(detectors)} does not read --{unread[0]}")
+
+
 def _pass_key(config: PipelineConfig) -> tuple:
     """The fields a pass reads; configs with equal keys make identical passes."""
     return tuple(getattr(config, k) for k in _PASS_KEYS + _DETECTOR_KEYS[config.detector])
@@ -440,8 +462,9 @@ def _check_events(
             )
 
 
-def _gt_pairs(scene: str, n_markers: int, required: bool = False) -> list[tuple[int, int]]:
-    """The scene's ground-truth (frame, marker) events; none without a file unless required."""
+def _gt_pairs(scene: str, required: bool = False) -> list[tuple[int, int]]:
+    """The scene's ground-truth (frame, marker) events; none without a file unless required.
+    Callers check the markers against the scene's (_check_events)."""
     try:
         gt_events = synthgen.load_gt_events(scene)
     except FileNotFoundError as exc:
@@ -450,9 +473,7 @@ def _gt_pairs(scene: str, n_markers: int, required: bool = False) -> list[tuple[
         gt_events = []
     except ValueError as exc:
         raise DataError(f"malformed ground truth: {exc}") from exc
-    gt_pairs = [(frame_idx, marker) for frame_idx, _, marker in gt_events]
-    _check_events(gt_pairs, n_markers, "ground-truth event")
-    return gt_pairs
+    return [(frame_idx, marker) for frame_idx, _, marker in gt_events]
 
 
 def _bench_records(times: dict[str, list[float]], warmup: int) -> list[BenchRecord]:
@@ -475,11 +496,13 @@ def _reports(points: list[PipelineConfig]) -> list[CountingReport]:
     """Count and score every point; points with equal `_pass_key` share one pass.
 
     Every pass is set up, and every point's markers and ground truth are
-    read, before any frame past a pass's first is decoded. Each pass then
-    runs once, and its finished tracks, the flushed ones last, are counted
-    under each of its points' policies.
+    read, before any frame past a pass's first is decoded; each scene's
+    ground truth is parsed once and checked against each point's markers.
+    Each pass then runs once, and its finished tracks, the flushed ones
+    last, are counted under each of its points' policies.
     """
     passes: dict[tuple, tuple[_Pass, list[int]]] = {}
+    gt_by_scene: dict[str, list[tuple[int, int]]] = {}
     truths = []
     for i, point in enumerate(points):
         key = _pass_key(point)
@@ -488,7 +511,10 @@ def _reports(points: list[PipelineConfig]) -> list[CountingReport]:
         run, members = passes[key]
         members.append(i)
         markers = _resolve_markers(point, run.width, run.height)
-        truths.append((markers, _gt_pairs(point.scene, len(markers.markers))))
+        if point.scene not in gt_by_scene:
+            gt_by_scene[point.scene] = _gt_pairs(point.scene)
+        _check_events(gt_by_scene[point.scene], len(markers.markers), "ground-truth event")
+        truths.append((markers, gt_by_scene[point.scene]))
     reports: list[CountingReport | None] = [None] * len(points)
     for run, members in passes.values():
         finished = [track for record in run.frames() for track in record.finished]
@@ -527,14 +553,17 @@ def bench(config: PipelineConfig, warmup: int, measured: int) -> list[BenchRecor
     return _bench_records(times, warmup)
 
 
-def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str], list[list[str]]]:
+def sweep(
+    config: PipelineConfig, grid: dict[str, list[str]], overrides: Iterable[str] = ()
+) -> tuple[list[str], list[list[str]]]:
     """Run the Cartesian product of the grid; returns (header, rows).
 
     Keys are ordered alphabetically, values in the order given, and the
     product iterates with the rightmost key fastest, so rows come out in
-    lexicographic parameter order. A key that no point's pass, detector or
-    count reads is rejected. Every point is validated before any pass is
-    set up; `_reports` then counts them, one pass per distinct `_pass_key`.
+    lexicographic parameter order. A grid key, or one of the `overrides`
+    keys the command line set, that no point's pass, detector or count
+    reads is rejected. Every point is validated before any pass is set up;
+    `_reports` then counts them, one pass per distinct `_pass_key`.
     """
     if not grid:
         raise UsageError("sweep needs a nonempty grid")
@@ -544,10 +573,10 @@ def sweep(config: PipelineConfig, grid: dict[str, list[str]]) -> tuple[list[str]
             raise UsageError(f"sweep grid for {key} is empty")
     detectors = [apply_overrides(config, {"detector": d}).detector
                  for d in grid.get("detector", [config.detector])]
-    read = _COUNT_KEYS.union(_PASS_KEYS, *(_DETECTOR_KEYS[d] for d in detectors))
-    for key in keys:
-        if key in _FIELD_DEFAULTS and key not in read:
-            raise UsageError(f"sweep key {key} does not affect counting")
+    unread = _unread(keys, "sweep", detectors)
+    if unread:
+        raise UsageError(f"sweep key {unread[0]} does not affect counting")
+    _check_overrides("sweep", overrides, detectors)
     combos = list(itertools.product(*(grid[k] for k in keys)))
     points = [apply_overrides(config, dict(zip(keys, combo))) for combo in combos]
     header = keys + ["fp", "fn", "gt", "acc_real", "acc_int"]
@@ -678,6 +707,13 @@ def _load_config(args, overrides: dict[str, str]) -> PipelineConfig:
     return apply_overrides(config, overrides)
 
 
+def _pass_config(args, overrides: dict[str, str]) -> PipelineConfig:
+    """The config of detect, track, count or bench; an override it never reads is refused."""
+    config = _load_config(args, overrides)
+    _check_overrides(args.command, overrides, [config.detector])
+    return config
+
+
 def _cmd_synth(args, overrides: dict[str, str]) -> int:
     try:
         with open(args.config, "r", encoding="ascii") as fh:
@@ -711,7 +747,7 @@ def _open_out(path: str | None):
 
 
 def _cmd_detect(args, overrides: dict[str, str]) -> int:
-    run = _Pass(_load_config(args, overrides))
+    run = _Pass(_pass_config(args, overrides))
     with _open_out(args.out) as out:
         for record in run.frames():
             for rect, score in record.detections:
@@ -720,7 +756,7 @@ def _cmd_detect(args, overrides: dict[str, str]) -> int:
 
 
 def _cmd_track(args, overrides: dict[str, str]) -> int:
-    run = _Pass(_load_config(args, overrides))
+    run = _Pass(_pass_config(args, overrides))
     with _open_out(args.out) as out:
         for record in run.frames():
             for track in record.live:
@@ -729,7 +765,7 @@ def _cmd_track(args, overrides: dict[str, str]) -> int:
 
 
 def _cmd_count(args, overrides: dict[str, str]) -> int:
-    config = _load_config(args, overrides)
+    config = _pass_config(args, overrides)
     if config.events_out:
         _check_out_path("events_out", config.events_out)
     report = run_pipeline(config)
@@ -752,7 +788,7 @@ def _cmd_sweep(args, overrides: dict[str, str]) -> int:
         if key in grid:
             raise UsageError(f"sweep key {key} is given in more than one --grid entry")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]
-    header, rows = sweep(config, grid)
+    header, rows = sweep(config, grid, overrides)
     print("\t".join(header))
     for row in rows:
         print("\t".join(row))
@@ -760,7 +796,7 @@ def _cmd_sweep(args, overrides: dict[str, str]) -> int:
 
 
 def _cmd_bench(args, overrides: dict[str, str]) -> int:
-    config = _load_config(args, overrides)
+    config = _pass_config(args, overrides)
     for record in bench(config, args.warmup, args.frames):
         print(bench_line(record))
     return 0
@@ -787,7 +823,8 @@ def _cmd_eval(args, overrides: dict[str, str]) -> int:
     width, height = _working_size(config, load_pgm(frame_paths[0]))
     n_markers = len(_resolve_markers(config, width, height).markers)
     _check_events(counted, n_markers, f"counted event in {args.events}", len(frame_paths))
-    gt_pairs = _gt_pairs(config.scene, n_markers, required=True)
+    gt_pairs = _gt_pairs(config.scene, required=True)
+    _check_events(gt_pairs, n_markers, "ground-truth event")
     report = make_report(counted, gt_pairs, config.match_tol, n_markers)
     print(result_line(report))
     return 0

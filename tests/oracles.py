@@ -5,10 +5,14 @@ site counts (features.mb_lbp_code_map, features.mb_lbp_histogram). The
 helpers here compute the same codes and histograms from an int64 integral
 image, one footprint at a time, so tests can check that path against them.
 Integral images accumulate in int64, which holds exact sums for frames up to
-4096x4096 (4096*4096*255 < 2^63).
+4096x4096 (4096*4096*255 < 2^63). site_views, the strided per-window site
+view the detector used to read, builds the reference feature vectors.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -113,3 +117,30 @@ def integral_histogram(
     ]
     codes = _codes_from_grid(sub, g.cell_w, g.cell_h)
     return np.bincount(rt.bins[codes.ravel()], minlength=RANK_HISTOGRAM_BINS)
+
+
+def site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
+    """sites(cell, g): cell's geometry-g footprint-site bins at every window origin.
+
+    The result is a view of shape stack + (origin_y, origin_x, span_h, span_w);
+    [..., y, x, :, :] holds the bins of the window whose origin is (x, y).
+    `rank_map(g)`, the C-contiguous rank map of one image or a stack, runs
+    once per g, and each (g, span) strided view is built once, read-only,
+    straight over the rank map's buffer.
+    """
+    rank_map = functools.cache(rank_map)
+
+    @functools.cache
+    def view(g: BlockGeometry, span: tuple[int, int]) -> np.ndarray:
+        bins = rank_map(g)
+        h, w = bins.shape[-2:]
+        shape = bins.shape[:-2] + (h - span[0] + 1, w - span[1] + 1) + span
+        out = np.ndarray(shape, bins.dtype, bins, 0, bins.strides + bins.strides[-2:])
+        out.flags.writeable = False
+        return out
+
+    def sites(cell: Rect, g: BlockGeometry) -> np.ndarray:
+        span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
+        return view(g, span)[..., cell.y :, cell.x :, :, :]
+
+    return sites

@@ -17,6 +17,7 @@ from roadcount.boostcascade import (
     Detection,
     StrongClassifier,
     Stump,
+    _FrameMaps,
     _best_stump,
     _boost,
     _bin,
@@ -29,7 +30,6 @@ from roadcount.boostcascade import (
     _presort,
     _scaled_geometries,
     _shortlist,
-    _site_views,
     _stump_predict,
     calibrate_stage,
     detect,
@@ -50,7 +50,7 @@ from roadcount.features import (
 )
 from roadcount.imaging import Frame, Rect, load_pgm, round_half_up, sequence_paths
 
-from oracles import integral, integral_histogram
+from oracles import integral, integral_histogram, site_views
 
 
 def weak_classify(s, x):
@@ -78,7 +78,7 @@ def window_features(model, rank_maps, win_w, win_h, xs, ys):
     cell * geometries + geometry: the cell's rank histogram divided by its
     site count. The result has shape stack + (len(ys), len(xs), feature_count).
     """
-    sites = _site_views(rank_maps.__getitem__)
+    sites = site_views(rank_maps.__getitem__)
     chunks = []
     for cell, g in _chunk_layout(model, win_w, win_h):
         bins = sites(cell, g)[..., ys[:, None], xs[None, :], :, :]
@@ -646,16 +646,9 @@ def test_train_cascade_validation():
         train_cascade(crops, crops, 3, 0.9, rounds=(2,))
 
 
-def _frame_sites(model, frame, requested=None):
-    """Fresh site views of one frame; `requested` collects the geometries
-    whose rank map they build."""
-
-    def rank_map(g):
-        if requested is not None:
-            requested.append(g)
-        return model.rank_table.bins[mb_lbp_code_map(frame.pixels, g)]
-
-    return _site_views(rank_map)
+def _frame_maps(model, frame):
+    """Fresh code and rank maps of one frame, built as a grid reads them."""
+    return _FrameMaps(frame.pixels, model.rank_table)
 
 
 def _quantile_cascade(base, x, stage_features, keep):
@@ -686,7 +679,7 @@ def _grid_against_oracle(model, frame, win_w, win_h, xs, ys):
     grid of origin ranges xs, ys; returns the decisions and how many stages
     the oracle ran per window."""
     ii = integral(frame)
-    alive, scores = _classify_grid(model, _frame_sites(model, frame), win_w, win_h, xs, ys)
+    alive, scores = _classify_grid(model, _frame_maps(model, frame), win_w, win_h, xs, ys)
     x = window_features(
         model, _rank_maps(model, frame.pixels, win_w, win_h), win_w, win_h,
         np.asarray(xs), np.asarray(ys),
@@ -768,15 +761,159 @@ def test_grid_evaluation_stage_one_rejects_every_window():
     model = CascadeModel(stages, 18, 18, rt, geometries=(1, 2))
     xs = range(0, 35, 2)
     ys = range(0, 23, 2)
-    requested = []
-    alive, scores = _classify_grid(model, _frame_sites(model, frame, requested), 18, 18, xs, ys)
+    maps = _frame_maps(model, frame)
+    alive, scores = _classify_grid(model, maps, 18, 18, xs, ys)
     assert not alive.any()
-    assert requested == [BlockGeometry(1, 1)]  # stage 2's rank map is never built
+    assert list(maps.codes) == [BlockGeometry(1, 1)]  # stage 2's code map is never built
+    assert maps.ranks == {}
     for j, y in enumerate(ys):
         for i, x0 in enumerate(xs):
             accepted, score, evaluated = _oracle_classify(model, ii, Rect(x0, y, 18, 18))
             assert not accepted and evaluated == 1 and score == scores[j, i]
     assert detect(model, frame, scales=(1.0, 1.5), stride=2) == []
+
+
+def _crafted_cascade(frame, xs, ys):
+    """Three stages on the 30x30 layout of geometries (1, 2, 3), cells 10x10, so site
+    spans 8, 5 and 2 at scale 1, over a rank table ranked on the frame with two codes moved
+    into bin 7 and none left in bin 5. Stages 1 and 2 each pass about half of the windows
+    of the grid (xs, ys) before them; stage 3 has zero alphas only, so its scores are
+    signed zeros."""
+    bins = build_rank_table([mb_lbp_code_map(frame.pixels, BlockGeometry(1, 1))]).bins.copy()
+    bins[bins == 5] = 7
+    assert list(np.bincount(bins, minlength=64)[[5, 7, 63]]) == [0, 2, 256 - 63]
+    base = CascadeModel((), 30, 30, RankTable(bins), geometries=(1, 2, 3))
+    x = window_features(
+        base, _rank_maps(base, frame.pixels, 30, 30), 30, 30, np.asarray(xs), np.asarray(ys)
+    ).reshape(-1, base.feature_count)
+    flat = int(bins[255])  # the code of a flat patch
+
+    def at_data(f, q):  # a value some window holds: exactly k / sites
+        return float(np.quantile(x[:, f], q, method="lower"))
+
+    # (feature, threshold, polarity, alpha); feature = (cell * 3 + geometry) * 64 + bin
+    specs = [
+        [
+            (0 * 64 + 63, at_data(0 * 64 + 63, 0.5), 1, 1.0),  # the overflow bin
+            (4 * 64 + 7, at_data(4 * 64 + 7, 0.4), -1, 0.75),  # two codes
+            (7 * 64 + 5, 0.0, 1, 0.5),  # no code: every count 0, threshold 0
+            (12 * 64 + flat, at_data(12 * 64 + flat, 0.5), 1, 1.25),
+            (13 * 64 + 63, 1.5, 1, 0.25),  # above 1: every value below it
+            (20 * 64 + 1, -0.25, -1, 0.5),  # below 0: no value below it
+        ],
+        [
+            (3 * 64 + flat, 0.75, 1, 1.0),
+            (3 * 64 + 63, at_data(3 * 64 + 63, 0.6), -1, 0.5),
+            (10 * 64 + 7, at_data(10 * 64 + 7, 0.5), 1, 0.75),
+            (17 * 64 + 2, 3 / 4, 1, 0.5),  # k / sites of the span-2 chunk
+            (8 * 64 + 5, 1.0, -1, 0.25),
+            (26 * 64 + flat, at_data(26 * 64 + flat, 0.3), 1, 1.5),
+        ],
+        # every term -0.0: a sum from 0.0 is 0.0, the sum of the terms alone -0.0
+        [((5 * c) % 27 * 64 + 9 * c % 64, -1.0, -1, 0.0) for c in range(7)],
+    ]
+    stages = []
+    alive = np.ones(len(x), dtype=bool)
+    for spec in specs:
+        stumps = tuple((Stump(f, thr, pol), alpha) for f, thr, pol, alpha in spec)
+        scores = stage_scores(StrongClassifier(stumps), x)
+        threshold = float(np.quantile(scores[alive], 0.5, method="lower"))
+        alive &= scores >= threshold
+        stages.append(StrongClassifier(stumps, stage_threshold=threshold))
+    assert alive.any() and not alive.all()
+    return replace(base, stages=tuple(stages))
+
+
+def _grid_bits_against_oracle(model, frame, win, xs, ys):
+    """_classify_grid against the earlier grid evaluation: decisions and every window's
+    score bit for bit. Returns the maps it read and the decisions."""
+    maps = _frame_maps(model, frame)
+    alive, scores = _classify_grid(model, maps, win, win, xs, ys)
+    want_alive, want_scores = _oracle_grid(
+        model, _oracle_gatherer(model, frame), win, win, np.asarray(xs), np.asarray(ys)
+    )
+    assert np.array_equal(alive, want_alive)
+    assert np.array_equal(scores.view(np.int64), want_scores.view(np.int64))
+    return maps, alive
+
+
+def test_stump_plan_matches_oracles():
+    rng = np.random.default_rng(211)
+    frame = Frame(rng.integers(0, 256, (100, 120)).astype(np.uint8))
+    frame.pixels[10:80, 0:70] = 128  # cells over it hold one code at every site
+    model = _crafted_cascade(frame, range(0, 91, 4), range(0, 71, 4))
+    closed = replace(model.stages[0], stage_threshold=sum(a for _, a in model.stages[0].stumps) + 1)
+    rejecting = replace(model, stages=(closed,) + model.stages[1:])
+    ii = integral(frame)
+    for stride in (4, 7, 11):
+        full = range(0, frame.width - 30 + 1, stride), range(0, frame.height - 30 + 1, stride)
+        one_row = full[0], range(full[1][-1], full[1][-1] + 1, stride)
+        one_column = range(stride, stride + 1, stride), full[1]
+        for xs, ys in (full, one_row, one_column):
+            maps, alive = _grid_bits_against_oracle(model, frame, 30, xs, ys)
+            if (xs, ys) == full:
+                assert alive.any() and not alive.all()
+                assert set(maps.ranks) == {BlockGeometry(g, g) for g in (1, 2, 3)}
+            maps, alive = _grid_bits_against_oracle(rejecting, frame, 30, xs, ys)
+            assert not alive.any()
+            # stage 1 reads rank maps of geometries 1 and 2 only
+            assert set(maps.ranks) == {BlockGeometry(1, 1), BlockGeometry(2, 2)}
+        # the scalar reference cascade, scores to the bit, signed zeros included
+        alive, scores = _classify_grid(model, _frame_maps(model, frame), 30, 30, *full)
+        for j, y in enumerate(full[1]):
+            for i, x0 in enumerate(full[0]):
+                accepted, score, _ = _oracle_classify(model, ii, Rect(x0, y, 30, 30))
+                assert accepted == alive[j, i] and score.hex() == float(scores[j, i]).hex()
+    # at scale 3 the geometry-1 cells hold 22 x 22 = 484 sites, one code at each over the
+    # flat patch: more than a uint8 count holds
+    assert _scaled_geometries(model, 90, 90)[0] == BlockGeometry(3, 3)
+    for stride in (4, 7):
+        xs, ys = range(0, frame.width - 90 + 1, stride), range(0, frame.height - 90 + 1, stride)
+        _grid_bits_against_oracle(model, frame, 90, xs, ys)
+
+
+def test_stump_plan_reads_code_maps_once_per_frame(monkeypatch):
+    rng = np.random.default_rng(223)
+    frame = Frame(rng.integers(0, 256, (64, 80)).astype(np.uint8))
+    frame.pixels[20:50, 10:60] = 128
+    model = _crafted_cascade(frame, range(0, 51, 2), range(0, 35, 2))
+    counts = np.bincount(model.rank_table.bins, minlength=64)
+    single = np.flatnonzero(counts == 1)[[0, 20, 40]]
+    one_code = replace(model, stages=tuple(
+        StrongClassifier(tuple(
+            (replace(s, feature_index=s.feature_index // 64 * 64 + int(single[k % 3])), a)
+            for k, (s, a) in enumerate(stage.stumps)
+        ), stage.stage_threshold)
+        for stage in model.stages
+    ))
+    made, built = [], []
+
+    class Recorded(_FrameMaps):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    code_map = boostcascade.mb_lbp_code_map
+    monkeypatch.setattr(boostcascade, "_FrameMaps", Recorded)
+    monkeypatch.setattr(
+        boostcascade, "mb_lbp_code_map", lambda pixels, g: built.append(g) or code_map(pixels, g)
+    )
+    scales = (1.0, 1.25, 1.6)
+    for m in (model, one_code):
+        for pixels in (frame.pixels, frame.pixels[::-1].copy()):
+            made.clear()
+            built.clear()
+            detect(m, Frame(pixels), scales=scales, stride=2)
+            # one map set per frame, each code map built once across the scales
+            assert len(made) == 1 and len(built) == len(set(built))
+            windows = [round_half_up(30 * s) for s in scales]
+            assert set(built) == set(made[0].codes) == {
+                g for w in windows for g in _scaled_geometries(m, w, w)
+            }
+            # no rank map unless a stump reads a bin that is not one code's
+            assert bool(made[0].ranks) == (m is model)
+        # one plan per window size at this frame width, kept with the model
+        assert sorted(m._plans) == [(w, w, 80) for w in (30, 38, 48)]
 
 
 def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
@@ -796,19 +933,21 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
         boostcascade, "mb_lbp_code_map", lambda pixels, g: built.append(g) or code_map(pixels, g)
     )
     got = detect(model, frame, scales=scales, stride=2, mcc=1)
+    monkeypatch.undo()
     hits, per_scale = [], []
     for scale in scales:
         win = round_half_up(18 * scale)
         xs = range(0, frame.width - win + 1, 2)
         ys = range(0, frame.height - win + 1, 2)
-        sites = _frame_sites(model, frame, per_scale)
-        alive, scores = _classify_grid(model, sites, win, win, xs, ys)
+        maps = _frame_maps(model, frame)
+        alive, scores = _classify_grid(model, maps, win, win, xs, ys)
+        per_scale += list(maps.codes)
         hits += [(Rect(xs[i], ys[j], win, win), float(scores[j, i]))
                  for j, i in np.argwhere(alive)]
     assert len({rect.w for rect, _ in hits}) >= 2
     assert got == _cluster_hits(hits, 1)
     # scales 1.0 and 1.25 scale to the same geometries: detect builds each
-    # rank map once per frame, where per-scale evaluation builds it twice
+    # code map once per frame, where per-scale evaluation builds it twice
     assert len(built) == len(set(built)) < len(per_scale) and set(built) == set(per_scale)
 
 
@@ -828,7 +967,7 @@ def test_site_views_match_sliding_window_view():
         (Rect(2, 1, 9, 7), BlockGeometry(2, 1)),
         (Rect(0, 0, 18, 18), BlockGeometry(2, 1)),
     ]
-    sites = _site_views(rank_maps.__getitem__)
+    sites = site_views(rank_maps.__getitem__)
     for cell, g in cases:
         bins = rank_maps[g]
         span = (cell.h - g.footprint_h + 1, cell.w - g.footprint_w + 1)
@@ -970,7 +1109,7 @@ def test_detect_matches_integral_gather_oracle(small_cascade, ten_vehicle_scene)
         xs = range(0, frame.width - win + 1, stride)
         ys = range(0, frame.height - win + 1, stride)
         for m in (model, rejecting, flat):
-            alive, scores = _classify_grid(m, _frame_sites(m, frame), win, win, xs, ys)
+            alive, scores = _classify_grid(m, _frame_maps(m, frame), win, win, xs, ys)
             want_alive, want_scores = _oracle_grid(
                 m, _oracle_gatherer(m, frame), win, win, np.asarray(xs), np.asarray(ys)
             )
@@ -997,8 +1136,8 @@ def test_detect_decides_scale_fit_before_rounding(small_cascade, monkeypatch):
     classify_grid = boostcascade._classify_grid
     monkeypatch.setattr(
         boostcascade, "_classify_grid",
-        lambda m, sites, win_w, win_h, xs, ys: grids.append((win_w, win_h))
-        or classify_grid(m, sites, win_w, win_h, xs, ys),
+        lambda m, maps, win_w, win_h, xs, ys: grids.append((win_w, win_h))
+        or classify_grid(m, maps, win_w, win_h, xs, ys),
     )
     pixels = np.random.default_rng(167).integers(0, 256, (38, 38)).astype(np.uint8)
     for size, want in ((37, [(30, 30)]), (38, [(30, 30), (38, 38)])):

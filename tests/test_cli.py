@@ -295,6 +295,52 @@ def test_sweep_rejects_last_point_before_decoding(
         assert decoded == []
 
 
+
+def test_override_the_command_never_reads_is_refused(
+    ten_vehicle_scene, small_cascade, tmp_path, monkeypatch, capsys
+):
+    decoded = []
+    load_pgm = cli.load_pgm
+    monkeypatch.setattr(cli, "load_pgm", lambda path: decoded.append(path) or load_pgm(path))
+    feature = ["--detector", "feature", "--model", small_cascade]
+    for args, message in (
+        (["count", "--detector", "bgsub", "--model", "m.txt", "--scales", "1.0,1.25"],
+         "count --detector bgsub does not read --model"),
+        (["detect", "--scales", "1.0,1.25", "--out", str(tmp_path / "d.txt")],
+         "detect --detector bgsub does not read --scales"),
+        (["track"] + feature + ["--th", "12"], "track --detector feature does not read --th"),
+        (["detect", "--tfc", "4"], "detect --detector bgsub does not read --tfc"),
+        (["bench", "--match_tol", "20"], "bench --detector bgsub does not read --match_tol"),
+        (["count", "--stages", "3"], "count --detector bgsub does not read --stages"),
+        (["sweep", "--model", small_cascade, "--grid", "th=8,10"],
+         "sweep --detector bgsub does not read --model"),
+        (["sweep", "--events_out", "e.txt", "--grid", "detector=bgsub,feature"] + feature[2:],
+         "sweep --detector bgsub,feature does not read --events_out"),
+    ):
+        rc = cli.main(args + ["--scene", ten_vehicle_scene])
+        _one_line_failure(capsys, rc, 1, f"roadcount: error: {message}")
+        assert decoded == []
+    assert not (tmp_path / "d.txt").exists()
+    # keys the other point's detector reads, and keys in a config file, are accepted
+    cli._check_overrides("sweep", {"model": small_cascade, "th": "8"}, ["bgsub", "feature"])
+    path = tmp_path / "count.cfg"
+    path.write_text(f"scene = {ten_vehicle_scene}\nmodel = m.txt\nstages = 3\n", encoding="ascii")
+    assert cli.main(["count", "--config", str(path), "--tfc", "8"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == PERFECT
+
+
+def test_ground_truth_is_read_once_per_scene(tmp_path, monkeypatch, capsys):
+    scene = _small_scene(tmp_path)
+    loads = []
+    load_gt_events = synthgen.load_gt_events
+    monkeypatch.setattr(
+        synthgen, "load_gt_events", lambda path: loads.append(path) or load_gt_events(path)
+    )
+    rc = cli.main(["sweep", "--scene", scene, "--grid", "th=8,10", "--grid", "tfc=4,8"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4
+    assert loads == [scene]
+
 def test_sweep_reuses_detect_track_pass(ten_vehicle_scene, monkeypatch):
     config = PipelineConfig(scene=ten_vehicle_scene)
     grid = {
@@ -717,9 +763,8 @@ def test_count_rejects_odd_sized_frame(tmp_path, small_cascade, capsys, detector
     synthgen.save_scene(scene, synthgen.config_from_text(_small_scenario_text()))
     odd = sequence_paths(f"{scene}/frames")[5]
     save_pgm(Frame(load_pgm(odd).pixels[:, :-2]), odd)
-    rc = cli.main([
-        "count", "--scene", scene, "--detector", detector, "--model", small_cascade,
-    ])
+    model = ["--model", small_cascade] if detector == "feature" else []
+    rc = cli.main(["count", "--scene", scene, "--detector", detector] + model)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
