@@ -598,18 +598,30 @@ _HARD_TEXTURE_STD = 12.0
 
 
 def _hard_negatives(scenario, count: int, window_w: int, window_h: int) -> np.ndarray:
+    """The first `count` textured crops of a _HARD_POOL_FACTOR * count crop pool,
+    drawn and filtered block by block until `count` have passed. Texture is
+    judged on exact integer moments over a crop's n pixels: it passes when
+    n*sum(x^2) - sum(x)^2 > (_HARD_TEXTURE_STD*n)^2, so an exact tie fails.
+    """
     shifted = replace(scenario, jitter_amplitude=max(window_w, window_h) - _HARD_JITTER_MARGIN)
-    _, pool = synthgen.generate_training_set(
+    _, blocks = synthgen.sample_crops(
         shifted, synthgen.generate_scene(shifted), 1, count * _HARD_POOL_FACTOR, window_w, window_h
     )
-    stds = np.concatenate(
-        [pool[i : i + 1024].std(axis=(1, 2)) for i in range(0, len(pool), 1024)]
-    )
-    textured = np.flatnonzero(stds > _HARD_TEXTURE_STD)[:count]
-    if len(textured) < count:
-        note = f"only {len(textured)} of {count} hard negatives passed the texture filter"
+    n = window_w * window_h
+    kept, found = [], 0
+    for block in blocks:
+        flat = block.reshape(len(block), n)
+        sums = flat.sum(axis=1, dtype=np.int64)
+        squares = np.square(flat, dtype=np.uint16).sum(axis=1, dtype=np.int64)
+        textured = n * squares - sums * sums > (_HARD_TEXTURE_STD * n) ** 2
+        kept.append(block[textured][: count - found])
+        found += len(kept[-1])
+        if found == count:
+            break
+    if found < count:
+        note = f"only {found} of {count} hard negatives passed the texture filter"
         print(f"roadcount: warning: {note} (pixel std > {_HARD_TEXTURE_STD:g})", file=sys.stderr)
-    return pool[textured]
+    return np.concatenate(kept)
 
 
 def _check_out_path(key: str, path: str) -> None:
@@ -654,6 +666,7 @@ def train(config: PipelineConfig) -> CascadeModel:
         _, negatives = synthgen.generate_training_set(
             scenario, scene, 1, config.train_neg, config.window_w, config.window_h
         )
+        del scene  # freed before the jittered clone is rendered and training starts
         if config.train_hard:
             hard = _hard_negatives(scenario, config.train_hard, config.window_w, config.window_h)
             negatives = np.concatenate([negatives, hard])

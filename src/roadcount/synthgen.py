@@ -198,37 +198,52 @@ def _illumination_offset(config: ScenarioConfig, frame_idx: int) -> int:
 def _shift_edge(canvas: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Integer translation with edge replication (camera jitter)."""
     h, w = canvas.shape
-    ys = np.clip(np.arange(h) - dy, 0, h - 1)
-    xs = np.clip(np.arange(w) - dx, 0, w - 1)
-    return canvas[np.ix_(ys, xs)]
+    rows = canvas.take(np.arange(-dy, h - dy), axis=0, mode="clip")
+    return rows.take(np.arange(-dx, w - dx), axis=1, mode="clip")
 
 
-def generate_scene(config: ScenarioConfig) -> tuple[list[Frame], GroundTruth]:
-    """Render all frames and the exact ground truth they were drawn from.
+def ground_truth(config: ScenarioConfig) -> GroundTruth:
+    """The exact boxes and exit events of a scene, from geometry alone.
 
-    Ground-truth boxes are the frame-clipped vehicle rects before jitter;
-    the exit event of a vehicle fires on the first frame its box overlaps
-    its lane marker.
+    Boxes are the frame-clipped vehicle rects before jitter, ordered by
+    frame and then vehicle; the exit event of a vehicle fires on the first
+    frame its box overlaps its lane marker. Each vehicle is visited only on
+    the frames from its spawn until it leaves the bottom edge.
+    """
+    boxes: list[tuple[int, int, Rect]] = []
+    events: list[tuple[int, int, int]] = []
+    for vid, spawn in enumerate(config.spawns):
+        exited = False
+        for frame_idx in range(spawn.frame, config.frames):
+            visible = spawn_rect(config, vid, frame_idx)
+            if visible is None:
+                break  # vehicles only move down: once gone, gone for good
+            boxes.append((frame_idx, vid, visible))
+            if not exited and visible.overlaps(config.markers[spawn.lane]):
+                events.append((frame_idx, vid, spawn.lane))
+                exited = True
+    boxes.sort(key=lambda box: box[:2])
+    events.sort()
+    return GroundTruth(boxes=tuple(boxes), events=tuple(events))
+
+
+def render_frames(config: ScenarioConfig, gt: GroundTruth):
+    """Yield each frame's (h, w) uint8 pixels in order, rendered one at a time.
+
+    `gt` is ground_truth(config): every frame paints the vehicles of its
+    boxes, in vehicle order, then applies jitter, illumination and noise
+    from the generators keyed by (seed, purpose, frame).
     """
     background = background_texture(config)
     textures = [vehicle_texture(config, vid) for vid in range(len(config.spawns))]
-    boxes: list[tuple[int, int, Rect]] = []
-    events: list[tuple[int, int, int]] = []
-    exited: set[int] = set()
-    frames: list[Frame] = []
+    visible: list[list[tuple[int, Rect]]] = [[] for _ in range(config.frames)]
+    for frame_idx, vid, rect in gt.boxes:
+        visible[frame_idx].append((vid, rect))
     for frame_idx in range(config.frames):
         canvas = background.copy()
-        for vid, spawn in enumerate(config.spawns):
-            visible = spawn_rect(config, vid, frame_idx)
-            if visible is None:
-                continue
+        for vid, rect in visible[frame_idx]:
             # only the bottom clips: ScenarioConfig rejects spawns that overflow sideways
-            crop = textures[vid][: visible.h, : visible.w]
-            canvas[visible.y : visible.bottom, visible.x : visible.right] = crop
-            boxes.append((frame_idx, vid, visible))
-            if vid not in exited and visible.overlaps(config.markers[spawn.lane]):
-                events.append((frame_idx, vid, spawn.lane))
-                exited.add(vid)
+            canvas[rect.y : rect.bottom, rect.x : rect.right] = textures[vid][: rect.h, : rect.w]
         if config.jitter_amplitude > 0:
             jitter = _rng(config.seed, PURPOSE_JITTER, frame_idx)
             dx, dy = jitter.integers(-config.jitter_amplitude, config.jitter_amplitude + 1, size=2)
@@ -241,9 +256,16 @@ def generate_scene(config: ScenarioConfig) -> tuple[list[Frame], GroundTruth]:
             noise = noise_rng.normal(0.0, config.noise_sigma, size=canvas.shape)
             bound = 3.0 * config.noise_sigma
             canvas = canvas + np.clip(noise, -bound, bound)
-        pixels = np.floor(np.clip(canvas, 0.0, 255.0) + 0.5).astype(np.uint8)
-        frames.append(Frame(pixels))
-    return frames, GroundTruth(boxes=tuple(boxes), events=tuple(events))
+        yield np.floor(np.clip(canvas, 0.0, 255.0) + 0.5).astype(np.uint8)
+
+
+def generate_scene(config: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
+    """All frames as one (frames, h, w) uint8 array, and their ground truth."""
+    gt = ground_truth(config)
+    frames = np.empty((config.frames, config.height, config.width), dtype=np.uint8)
+    for frame_idx, pixels in enumerate(render_frames(config, gt)):
+        frames[frame_idx] = pixels
+    return frames, gt
 
 
 def _resample_nearest(pixels: np.ndarray, rect: Rect, out_w: int, out_h: int) -> np.ndarray:
@@ -259,31 +281,27 @@ def _clamp_crop(x: int, y: int, w: int, h: int, frame_w: int, frame_h: int) -> R
     return Rect(min(max(x, 0), frame_w - w), min(max(y, 0), frame_h - h), w, h)
 
 
-def generate_training_set(
+def sample_crops(
     config: ScenarioConfig,
-    scene: tuple[list[Frame], GroundTruth],
+    scene: tuple[np.ndarray, GroundTruth],
     n_pos: int,
     n_neg: int,
     window_w: int,
     window_h: int,
     perturbation: float = 0.1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n_pos, h, w) vehicle-centered and (n_neg, h, w) vehicle-free uint8 crops.
-
-    `scene` is generate_scene(config). Positives sample fully visible
-    ground-truth boxes, cover them with a window-shaped region perturbed by
-    +-perturbation in scale and position, and resample to the window size.
-    Negatives are window-sized regions rejected until they miss every box
-    of their frame.
-    """
+):
+    """generate_training_set's positives, and a generator of its negatives
+    as (k, h, w) blocks in candidate order; a caller may stop it early, and
+    draws it is never asked for are never made."""
     if n_pos < 1 or n_neg < 1:
         raise ValueError("need at least one positive and one negative crop")
     if not 0.0 <= perturbation < 0.5:
         raise ValueError(f"perturbation must lie in [0, 0.5), got {perturbation}")
+    if not (1 <= window_w <= config.width and 1 <= window_h <= config.height):
+        raise ValueError(
+            f"window {window_w}x{window_h} does not fit the {config.width}x{config.height} scene"
+        )
     frames, gt = scene
-    boxes_by_frame: dict[int, list[Rect]] = {}
-    for frame_idx, _, rect in gt.boxes:
-        boxes_by_frame.setdefault(frame_idx, []).append(rect)
     full_boxes = [
         (frame_idx, rect)
         for frame_idx, vid, rect in gt.boxes
@@ -310,22 +328,71 @@ def generate_training_set(
             config.width,
             config.height,
         )
-        positives[i] = _resample_nearest(frames[frame_idx].pixels, crop, window_w, window_h)
-    negatives = []
-    attempts = 0
-    max_attempts = 1000 * n_neg
-    while len(negatives) < n_neg:
-        attempts += 1
-        if attempts > max_attempts:
+        positives[i] = _resample_nearest(frames[frame_idx], crop, window_w, window_h)
+    return positives, _negative_blocks(frames, gt, rng, n_neg, window_w, window_h)
+
+
+def _negative_blocks(frames: np.ndarray, gt: GroundTruth, rng, n_neg, window_w, window_h):
+    """Yield the first n_neg vehicle-free windows of rng's candidates, in blocks.
+
+    Up to 1024 candidates at a time come from one `integers` call over the
+    tiled bounds, which numpy draws element by element exactly as a scalar
+    call per bound would. Each is tested against its frame's row of a
+    (frames, K, 4) table of box corners, zero-padded (a zero box overlaps
+    no window); gt.boxes is ordered by frame.
+    """
+    n_frames, height, width = frames.shape
+    frame_of = np.array([box[0] for box in gt.boxes], dtype=np.intp)
+    slot = np.arange(len(frame_of)) - np.searchsorted(frame_of, frame_of)
+    table = np.zeros((n_frames, slot.max(initial=-1) + 1, 4), dtype=np.int64)
+    table[frame_of, slot] = [(r.x, r.y, r.right, r.bottom) for _, _, r in gt.boxes]
+    windows = np.lib.stride_tricks.sliding_window_view(frames, (window_h, window_w), (1, 2))
+    bounds = np.array([n_frames, width - window_w + 1, height - window_h + 1])
+    wanted = n_neg
+    left = 1000 * n_neg
+    while wanted:
+        k = min(left, 2 * wanted + 64, 1024)
+        if k == 0:
             raise ValueError("could not sample vehicle-free negative crops")
-        frame_idx = int(rng.integers(config.frames))
-        x = int(rng.integers(config.width - window_w + 1))
-        y = int(rng.integers(config.height - window_h + 1))
-        rect = Rect(x, y, window_w, window_h)
-        if any(rect.overlaps(b) for b in boxes_by_frame.get(frame_idx, [])):
-            continue
-        negatives.append(frames[frame_idx].pixels[y : y + window_h, x : x + window_w])
-    return positives, np.stack(negatives)
+        left -= k
+        f, x, y = rng.integers(np.tile(bounds, k)).reshape(k, 3).T
+        boxes = table[f]
+        hit = (
+            (x[:, None] < boxes[..., 2])
+            & (boxes[..., 0] < x[:, None] + window_w)
+            & (y[:, None] < boxes[..., 3])
+            & (boxes[..., 1] < y[:, None] + window_h)
+        ).any(axis=1)
+        free = np.flatnonzero(~hit)[:wanted]
+        wanted -= len(free)
+        yield windows[f[free], y[free], x[free]]
+
+
+def generate_training_set(
+    config: ScenarioConfig,
+    scene: tuple[np.ndarray, GroundTruth],
+    n_pos: int,
+    n_neg: int,
+    window_w: int,
+    window_h: int,
+    perturbation: float = 0.1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_pos, h, w) vehicle-centered and (n_neg, h, w) vehicle-free uint8 crops.
+
+    `scene` is generate_scene(config). All draws come from one generator
+    keyed by (seed, PURPOSE_CROPS), positives first. Positives sample fully
+    visible ground-truth boxes, cover them with a window-shaped region
+    perturbed by +-perturbation in scale and position, and resample to the
+    window size. Each negative attempt then draws frame, x and y, in that
+    order, whether or not it is kept: the candidates are fixed before any
+    overlap test. The negatives are the first n_neg candidate windows that
+    overlap no box of their frame (positive area; touching edges do not
+    count); ValueError if fewer than n_neg of the first 1000 * n_neg are
+    free. A window smaller than 1 px or larger than the scene is refused
+    before any draw.
+    """
+    positives, blocks = sample_crops(config, scene, n_pos, n_neg, window_w, window_h, perturbation)
+    return positives, np.concatenate(list(blocks))
 
 
 def config_to_text(config: ScenarioConfig) -> str:
@@ -419,12 +486,15 @@ def config_from_text(text: str) -> ScenarioConfig:
 
 
 def save_scene(directory: str | os.PathLike, config: ScenarioConfig) -> GroundTruth:
-    """Generate and write a scene directory: frames/, GT files, config echo."""
-    frames, gt = generate_scene(config)
+    """Write a scene directory: frames/, GT files, config echo.
+
+    Frames are written as they are rendered, so only one is held at a time.
+    """
+    gt = ground_truth(config)
     frame_dir = os.path.join(directory, "frames")
     os.makedirs(frame_dir, exist_ok=True)
-    for idx, frame in enumerate(frames):
-        save_pgm(frame, os.path.join(frame_dir, frame_filename(idx)))
+    for idx, pixels in enumerate(render_frames(config, gt)):
+        save_pgm(Frame(pixels), os.path.join(frame_dir, frame_filename(idx)))
     with open(os.path.join(directory, "gt_boxes.txt"), "w", encoding="ascii") as fh:
         for frame_idx, vid, rect in gt.boxes:
             fh.write(f"{frame_idx} {vid} {rect.x} {rect.y} {rect.w} {rect.h}\n")

@@ -1,4 +1,5 @@
-"""Scalar MB-LBP reference code over integral images, kept as test oracles.
+"""Scalar reference code kept as test oracles: MB-LBP over integral images,
+and the per-attempt training-crop sampler.
 
 The package computes MB-LBP features on one path: code map -> rank map ->
 site counts (features.mb_lbp_code_map, features.mb_lbp_histogram). The
@@ -7,6 +8,8 @@ image, one footprint at a time, so tests can check that path against them.
 Integral images accumulate in int64, which holds exact sums for frames up to
 4096x4096 (4096*4096*255 < 2^63). site_views, the strided per-window site
 view the detector used to read, builds the reference feature vectors.
+reference_training_set is the scalar rejection loop that
+synthgen.generate_training_set replaced with block draws.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from roadcount.features import (
     RankTable,
     _codes_from_grid,
 )
-from roadcount.imaging import Frame, Rect
+from roadcount.imaging import Frame, Rect, round_half_up
+from roadcount.synthgen import PURPOSE_CROPS, _clamp_crop, _resample_nearest, _rng
 
 
 class IntegralImage:
@@ -144,3 +148,52 @@ def site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
         return view(g, span)[..., cell.y :, cell.x :, :, :]
 
     return sites
+
+
+def reference_training_set(config, scene, n_pos, n_neg, window_w, window_h, perturbation=0.1):
+    """generate_training_set one crop at a time: per negative attempt, three
+    scalar `integers` draws (frame, x, y) and a Rect.overlaps test against
+    every box of the frame."""
+    frames, gt = scene
+    boxes_by_frame: dict[int, list[Rect]] = {}
+    for frame_idx, _, rect in gt.boxes:
+        boxes_by_frame.setdefault(frame_idx, []).append(rect)
+    full_boxes = [
+        (frame_idx, rect)
+        for frame_idx, vid, rect in gt.boxes
+        if rect.w == config.spawns[vid].w and rect.h == config.spawns[vid].h
+    ]
+    rng = _rng(config.seed, PURPOSE_CROPS)
+    positives = np.empty((n_pos, window_h, window_w), dtype=np.uint8)
+    for i in range(n_pos):
+        frame_idx, box = full_boxes[int(rng.integers(len(full_boxes)))]
+        cover = max(box.w / window_w, box.h / window_h)
+        scale = cover * (1.0 + rng.uniform(-perturbation, perturbation))
+        crop_w = max(1, round_half_up(window_w * scale))
+        crop_h = max(1, round_half_up(window_h * scale))
+        cx, cy = box.center()
+        cx += rng.uniform(-perturbation, perturbation) * crop_w
+        cy += rng.uniform(-perturbation, perturbation) * crop_h
+        crop = _clamp_crop(
+            round_half_up(cx - crop_w / 2.0),
+            round_half_up(cy - crop_h / 2.0),
+            crop_w,
+            crop_h,
+            config.width,
+            config.height,
+        )
+        positives[i] = _resample_nearest(frames[frame_idx], crop, window_w, window_h)
+    negatives = []
+    attempts = 0
+    while len(negatives) < n_neg:
+        attempts += 1
+        if attempts > 1000 * n_neg:
+            raise ValueError("could not sample vehicle-free negative crops")
+        frame_idx = int(rng.integers(config.frames))
+        x = int(rng.integers(config.width - window_w + 1))
+        y = int(rng.integers(config.height - window_h + 1))
+        rect = Rect(x, y, window_w, window_h)
+        if any(rect.overlaps(b) for b in boxes_by_frame.get(frame_idx, [])):
+            continue
+        negatives.append(frames[frame_idx, y : y + window_h, x : x + window_w])
+    return positives, np.stack(negatives)

@@ -160,8 +160,8 @@ def test_illumination_step_invariance(capsys, small_cascade):
             seed=11, background_seed=4, noise_sigma=0.0,
         )
         stepped = replace(base, illumination=((k, 50),))
-        clean_frames, _ = synthgen.generate_scene(base)
-        step_frames, _ = synthgen.generate_scene(stepped)
+        clean_frames = [Frame(p) for p in synthgen.generate_scene(base)[0]]
+        step_frames = [Frame(p) for p in synthgen.generate_scene(stepped)[0]]
 
         model = load_model(small_cascade)
         for idx in (k, k + 1):

@@ -159,7 +159,8 @@ def _step_scene_masks(count: int) -> list[np.ndarray]:
         spawns=synthgen.spawn_schedule(104, 15, 2, 4.0, 30, 30),
         seed=11, background_seed=4, noise_sigma=0.0,
     )
-    frames, _ = synthgen.generate_scene(scenario)
+    pixels, _ = synthgen.generate_scene(scenario)
+    frames = [Frame(p) for p in pixels]
     model = update_background(BackgroundModel(240, 135), frames[0])
     masks = []
     for frame in frames[1:]:

@@ -798,6 +798,26 @@ def test_hard_negatives_texture_filter(ten_vehicle_scenario, capsys, monkeypatch
     assert capsys.readouterr().err == ""
 
 
+def test_train_fails_when_no_window_is_vehicle_free(tmp_path, capsys):
+    # a 60x44 vehicle that stays at the top covers every 12x12 window of every frame
+    scene = str(tmp_path / "covered")
+    synthgen.save_scene(scene, synthgen.ScenarioConfig(
+        width=64, height=48, frames=6, markers=synthgen.default_markers(64, 48, lanes=1),
+        spawns=(synthgen.VehicleSpawn(0, 0, 0.1, 60, 44),), seed=3, background_seed=1,
+    ))
+    model = tmp_path / "m.txt"
+    rc = cli.main([
+        "train", "--scene", scene, "--model", str(model), "--window_w", "12", "--window_h", "12",
+        "--train_pos", "5", "--train_neg", "3", "--train_hard", "0",
+    ])
+    message = (
+        f"roadcount: data error: cannot sample training crops from {scene}: "
+        "could not sample vehicle-free negative crops"
+    )
+    _one_line_failure(capsys, rc, 2, message)
+    assert not model.exists()
+
+
 def test_train_renders_each_scene_once(ten_vehicle_scene, tmp_path, monkeypatch, capsys):
     rendered = []
     generate_scene = synthgen.generate_scene

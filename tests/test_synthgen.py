@@ -1,10 +1,13 @@
 """Synthetic scene generation: determinism, ground truth and training crops."""
 
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from roadcount import synthgen
 from roadcount.imaging import Rect, load_pgm
 from roadcount.synthgen import (
     BACKGROUND_RANGE,
@@ -15,6 +18,7 @@ from roadcount.synthgen import (
     default_markers,
     generate_scene,
     generate_training_set,
+    ground_truth,
     load_gt_events,
     load_scene_config,
     parse_flat_config,
@@ -25,6 +29,9 @@ from roadcount.synthgen import (
     vehicle_rect,
     vehicle_texture,
 )
+
+import oracles
+from oracles import reference_training_set
 
 
 def _scenario(**overrides) -> ScenarioConfig:
@@ -101,13 +108,11 @@ def test_generate_scene_deterministic():
     frames_a, gt_a = generate_scene(config)
     frames_b, gt_b = generate_scene(config)
     assert gt_a == gt_b
-    assert len(frames_a) == config.frames
-    for fa, fb in zip(frames_a, frames_b):
-        assert np.array_equal(fa.pixels, fb.pixels)
+    assert frames_a.shape == (config.frames, config.height, config.width)
+    assert frames_a.dtype == np.uint8
+    assert np.array_equal(frames_a, frames_b)
     frames_c, _ = generate_scene(_scenario(seed=6))
-    assert any(
-        not np.array_equal(fa.pixels, fc.pixels) for fa, fc in zip(frames_a, frames_c)
-    )
+    assert not np.array_equal(frames_a, frames_c)
 
 
 def test_ground_truth_boxes_and_events():
@@ -134,6 +139,29 @@ def test_ground_truth_boxes_and_events():
         assert before is None or not before.overlaps(config.markers[marker])
 
 
+def test_ground_truth_matches_per_frame_scan():
+    # spawns listed out of frame order, one vehicle overtaking another
+    spawns = (
+        VehicleSpawn(30, 1, 4.0, 12, 12), VehicleSpawn(0, 0, 2.5, 12, 12),
+        VehicleSpawn(10, 0, 6.0, 12, 10), VehicleSpawn(79, 1, 4.0, 12, 12),
+    )
+    config = _scenario(spawns=spawns)
+    boxes = [
+        (frame_idx, vid, spawn_rect(config, vid, frame_idx))
+        for frame_idx in range(config.frames)
+        for vid in range(len(spawns))
+        if spawn_rect(config, vid, frame_idx) is not None
+    ]
+    events = []
+    for frame_idx, vid, rect in boxes:
+        lane = spawns[vid].lane
+        if rect.overlaps(config.markers[lane]) and vid not in {e[1] for e in events}:
+            events.append((frame_idx, vid, lane))
+    gt = ground_truth(config)
+    assert gt.boxes == tuple(boxes) and gt.events == tuple(events)
+    assert len(gt.events) == 3  # the frame-79 spawn never reaches its marker
+
+
 def test_rendered_vehicle_matches_texture():
     config = _scenario()
     frames, gt = generate_scene(config)
@@ -141,7 +169,7 @@ def test_rendered_vehicle_matches_texture():
         (f, v, r) for f, v, r in gt.boxes if r.w == 12 and r.h == 12
     )
     want = np.floor(vehicle_texture(config, vid) + 0.5).astype(np.uint8)
-    got = frames[frame_idx].pixels[rect.y : rect.bottom, rect.x : rect.right]
+    got = frames[frame_idx, rect.y : rect.bottom, rect.x : rect.right]
     assert np.array_equal(got, want)
 
 
@@ -151,20 +179,17 @@ def test_illumination_step_adds_exactly():
     frames_a, gt_a = generate_scene(base)
     frames_b, gt_b = generate_scene(stepped)
     assert gt_a == gt_b  # ground truth ignores illumination
-    for idx in range(base.frames):
-        if idx < 40:
-            assert np.array_equal(frames_b[idx].pixels, frames_a[idx].pixels)
-        else:
-            diff = frames_b[idx].pixels.astype(int) - frames_a[idx].pixels.astype(int)
-            assert np.all(diff == 50)  # the step persists and never clips
+    assert np.array_equal(frames_b[:40], frames_a[:40])
+    diff = frames_b[40:].astype(int) - frames_a[40:].astype(int)
+    assert np.all(diff == 50)  # the step persists and never clips
 
 
 def test_illumination_events_accumulate():
     double = _scenario(illumination=((20, 30), (40, -10)))
     frames_a, _ = generate_scene(_scenario())
     frames_b, _ = generate_scene(double)
-    assert np.all(frames_b[25].pixels.astype(int) - frames_a[25].pixels.astype(int) == 30)
-    assert np.all(frames_b[45].pixels.astype(int) - frames_a[45].pixels.astype(int) == 20)
+    assert np.all(frames_b[25].astype(int) - frames_a[25].astype(int) == 30)
+    assert np.all(frames_b[45].astype(int) - frames_a[45].astype(int) == 20)
 
 
 def test_jitter_shifts_frames_not_ground_truth():
@@ -173,18 +198,23 @@ def test_jitter_shifts_frames_not_ground_truth():
     frames_a, gt_a = generate_scene(calm)
     frames_b, gt_b = generate_scene(shaky)
     assert gt_a == gt_b
-    assert all(f.width == 64 and f.height == 48 for f in frames_b)
-    assert any(
-        not np.array_equal(fa.pixels, fb.pixels) for fa, fb in zip(frames_a, frames_b)
-    )
+    assert frames_b.shape == frames_a.shape == (80, 48, 64)
+    assert not np.array_equal(frames_a, frames_b)
+
+
+@pytest.mark.parametrize("dy, dx", [(0, 0), (3, -2), (-5, 7), (9, 14), (-20, -30)])
+def test_jitter_shift_replicates_edges(dy, dx):
+    canvas = np.arange(9 * 14, dtype=np.float64).reshape(9, 14)
+    want = [[canvas[min(max(y - dy, 0), 8), min(max(x - dx, 0), 13)] for x in range(14)]
+            for y in range(9)]
+    assert np.array_equal(synthgen._shift_edge(canvas, dy, dx), want)
 
 
 def test_empty_scene_is_static_background():
     config = _scenario(spawns=(), frames=10)
     frames, gt = generate_scene(config)
     assert gt.boxes == () and gt.events == ()
-    for frame in frames[1:]:
-        assert np.array_equal(frame.pixels, frames[0].pixels)
+    assert np.all(frames == frames[0])
     with pytest.raises(ValueError, match="no fully visible vehicle"):
         generate_training_set(config, (frames, gt), 1, 1, 12, 12)
 
@@ -236,6 +266,109 @@ def test_training_set_validation():
         generate_training_set(config, scene, 1, 1, 12, 12, perturbation=-0.1)
 
 
+def _dense_scenario() -> ScenarioConfig:
+    """About 1 % of 12x12 windows miss every box: most attempts are rejected."""
+    return _scenario(spawns=spawn_schedule(40, 2, 2, 3.0, 26, 40))
+
+
+def _blocked_scenario(frames: int, speed: float) -> ScenarioConfig:
+    """One 60x44 vehicle on a 64x48 one-lane scene from frame 0.
+
+    At speed 0.1 it stays at the top, and every 12x12 window overlaps it on
+    every frame. At speed 1.0 over 13 frames only the top row of frame 12
+    is free, 53 of the 25 493 candidate windows.
+    """
+    return _scenario(
+        frames=frames, markers=default_markers(64, 48, lanes=1),
+        spawns=(VehicleSpawn(0, 0, speed, 60, 44),),
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds", [(260, 211, 106), (7, 2**31 + 1, 3), (1, 5, 2**40 + 7)],
+    ids=["ten-scene", "two-pow-31-plus-1", "unit-and-wide"],
+)
+def test_block_draws_match_scalar_draws(bounds):
+    # the negative sampler's contract with numpy: one integers() call over
+    # tiled bounds draws what one scalar call per bound draws, in order
+    block = synthgen._rng(3, 4)
+    scalar = synthgen._rng(3, 4)
+    drawn = block.integers(np.tile(bounds, 5000)).reshape(5000, 3)
+    expected = [[int(scalar.integers(bound)) for bound in bounds] for _ in range(5000)]
+    assert np.array_equal(drawn, expected)
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "scene, n_neg, window",
+    [("ten", 1500, (30, 30)), ("shaky", 400, (12, 14)), ("dense", 150, (12, 12))],
+)
+def test_training_set_matches_reference_sampler(ten_vehicle_scenario, scene, n_neg, window):
+    config = {
+        "ten": ten_vehicle_scenario,
+        "shaky": _scenario(jitter_amplitude=3, noise_sigma=2.0, illumination=((30, 40),)),
+        "dense": _dense_scenario(),
+    }[scene]
+    rendered = generate_scene(config)
+    positives, negatives = generate_training_set(config, rendered, 60, n_neg, *window)
+    want_pos, want_neg = reference_training_set(config, rendered, 60, n_neg, *window)
+    assert np.array_equal(positives, want_pos)
+    assert np.array_equal(negatives, want_neg)
+
+
+def _recorded_rngs(monkeypatch, module=synthgen) -> list:
+    """Every generator module._rng makes from now on, in order."""
+    made = []
+    rng = module._rng
+    monkeypatch.setattr(module, "_rng", lambda *key: made.append(rng(*key)) or made[-1])
+    return made
+
+
+def test_negative_exhaustion_is_exact(monkeypatch):
+    # fewer than n_neg free among the first 1000 * n_neg candidates raises,
+    # and the sampler has then drawn exactly as far as the scalar loop
+    outcomes = []
+    for seed in range(12):
+        config = replace(_blocked_scenario(13, 1.0), seed=seed)
+        scene = generate_scene(config)
+        made = _recorded_rngs(monkeypatch)
+        made_oracle = _recorded_rngs(monkeypatch, oracles)
+        try:
+            want = reference_training_set(config, scene, 1, 1, 12, 12)[1]
+        except ValueError:
+            with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
+                generate_training_set(config, scene, 1, 1, 12, 12)
+            assert made[0].bit_generator.state == made_oracle[0].bit_generator.state
+            outcomes.append("raised")
+        else:
+            assert np.array_equal(generate_training_set(config, scene, 1, 1, 12, 12)[1], want)
+            outcomes.append("sampled")
+        monkeypatch.undo()
+    assert set(outcomes) == {"raised", "sampled"}
+
+
+def test_fully_covered_scene_raises():
+    config = _blocked_scenario(6, 0.1)
+    scene = generate_scene(config)
+    with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
+        generate_training_set(config, scene, 5, 3, 12, 12)
+    with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
+        reference_training_set(config, scene, 5, 3, 12, 12)
+
+
+@pytest.mark.parametrize("window", [(70, 20), (0, 5), (5, 0), (64, 49), (-3, 12)])
+def test_training_set_refuses_window_outside_scene(monkeypatch, window):
+    config = _scenario()
+    scene = generate_scene(config)
+    made = _recorded_rngs(monkeypatch)
+    message = f"^window {window[0]}x{window[1]} does not fit the 64x48 scene$"
+    with pytest.raises(ValueError, match=message):
+        generate_training_set(config, scene, 5, 5, *window)
+    assert made == []  # refused before any draw
+    positives, negatives = generate_training_set(config, scene, 2, 1, 64, 48)
+    assert positives.shape == (2, 48, 64) and negatives.shape == (1, 48, 64)
+
+
 def test_config_text_round_trip():
     config = _scenario(illumination=((40, 50),), jitter_amplitude=2, noise_sigma=1.5)
     assert config_from_text(config_to_text(config)) == config
@@ -274,7 +407,7 @@ def test_save_scene_round_trip(tmp_path):
     assert boxes == [(f, vid, r.x, r.y, r.w, r.h) for f, vid, r in gt.boxes]
     frames, _ = generate_scene(config)
     on_disk = load_pgm(tmp_path / "scene" / "frames" / "frame_000000.pgm")
-    assert on_disk == frames[0]
+    assert np.array_equal(on_disk.pixels, frames[0])
 
 
 def test_load_gt_events_names_malformed_line(tmp_path):
@@ -286,6 +419,21 @@ def test_load_gt_events_names_malformed_line(tmp_path):
         path.write_text(text, encoding="ascii")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {number}: "):
             load_gt_events(scene)
+
+
+def test_save_scene_streams_the_rendered_frames(tmp_path):
+    config = _scenario(frames=400, jitter_amplitude=2, noise_sigma=1.5, illumination=((50, 30),))
+    frames, _ = generate_scene(config)
+    tracemalloc.start()
+    try:
+        save_scene(tmp_path / "scene", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frames.nbytes / 4  # one frame at a time, not the 1.2 MB scene
+    for idx in range(0, 400, 57):
+        on_disk = load_pgm(tmp_path / "scene" / "frames" / f"frame_{idx:06d}.pgm")
+        assert np.array_equal(on_disk.pixels, frames[idx])
 
 
 def test_save_scene_byte_determinism(tmp_path):
