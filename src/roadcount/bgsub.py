@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import Frame, Rect
+from .imaging import Rect
 
 DEFAULT_LEARNING_RATE = 0.05
 DEFAULT_MIN_AREA = 25
@@ -34,40 +34,38 @@ class BackgroundModel:
         self.learning_rate = learning_rate
         self.background: np.ndarray | None = None
 
-    def _check_dims(self, frame: Frame) -> None:
-        if frame.width != self.width or frame.height != self.height:
-            raise ValueError(
-                f"frame {frame.width}x{frame.height} does not match model "
-                f"{self.width}x{self.height}"
-            )
+    def _check_dims(self, pixels: np.ndarray) -> None:
+        if pixels.shape != (self.height, self.width):
+            h, w = pixels.shape
+            raise ValueError(f"frame {w}x{h} does not match model {self.width}x{self.height}")
 
     @property
     def initialized(self) -> bool:
         return self.background is not None
 
 
-def update_background(model: BackgroundModel, frame: Frame) -> BackgroundModel:
-    """B <- (1-lambda)*B + lambda*frame per pixel; the first frame sets B = frame.
+def update_background(model: BackgroundModel, pixels: np.ndarray) -> BackgroundModel:
+    """B <- (1-lambda)*B + lambda*pixels per pixel; the first frame sets B = pixels.
 
     B is updated in place with the same two roundings as the two-temporary
     formula, so the result is bit-identical to it.
     """
-    model._check_dims(frame)
+    model._check_dims(pixels)
     if model.background is None:
-        model.background = frame.pixels.astype(np.float64)
+        model.background = pixels.astype(np.float64)
     else:
         lam = model.learning_rate
         model.background *= 1.0 - lam
-        model.background += lam * frame.pixels
+        model.background += lam * pixels
     return model
 
 
-def subtract(model: BackgroundModel, frame: Frame, th: float) -> np.ndarray:
-    """Binary foreground mask: 1 where |frame - B| >= th (boundary inclusive)."""
-    model._check_dims(frame)
+def subtract(model: BackgroundModel, pixels: np.ndarray, th: float) -> np.ndarray:
+    """Binary foreground mask: 1 where |pixels - B| >= th (boundary inclusive)."""
+    model._check_dims(pixels)
     if model.background is None:
         raise ValueError("background model is not initialized")
-    diff = np.subtract(frame.pixels, model.background)
+    diff = np.subtract(pixels, model.background)
     np.abs(diff, out=diff)
     return (diff >= th).view(np.uint8)
 

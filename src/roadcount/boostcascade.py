@@ -62,7 +62,7 @@ from .features import (
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from .imaging import Frame, Rect, round_half_up
+from .imaging import Rect, round_half_up
 
 MODEL_MAGIC = "mblbp-cascade"
 MODEL_VERSION = "v1"
@@ -412,21 +412,13 @@ def _scaled_geometries(model: CascadeModel, win_w: int, win_h: int) -> list[Bloc
 
 
 _Layout = tuple[tuple[Rect, BlockGeometry], ...]
-_LAYOUTS: dict[tuple, _Layout] = {}
 
 
 def _chunk_layout(model: CascadeModel, win_w: int, win_h: int) -> _Layout:
-    """(cell, geometry) of chunk c = cell * geometries + geometry, for each c.
-
-    The layout depends on the window size and on the model's grid, window
-    size and geometries only, so each such key is laid out once.
-    """
-    key = (model.grid, model.window_w, model.window_h, model.geometries, win_w, win_h)
-    if key not in _LAYOUTS:
-        geoms = _scaled_geometries(model, win_w, win_h)
-        cells = _cell_rects(Rect(0, 0, win_w, win_h), model.grid)
-        _LAYOUTS[key] = tuple((cell, g) for cell in cells for g in geoms)
-    return _LAYOUTS[key]
+    """(cell, geometry) of chunk c = cell * geometries + geometry, for each c."""
+    geoms = _scaled_geometries(model, win_w, win_h)
+    cells = _cell_rects(Rect(0, 0, win_w, win_h), model.grid)
+    return tuple((cell, g) for cell in cells for g in geoms)
 
 
 def _crop_features(
@@ -793,12 +785,13 @@ def scaled_window(
 
 def detect(
     model: CascadeModel,
-    frame: Frame,
+    pixels: np.ndarray,
     scales: Sequence[float] = (1.0,),
     stride: int = 4,
     mcc: int = 1,
 ) -> list[Detection]:
-    """Multi-scale sliding-window detection with MCC cluster filtering.
+    """Multi-scale sliding-window detection over a frame's (h, w) uint8 pixels,
+    with MCC cluster filtering.
 
     Raw hits are enumerated scale-ascending then row-major and greedily
     clustered; clusters with fewer than MCC members are discarded. Each
@@ -812,15 +805,16 @@ def detect(
         raise ValueError(f"scales must be >= 1.0 and strictly ascending, got {list(scales)}")
     if mcc < 1:
         raise ValueError(f"MCC must be >= 1, got {mcc}")
-    maps = _FrameMaps(frame.pixels, model.rank_table)
+    height, width = pixels.shape
+    maps = _FrameMaps(pixels, model.rank_table)
     hits: list[tuple[Rect, float]] = []
     for scale in scales:
-        window = scaled_window(model, scale, frame.width, frame.height)
+        window = scaled_window(model, scale, width, height)
         if window is None:
             continue
         win_w, win_h = window
-        xs = range(0, frame.width - win_w + 1, stride)
-        ys = range(0, frame.height - win_h + 1, stride)
+        xs = range(0, width - win_w + 1, stride)
+        ys = range(0, height - win_h + 1, stride)
         alive, scores = _classify_grid(model, maps, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
             hits.append((Rect(xs[i], ys[j], win_w, win_h), float(scores[j, i])))

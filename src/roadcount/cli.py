@@ -49,7 +49,7 @@ from .counting import (
     report_text,
     result_line,
 )
-from .imaging import Frame, PgmError, Rect, downscale, load_pgm, sequence_paths
+from .imaging import PgmError, Rect, downscale, load_pgm, sequence_paths
 from .tracking import DEFAULT_GATE_FRACTION, DEFAULT_MAX_MISSES, Track, Tracker, track_log_line
 
 
@@ -296,15 +296,15 @@ def _scene_frame_paths(scene_dir: str) -> list[str]:
     return paths
 
 
-def _working_size(config: PipelineConfig, first: Frame) -> tuple[int, int]:
+def _working_size(config: PipelineConfig, first: np.ndarray) -> tuple[int, int]:
     """The scene's frame size after downscaling by resolution_factor, which must divide it."""
+    height, width = first.shape
     factor = config.resolution_factor
-    if first.width % factor or first.height % factor:
+    if width % factor or height % factor:
         raise UsageError(
-            f"resolution_factor {factor} does not divide the scene's "
-            f"{first.width}x{first.height} frames"
+            f"resolution_factor {factor} does not divide the scene's {width}x{height} frames"
         )
-    return first.width // factor, first.height // factor
+    return width // factor, height // factor
 
 
 def _load_cascade(config: PipelineConfig) -> CascadeModel:
@@ -338,7 +338,7 @@ def _pass_key(config: PipelineConfig) -> tuple:
 
 def _detector(
     config: PipelineConfig, width: int, height: int
-) -> Callable[[Frame], list[tuple[Rect, float]]]:
+) -> Callable[[np.ndarray], list[tuple[Rect, float]]]:
     """The pass's detector, as a function from a frame to its [(rect, score)].
 
     bgsub owns a background model that every call updates; feature loads
@@ -355,21 +355,21 @@ def _detector(
                 f"does not fit the {width}x{height} frames"
             )
 
-        def detect_vehicles(frame: Frame) -> list[tuple[Rect, float]]:
-            found = detect(cascade, frame, scales=config.scales, stride=config.stride, mcc=config.mcc)
+        def detect_vehicles(pixels: np.ndarray) -> list[tuple[Rect, float]]:
+            found = detect(cascade, pixels, scales=config.scales, stride=config.stride, mcc=config.mcc)
             return [(d.rect, d.score) for d in found]
 
         return detect_vehicles
     background = bgsub.BackgroundModel(width, height, config.learning_rate)
 
-    def detect_foreground(frame: Frame) -> list[tuple[Rect, float]]:
+    def detect_foreground(pixels: np.ndarray) -> list[tuple[Rect, float]]:
         if background.initialized:
-            mask = bgsub.subtract(background, frame, config.th)
+            mask = bgsub.subtract(background, pixels, config.th)
             mask = bgsub.morphological_open(mask, config.open_radius)
             blobs = bgsub.extract_blobs(mask, config.min_area)
         else:
             blobs = []
-        bgsub.update_background(background, frame)
+        bgsub.update_background(background, pixels)
         return [(rect, 0.0) for rect in blobs]
 
     return detect_foreground
@@ -407,7 +407,7 @@ class _Pass:
         self.config = config
         self.paths = _scene_frame_paths(config.scene)
         first = load_pgm(self.paths[0])
-        self.native = (first.width, first.height)
+        self.native = first.shape
         self.width, self.height = _working_size(config, first)
         self.detect = _detector(config, self.width, self.height)
         self.tracker = Tracker(
@@ -420,16 +420,16 @@ class _Pass:
         """Decode, detect and track the first `limit` frames (all by default)."""
         factor = self.config.resolution_factor
         for index, path in enumerate(self.paths[:limit]):
-            frame = load_pgm(path)
-            if (frame.width, frame.height) != self.native:
+            pixels = load_pgm(path)
+            if pixels.shape != self.native:
                 raise DataError(
-                    f"frame {path} is {frame.width}x{frame.height}, "
-                    f"the scene's first frame is {self.native[0]}x{self.native[1]}"
+                    f"frame {path} is {pixels.shape[1]}x{pixels.shape[0]}, "
+                    f"the scene's first frame is {self.native[1]}x{self.native[0]}"
                 )
             if factor > 1:
-                frame = downscale(frame, factor)
+                pixels = downscale(pixels, factor)
             t0 = time.perf_counter()
-            detections = self.detect(frame)
+            detections = self.detect(pixels)
             t1 = time.perf_counter()
             live, finished = self.tracker.step([r for r, _ in detections], self.config.frame_dt)
             t2 = time.perf_counter()
@@ -658,17 +658,15 @@ def train(config: PipelineConfig) -> CascadeModel:
         )
     scene = synthgen.generate_scene(scenario)
     try:
-        # two calls, each restarting the crop generator: every model depends
-        # on these streams, so the dummy count of 1 stays
-        positives, _ = synthgen.generate_training_set(
-            scenario, scene, config.train_pos, 1, config.window_w, config.window_h
-        )
-        _, negatives = synthgen.generate_training_set(
-            scenario, scene, 1, config.train_neg, config.window_w, config.window_h
-        )
+        # each call restarts the crop stream every model depends on: the negatives'
+        # call keeps its one dummy positive, the positives' blocks are never drawn
+        window = (config.window_w, config.window_h)
+        positives, _ = synthgen.sample_crops(scenario, scene, config.train_pos, 1, *window)
+        _, blocks = synthgen.sample_crops(scenario, scene, 1, config.train_neg, *window)
+        negatives = np.concatenate(list(blocks))
         del scene  # freed before the jittered clone is rendered and training starts
         if config.train_hard:
-            hard = _hard_negatives(scenario, config.train_hard, config.window_w, config.window_h)
+            hard = _hard_negatives(scenario, config.train_hard, *window)
             negatives = np.concatenate([negatives, hard])
     except ValueError as exc:
         raise DataError(f"cannot sample training crops from {config.scene}: {exc}") from exc

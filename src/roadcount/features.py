@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Frame, Rect
+from .imaging import Rect
 
 # (dx, dy, bit shift) for the 8 neighbors in clockwise order TL,T,TR,R,BR,B,BL,L;
 # offsets are in block units, the center block sits at (1, 1). The shifts run
@@ -115,15 +115,14 @@ def _codes_from_grid(values: np.ndarray, step_x: int, step_y: int) -> np.ndarray
     return codes
 
 
-def lbp_code(frame: Frame, x: int, y: int) -> int:
+def lbp_code(pixels: np.ndarray, x: int, y: int) -> int:
     """8-bit LBP code at pixel (x, y); the pixel must not lie on the border."""
-    if not (1 <= x <= frame.width - 2 and 1 <= y <= frame.height - 2):
-        raise ValueError(f"({x},{y}) is on the border of a {frame.width}x{frame.height} frame")
-    p = frame.pixels
-    center = p[y, x]
+    if not (1 <= x <= pixels.shape[1] - 2 and 1 <= y <= pixels.shape[0] - 2):
+        raise ValueError(f"({x},{y}) is on the border of a frame of shape {pixels.shape}")
+    center = pixels[y, x]
     code = 0
     for dx, dy, shift in _NEIGHBORS:
-        if p[y - 1 + dy, x - 1 + dx] >= center:
+        if pixels[y - 1 + dy, x - 1 + dx] >= center:
             code |= 1 << shift
     return code
 
@@ -169,17 +168,17 @@ def mb_lbp_code_map(pixels: np.ndarray, g: BlockGeometry) -> np.ndarray:
     return _codes_from_grid(_block_sums(pixels, g), g.cell_w, g.cell_h)
 
 
-def lbp_histogram(frame: Frame, region: Rect) -> np.ndarray:
+def lbp_histogram(pixels: np.ndarray, region: Rect) -> np.ndarray:
     """59-bin histogram of uniform LBP codes over the interior of region.
 
     Bins 0..57 hold the 58 uniform codes in ascending code order; bin 58
     collects all non-uniform codes. Bin sum equals (w-2)*(h-2).
     """
-    if not frame.contains(region):
-        raise ValueError(f"region {region} exceeds frame {frame.width}x{frame.height}")
+    sub = pixels[region.y : region.bottom, region.x : region.right]
+    if sub.shape != (region.h, region.w):
+        raise ValueError(f"region {region} exceeds a frame of shape {pixels.shape}")
     if region.w < 3 or region.h < 3:
         raise ValueError(f"region {region.w}x{region.h} has no interior code site")
-    sub = frame.pixels[region.y : region.bottom, region.x : region.right]
     codes = _codes_from_grid(sub, 1, 1)
     return np.bincount(UNIFORM_BINS[codes.ravel()], minlength=LBP_HISTOGRAM_BINS)
 

@@ -1,7 +1,8 @@
-"""Grayscale frame representation, PGM I/O and downscaling.
+"""Rectangles, PGM I/O and downscaling of grayscale frames.
 
-Frames are 8-bit grayscale only. No integral image is built: MB-LBP code
-maps take their block sums straight from the pixels (features._block_sums).
+A frame is an (h, w) uint8 array of 8-bit grayscale pixels, row-major. No
+integral image is built: MB-LBP code maps take their block sums straight
+from the pixels (features._block_sums).
 """
 
 from __future__ import annotations
@@ -66,45 +67,9 @@ class Rect:
         return self.intersection_area(other) > 0
 
 
-class Frame:
-    """8-bit grayscale raster, pixels stored row-major as a (h, w) uint8 array."""
-
-    def __init__(self, pixels: np.ndarray):
-        pixels = np.asarray(pixels)
-        if pixels.ndim != 2:
-            raise ValueError(f"frame pixels must be 2-D, got shape {pixels.shape}")
-        if pixels.shape[0] < 1 or pixels.shape[1] < 1:
-            raise ValueError(f"frame must be at least 1x1, got shape {pixels.shape}")
-        if pixels.dtype != np.uint8:
-            if pixels.min() < 0 or pixels.max() > 255:
-                raise ValueError("frame intensities must lie in [0, 255]")
-            pixels = pixels.astype(np.uint8)
-        self.pixels = pixels
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def contains(self, r: Rect) -> bool:
-        return r.right <= self.width and r.bottom <= self.height
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
-
-    def __repr__(self) -> str:
-        return f"Frame({self.width}x{self.height})"
-
-
-def downscale(frame: Frame, factor: int) -> Frame:
-    """Block-mean downscale by an integer factor dividing both dimensions.
+def downscale(pixels: np.ndarray, factor: int) -> np.ndarray:
+    """Block-mean downscale of (h, w) uint8 pixels by an integer factor dividing
+    both dimensions; a copy at factor 1.
 
     Each output pixel is the mean of its factor x factor source block,
     rounded half away from zero.
@@ -112,21 +77,20 @@ def downscale(frame: Frame, factor: int) -> Frame:
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1:
-        return Frame(frame.pixels.copy())
-    if frame.width % factor or frame.height % factor:
-        raise ValueError(
-            f"factor {factor} does not divide {frame.width}x{frame.height}"
-        )
-    h, w = frame.height // factor, frame.width // factor
+        return pixels.copy()
+    height, width = pixels.shape
+    if width % factor or height % factor:
+        raise ValueError(f"factor {factor} does not divide {width}x{height}")
+    h, w = height // factor, width // factor
     sums = (
-        frame.pixels.astype(np.int64)
+        pixels.astype(np.int64)
         .reshape(h, factor, w, factor)
         .sum(axis=(1, 3))
     )
     # exact half-up rounding of sums / factor^2 in integer arithmetic
     n = factor * factor
     out = (2 * sums + n) // (2 * n)
-    return Frame(out.astype(np.uint8))
+    return out.astype(np.uint8)
 
 
 _WS = b" \t\r\n\v\f"
@@ -151,8 +115,8 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def load_pgm(path: str | os.PathLike) -> Frame:
-    """Load a binary PGM (P5, maxval 255) file byte-exactly."""
+def load_pgm(path: str | os.PathLike) -> np.ndarray:
+    """Load a binary PGM (P5, maxval 255) file byte-exactly as (h, w) uint8 pixels."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
@@ -169,22 +133,27 @@ def load_pgm(path: str | os.PathLike) -> Frame:
         raise PgmError(f"unsupported maxval {maxval} (only 8-bit PGM supported)")
     if width < 1 or height < 1:
         raise PgmError(f"bad PGM dimensions {width}x{height}")
+    if data[pos : pos + 1] == b"#":
+        raise PgmError(f"comment right after maxval in {path!s}: expected one whitespace byte")
     pos += 1  # exactly one whitespace byte separates header and payload
     payload = data[pos : pos + width * height]
     if len(payload) < width * height:
         raise PgmError(
             f"truncated PGM payload: expected {width * height} bytes, got {len(payload)}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Frame(pixels.copy())
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
 
-def save_pgm(frame: Frame, path: str | os.PathLike) -> None:
-    """Write a binary PGM (P5, maxval 255); reload is bit-exact."""
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
+def save_pgm(pixels: np.ndarray, path: str | os.PathLike) -> None:
+    """Write (h, w) uint8 pixels as a binary PGM (P5, maxval 255); reload is bit-exact."""
+    if pixels.ndim != 2 or pixels.size == 0 or pixels.dtype != np.uint8:
+        raise ValueError(
+            f"PGM pixels must be non-empty 2-D uint8, got {pixels.dtype} {pixels.shape}"
+        )
+    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(frame.pixels.tobytes())
+        fh.write(pixels.tobytes())
 
 
 def frame_filename(index: int) -> str:

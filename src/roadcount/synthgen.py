@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Frame, Rect, frame_filename, round_half_up, save_pgm
+from .imaging import Rect, frame_filename, round_half_up, save_pgm
 
 PURPOSE_BACKGROUND = 0
 PURPOSE_VEHICLE = 1
@@ -53,8 +53,8 @@ class VehicleSpawn:
     def __post_init__(self):
         if self.frame < 0:
             raise ValueError(f"spawn frame must be >= 0, got {self.frame}")
-        if self.speed <= 0.0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        if not (self.speed > 0.0 and np.isfinite(self.speed)):
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
         if self.w < 1 or self.h < 1:
             raise ValueError(f"vehicle size must be >= 1x1, got {self.w}x{self.h}")
 
@@ -77,8 +77,8 @@ class ScenarioConfig:
             raise ValueError("scenario needs positive frame dims and frame count")
         if not self.markers:
             raise ValueError("scenario needs at least one lane marker")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not (self.noise_sigma >= 0.0 and np.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.jitter_amplitude < 0:
             raise ValueError(f"jitter amplitude must be >= 0, got {self.jitter_amplitude}")
         for frame_idx, delta in self.illumination:
@@ -290,9 +290,22 @@ def sample_crops(
     window_h: int,
     perturbation: float = 0.1,
 ):
-    """generate_training_set's positives, and a generator of its negatives
-    as (k, h, w) blocks in candidate order; a caller may stop it early, and
-    draws it is never asked for are never made."""
+    """(n_pos, h, w) vehicle-centered uint8 crops, and a generator of vehicle-free
+    ones as (k, h, w) blocks in candidate order that yields n_neg in all.
+
+    `scene` is generate_scene(config). All draws come from one generator
+    keyed by (seed, PURPOSE_CROPS), positives first. Positives sample fully
+    visible ground-truth boxes, cover them with a window-shaped region
+    perturbed by +-perturbation in scale and position, and resample to the
+    window size. Each negative attempt then draws frame, x and y, in that
+    order, whether or not it is kept: the candidates are fixed before any
+    overlap test. The negatives are the first n_neg candidate windows that
+    overlap no box of their frame (positive area; touching edges do not
+    count); the generator raises ValueError if fewer than n_neg of the first
+    1000 * n_neg are free. A caller may stop it early, and draws it is never
+    asked for are never made. A window smaller than 1 px or larger than the
+    scene is refused before any draw.
+    """
     if n_pos < 1 or n_neg < 1:
         raise ValueError("need at least one positive and one negative crop")
     if not 0.0 <= perturbation < 0.5:
@@ -366,33 +379,6 @@ def _negative_blocks(frames: np.ndarray, gt: GroundTruth, rng, n_neg, window_w, 
         free = np.flatnonzero(~hit)[:wanted]
         wanted -= len(free)
         yield windows[f[free], y[free], x[free]]
-
-
-def generate_training_set(
-    config: ScenarioConfig,
-    scene: tuple[np.ndarray, GroundTruth],
-    n_pos: int,
-    n_neg: int,
-    window_w: int,
-    window_h: int,
-    perturbation: float = 0.1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n_pos, h, w) vehicle-centered and (n_neg, h, w) vehicle-free uint8 crops.
-
-    `scene` is generate_scene(config). All draws come from one generator
-    keyed by (seed, PURPOSE_CROPS), positives first. Positives sample fully
-    visible ground-truth boxes, cover them with a window-shaped region
-    perturbed by +-perturbation in scale and position, and resample to the
-    window size. Each negative attempt then draws frame, x and y, in that
-    order, whether or not it is kept: the candidates are fixed before any
-    overlap test. The negatives are the first n_neg candidate windows that
-    overlap no box of their frame (positive area; touching edges do not
-    count); ValueError if fewer than n_neg of the first 1000 * n_neg are
-    free. A window smaller than 1 px or larger than the scene is refused
-    before any draw.
-    """
-    positives, blocks = sample_crops(config, scene, n_pos, n_neg, window_w, window_h, perturbation)
-    return positives, np.concatenate(list(blocks))
 
 
 def config_to_text(config: ScenarioConfig) -> str:
@@ -494,7 +480,7 @@ def save_scene(directory: str | os.PathLike, config: ScenarioConfig) -> GroundTr
     frame_dir = os.path.join(directory, "frames")
     os.makedirs(frame_dir, exist_ok=True)
     for idx, pixels in enumerate(render_frames(config, gt)):
-        save_pgm(Frame(pixels), os.path.join(frame_dir, frame_filename(idx)))
+        save_pgm(pixels, os.path.join(frame_dir, frame_filename(idx)))
     with open(os.path.join(directory, "gt_boxes.txt"), "w", encoding="ascii") as fh:
         for frame_idx, vid, rect in gt.boxes:
             fh.write(f"{frame_idx} {vid} {rect.x} {rect.y} {rect.w} {rect.h}\n")

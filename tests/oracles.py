@@ -9,7 +9,7 @@ Integral images accumulate in int64, which holds exact sums for frames up to
 4096x4096 (4096*4096*255 < 2^63). site_views, the strided per-window site
 view the detector used to read, builds the reference feature vectors.
 reference_training_set is the scalar rejection loop that
-synthgen.generate_training_set replaced with block draws.
+synthgen.sample_crops replaced with block draws.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from roadcount.features import (
     RankTable,
     _codes_from_grid,
 )
-from roadcount.imaging import Frame, Rect, round_half_up
+from roadcount.imaging import Rect, round_half_up
 from roadcount.synthgen import PURPOSE_CROPS, _clamp_crop, _resample_nearest, _rng
 
 
@@ -66,9 +66,8 @@ class IntegralImage:
         return np.add(sums, t[..., :-bh, :-bw], out=sums, dtype=dtype, casting="unsafe")
 
 
-def integral(image: Frame | np.ndarray) -> IntegralImage:
-    """Integral image of a frame, or of a (..., h, w) stack of equal-size pixel arrays."""
-    pixels = image.pixels if isinstance(image, Frame) else image
+def integral(pixels: np.ndarray) -> IntegralImage:
+    """Integral image of a frame's (h, w) pixels, or of a (..., h, w) stack of equal-size ones."""
     h, w = pixels.shape[-2:]
     table = np.zeros(pixels.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
     sums = table[..., 1:, 1:]
@@ -151,9 +150,9 @@ def site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
 
 
 def reference_training_set(config, scene, n_pos, n_neg, window_w, window_h, perturbation=0.1):
-    """generate_training_set one crop at a time: per negative attempt, three
-    scalar `integers` draws (frame, x, y) and a Rect.overlaps test against
-    every box of the frame."""
+    """synthgen.sample_crops one crop at a time, with its negatives stacked:
+    per negative attempt, three scalar `integers` draws (frame, x, y) and a
+    Rect.overlaps test against every box of the frame."""
     frames, gt = scene
     boxes_by_frame: dict[int, list[Rect]] = {}
     for frame_idx, _, rect in gt.boxes:

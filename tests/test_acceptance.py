@@ -35,7 +35,7 @@ from roadcount.features import (
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, Rect
+from roadcount.imaging import Rect
 from roadcount.tracking import (
     DEFAULT_P0,
     DEFAULT_Q,
@@ -104,12 +104,12 @@ def test_feature_layer_oracles(capsys):
         assert [c for c in range(256) if is_uniform(c)] == expected_uniform
 
         rng = np.random.default_rng(2024)
-        frame = Frame(rng.integers(0, 256, (150, 150), dtype=np.uint8))
-        unit_codes = mb_lbp_code_map(frame.pixels, BlockGeometry(1, 1))
+        frame = rng.integers(0, 256, (150, 150), dtype=np.uint8)
+        unit_codes = mb_lbp_code_map(frame, BlockGeometry(1, 1))
 
         for _ in range(10_000):
-            x = int(rng.integers(0, frame.width - 2))
-            y = int(rng.integers(0, frame.height - 2))
+            x = int(rng.integers(0, frame.shape[1] - 2))
+            y = int(rng.integers(0, frame.shape[0] - 2))
             assert unit_codes[y, x] == lbp_code(frame, x + 1, y + 1)
 
         from roadcount.features import UNIFORM_BINS
@@ -117,8 +117,8 @@ def test_feature_layer_oracles(capsys):
         for _ in range(100):
             w = int(rng.integers(5, 40))
             h = int(rng.integers(5, 40))
-            region = Rect(int(rng.integers(0, frame.width - w)),
-                          int(rng.integers(0, frame.height - h)), w, h)
+            region = Rect(int(rng.integers(0, frame.shape[1] - w)),
+                          int(rng.integers(0, frame.shape[0] - h)), w, h)
             naive = np.zeros(LBP_HISTOGRAM_BINS, dtype=np.int64)
             for y in range(region.y + 1, region.bottom - 1):
                 for x in range(region.x + 1, region.right - 1):
@@ -127,16 +127,16 @@ def test_feature_layer_oracles(capsys):
 
         geometries = (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 2))
         tables = {
-            g: build_rank_table([mb_lbp_code_map(frame.pixels, g).ravel()]) for g in geometries
+            g: build_rank_table([mb_lbp_code_map(frame, g).ravel()]) for g in geometries
         }
-        rank_maps = {g: tables[g].bins[mb_lbp_code_map(frame.pixels, g)] for g in geometries}
+        rank_maps = {g: tables[g].bins[mb_lbp_code_map(frame, g)] for g in geometries}
         ii = integral(frame)  # the naive recount's scalar oracle only
         for i in range(100):
             g = geometries[i % len(geometries)]
             w = int(rng.integers(3 * g.cell_w + 2, 40))
             h = int(rng.integers(3 * g.cell_h + 2, 40))
-            region = Rect(int(rng.integers(0, frame.width - w)),
-                          int(rng.integers(0, frame.height - h)), w, h)
+            region = Rect(int(rng.integers(0, frame.shape[1] - w)),
+                          int(rng.integers(0, frame.shape[0] - h)), w, h)
             rt = tables[g]
             naive = np.zeros(RANK_HISTOGRAM_BINS, dtype=np.int64)
             for y in range(region.y, region.bottom - g.footprint_h + 1):
@@ -160,8 +160,8 @@ def test_illumination_step_invariance(capsys, small_cascade):
             seed=11, background_seed=4, noise_sigma=0.0,
         )
         stepped = replace(base, illumination=((k, 50),))
-        clean_frames = [Frame(p) for p in synthgen.generate_scene(base)[0]]
-        step_frames = [Frame(p) for p in synthgen.generate_scene(stepped)[0]]
+        clean_frames = synthgen.generate_scene(base)[0]
+        step_frames = synthgen.generate_scene(stepped)[0]
 
         model = load_model(small_cascade)
         for idx in (k, k + 1):

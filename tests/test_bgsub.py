@@ -15,7 +15,7 @@ from roadcount.bgsub import (
     subtract,
     update_background,
 )
-from roadcount.imaging import Frame, Rect
+from roadcount.imaging import Rect
 
 
 def test_model_validation():
@@ -28,24 +28,24 @@ def test_model_validation():
     model = BackgroundModel(4, 4)
     assert not model.initialized
     with pytest.raises(ValueError):
-        update_background(model, Frame(np.zeros((4, 5), dtype=np.uint8)))
+        update_background(model, np.zeros((4, 5), dtype=np.uint8))
     with pytest.raises(ValueError):
-        subtract(model, Frame(np.zeros((4, 4), dtype=np.uint8)), 10.0)
+        subtract(model, np.zeros((4, 4), dtype=np.uint8), 10.0)
 
 
 def test_update_recursion_matches_closed_form():
     rng = np.random.default_rng(103)
     lam = 0.25
     model = BackgroundModel(6, 5, learning_rate=lam)
-    frames = [Frame(rng.integers(0, 256, (5, 6)).astype(np.uint8)) for _ in range(50)]
-    expected = frames[0].pixels.astype(np.float64)
+    frames = [rng.integers(0, 256, (5, 6)).astype(np.uint8) for _ in range(50)]
+    expected = frames[0].astype(np.float64)
     update_background(model, frames[0])
     assert model.initialized
     assert np.array_equal(model.background, expected)
     for frame in frames[1:]:
         update_background(model, frame)
         # the two-temporary formula, bit for bit
-        expected = (1.0 - lam) * expected + lam * frame.pixels.astype(np.float64)
+        expected = (1.0 - lam) * expected + lam * frame.astype(np.float64)
         assert np.array_equal(model.background, expected)
 
 
@@ -53,7 +53,7 @@ def test_subtract_matches_float_formula_bit_for_bit():
     rng = np.random.default_rng(127)
     model = BackgroundModel(40, 30, learning_rate=0.37)
     for _ in range(12):
-        update_background(model, Frame(rng.integers(0, 256, (30, 40)).astype(np.uint8)))
+        update_background(model, rng.integers(0, 256, (30, 40)).astype(np.uint8))
     pixels = rng.integers(0, 256, (30, 40)).astype(np.uint8)
     background = model.background
     assert not np.array_equal(background, np.round(background))  # fractional
@@ -67,7 +67,7 @@ def test_subtract_matches_float_formula_bit_for_bit():
     assert np.count_nonzero(diff == th) > 100
     assert np.count_nonzero((diff < th) & (diff > th - 1e-8)) > 100
     for t in (th, 0.5, 3.75, 100.0):
-        mask = subtract(model, Frame(pixels), t)
+        mask = subtract(model, pixels, t)
         expected = (np.abs(pixels.astype(np.float64) - background) >= t).astype(np.uint8)
         assert mask.dtype == np.uint8
         assert np.array_equal(mask, expected)
@@ -75,10 +75,10 @@ def test_subtract_matches_float_formula_bit_for_bit():
 
 def test_subtract_threshold_boundary_inclusive():
     model = BackgroundModel(3, 1, learning_rate=0.5)
-    update_background(model, Frame(np.array([[100, 100, 100]])))
-    mask = subtract(model, Frame(np.array([[109, 110, 111]])), 10.0)
+    update_background(model, np.array([[100, 100, 100]], dtype=np.uint8))
+    mask = subtract(model, np.array([[109, 110, 111]], dtype=np.uint8), 10.0)
     assert mask.tolist() == [[0, 1, 1]]
-    mask = subtract(model, Frame(np.array([[91, 90, 89]])), 10.0)
+    mask = subtract(model, np.array([[91, 90, 89]], dtype=np.uint8), 10.0)
     assert mask.tolist() == [[0, 1, 1]]
 
 
@@ -159,8 +159,7 @@ def _step_scene_masks(count: int) -> list[np.ndarray]:
         spawns=synthgen.spawn_schedule(104, 15, 2, 4.0, 30, 30),
         seed=11, background_seed=4, noise_sigma=0.0,
     )
-    pixels, _ = synthgen.generate_scene(scenario)
-    frames = [Frame(p) for p in pixels]
+    frames, _ = synthgen.generate_scene(scenario)
     model = update_background(BackgroundModel(240, 135), frames[0])
     masks = []
     for frame in frames[1:]:

@@ -48,7 +48,7 @@ from roadcount.features import (
     build_rank_table,
     mb_lbp_code_map,
 )
-from roadcount.imaging import Frame, Rect, load_pgm, round_half_up, sequence_paths
+from roadcount.imaging import Rect, load_pgm, round_half_up, sequence_paths
 
 from oracles import integral, integral_histogram, site_views
 
@@ -487,7 +487,7 @@ def test_window_features_layout():
     # each (cell, geometry) chunk is one normalized histogram
     assert np.allclose(vecs.reshape(-1, 64).sum(axis=1), 1.0)
     for crop, vec in zip(crops, vecs[:, 0, 0]):
-        oracle = _oracle_window_features(model, integral(Frame(crop)), Rect(0, 0, 18, 18))
+        oracle = _oracle_window_features(model, integral(crop), Rect(0, 0, 18, 18))
         assert np.array_equal(vec, oracle)
     # training's binned matrix holds the same floats, as uint8 codes
     trained, codes, values = _crop_features(model, crops)
@@ -498,14 +498,14 @@ def test_window_features_layout():
 
     # one frame, windows at nonzero origins, at the canonical size and at a
     # size where _scaled_geometries changes the cell sizes
-    frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
+    frame = rng.integers(0, 256, (40, 52)).astype(np.uint8)
     ii = integral(frame)
     for win_w, win_h in ((18, 18), (27, 36)):
         geoms = _scaled_geometries(model, win_w, win_h)
-        xs = np.array([0, 5, frame.width - win_w])
-        ys = np.array([3, frame.height - win_h])
+        xs = np.array([0, 5, frame.shape[1] - win_w])
+        ys = np.array([3, frame.shape[0] - win_h])
         vecs = window_features(
-            model, _rank_maps(model, frame.pixels, win_w, win_h), win_w, win_h, xs, ys
+            model, _rank_maps(model, frame, win_w, win_h), win_w, win_h, xs, ys
         )
         assert vecs.shape == (2, 3, model.feature_count)
         for j, y in enumerate(ys):
@@ -648,7 +648,7 @@ def test_train_cascade_validation():
 
 def _frame_maps(model, frame):
     """Fresh code and rank maps of one frame, built as a grid reads them."""
-    return _FrameMaps(frame.pixels, model.rank_table)
+    return _FrameMaps(frame, model.rank_table)
 
 
 def _quantile_cascade(base, x, stage_features, keep):
@@ -681,7 +681,7 @@ def _grid_against_oracle(model, frame, win_w, win_h, xs, ys):
     ii = integral(frame)
     alive, scores = _classify_grid(model, _frame_maps(model, frame), win_w, win_h, xs, ys)
     x = window_features(
-        model, _rank_maps(model, frame.pixels, win_w, win_h), win_w, win_h,
+        model, _rank_maps(model, frame, win_w, win_h), win_w, win_h,
         np.asarray(xs), np.asarray(ys),
     )
     evaluated = np.zeros(alive.shape, dtype=int)
@@ -703,12 +703,12 @@ def test_grid_evaluation_matches_scalar_classifier():
     positives = _block_crops(rng, 20, 18, 18)
     negatives = _noise_crops(rng, 20, 18, 18, lo=0, hi=90)
     trained = train_cascade(positives, negatives, stages=2, mhr=0.95, geometries=(1, 2))
-    frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
-    frame.pixels[5:23, 7:25] = positives[0]
-    xs = range(0, frame.width - 18 + 1, 3)
-    ys = range(0, frame.height - 18 + 1, 3)
+    frame = rng.integers(0, 256, (40, 52)).astype(np.uint8)
+    frame[5:23, 7:25] = positives[0]
+    xs = range(0, frame.shape[1] - 18 + 1, 3)
+    ys = range(0, frame.shape[0] - 18 + 1, 3)
     x = window_features(
-        trained, _rank_maps(trained, frame.pixels, 18, 18), 18, 18, np.asarray(xs), np.asarray(ys)
+        trained, _rank_maps(trained, frame, 18, 18), 18, 18, np.asarray(xs), np.asarray(ys)
     )
     x = x.reshape(-1, trained.feature_count)
     varied = [f for f in range(trained.feature_count) if len(np.unique(x[:, f])) >= 4]
@@ -747,9 +747,9 @@ def test_grid_evaluation_matches_scalar_classifier():
 
 def test_grid_evaluation_stage_one_rejects_every_window():
     rng = np.random.default_rng(91)
-    frame = Frame(rng.integers(0, 256, (40, 52)).astype(np.uint8))
+    frame = rng.integers(0, 256, (40, 52)).astype(np.uint8)
     ii = integral(frame)
-    rt = build_rank_table([mb_lbp_code_map(frame.pixels, BlockGeometry(1, 1))])
+    rt = build_rank_table([mb_lbp_code_map(frame, BlockGeometry(1, 1))])
     # stage 1 reads geometry 1 only and needs more than its stumps can score;
     # stage 2 reads geometry 2 only
     stages = (
@@ -779,12 +779,12 @@ def _crafted_cascade(frame, xs, ys):
     into bin 7 and none left in bin 5. Stages 1 and 2 each pass about half of the windows
     of the grid (xs, ys) before them; stage 3 has zero alphas only, so its scores are
     signed zeros."""
-    bins = build_rank_table([mb_lbp_code_map(frame.pixels, BlockGeometry(1, 1))]).bins.copy()
+    bins = build_rank_table([mb_lbp_code_map(frame, BlockGeometry(1, 1))]).bins.copy()
     bins[bins == 5] = 7
     assert list(np.bincount(bins, minlength=64)[[5, 7, 63]]) == [0, 2, 256 - 63]
     base = CascadeModel((), 30, 30, RankTable(bins), geometries=(1, 2, 3))
     x = window_features(
-        base, _rank_maps(base, frame.pixels, 30, 30), 30, 30, np.asarray(xs), np.asarray(ys)
+        base, _rank_maps(base, frame, 30, 30), 30, 30, np.asarray(xs), np.asarray(ys)
     ).reshape(-1, base.feature_count)
     flat = int(bins[255])  # the code of a flat patch
 
@@ -839,14 +839,16 @@ def _grid_bits_against_oracle(model, frame, win, xs, ys):
 
 def test_stump_plan_matches_oracles():
     rng = np.random.default_rng(211)
-    frame = Frame(rng.integers(0, 256, (100, 120)).astype(np.uint8))
-    frame.pixels[10:80, 0:70] = 128  # cells over it hold one code at every site
+    frame = rng.integers(0, 256, (100, 120)).astype(np.uint8)
+    frame[10:80, 0:70] = 128  # cells over it hold one code at every site
     model = _crafted_cascade(frame, range(0, 91, 4), range(0, 71, 4))
     closed = replace(model.stages[0], stage_threshold=sum(a for _, a in model.stages[0].stumps) + 1)
     rejecting = replace(model, stages=(closed,) + model.stages[1:])
     ii = integral(frame)
     for stride in (4, 7, 11):
-        full = range(0, frame.width - 30 + 1, stride), range(0, frame.height - 30 + 1, stride)
+        full = (
+            range(0, frame.shape[1] - 30 + 1, stride), range(0, frame.shape[0] - 30 + 1, stride)
+        )
         one_row = full[0], range(full[1][-1], full[1][-1] + 1, stride)
         one_column = range(stride, stride + 1, stride), full[1]
         for xs, ys in (full, one_row, one_column):
@@ -868,14 +870,15 @@ def test_stump_plan_matches_oracles():
     # flat patch: more than a uint8 count holds
     assert _scaled_geometries(model, 90, 90)[0] == BlockGeometry(3, 3)
     for stride in (4, 7):
-        xs, ys = range(0, frame.width - 90 + 1, stride), range(0, frame.height - 90 + 1, stride)
+        xs = range(0, frame.shape[1] - 90 + 1, stride)
+        ys = range(0, frame.shape[0] - 90 + 1, stride)
         _grid_bits_against_oracle(model, frame, 90, xs, ys)
 
 
 def test_stump_plan_reads_code_maps_once_per_frame(monkeypatch):
     rng = np.random.default_rng(223)
-    frame = Frame(rng.integers(0, 256, (64, 80)).astype(np.uint8))
-    frame.pixels[20:50, 10:60] = 128
+    frame = rng.integers(0, 256, (64, 80)).astype(np.uint8)
+    frame[20:50, 10:60] = 128
     model = _crafted_cascade(frame, range(0, 51, 2), range(0, 35, 2))
     counts = np.bincount(model.rank_table.bins, minlength=64)
     single = np.flatnonzero(counts == 1)[[0, 20, 40]]
@@ -900,10 +903,10 @@ def test_stump_plan_reads_code_maps_once_per_frame(monkeypatch):
     )
     scales = (1.0, 1.25, 1.6)
     for m in (model, one_code):
-        for pixels in (frame.pixels, frame.pixels[::-1].copy()):
+        for pixels in (frame, frame[::-1].copy()):
             made.clear()
             built.clear()
-            detect(m, Frame(pixels), scales=scales, stride=2)
+            detect(m, pixels, scales=scales, stride=2)
             # one map set per frame, each code map built once across the scales
             assert len(made) == 1 and len(built) == len(set(built))
             windows = [round_half_up(30 * s) for s in scales]
@@ -921,11 +924,11 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
     positives = _block_crops(rng, 30, 18, 18)
     negatives = _noise_crops(rng, 30, 18, 18, lo=0, hi=90)
     model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
-    frame = Frame(rng.integers(0, 90, (64, 80)).astype(np.uint8))
-    frame.pixels[12:30, 20:38] = positives[5]
+    frame = rng.integers(0, 90, (64, 80)).astype(np.uint8)
+    frame[12:30, 20:38] = positives[5]
     # a pattern upscaled to the 29x29 window of scale 1.6
     near = np.arange(29) * 18 // 29
-    frame.pixels[30:59, 44:73] = positives[7][near][:, near]
+    frame[30:59, 44:73] = positives[7][near][:, near]
     scales = (1.0, 1.25, 1.6)
     built = []
     code_map = boostcascade.mb_lbp_code_map
@@ -937,8 +940,8 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
     hits, per_scale = [], []
     for scale in scales:
         win = round_half_up(18 * scale)
-        xs = range(0, frame.width - win + 1, 2)
-        ys = range(0, frame.height - win + 1, 2)
+        xs = range(0, frame.shape[1] - win + 1, 2)
+        ys = range(0, frame.shape[0] - win + 1, 2)
         maps = _frame_maps(model, frame)
         alive, scores = _classify_grid(model, maps, win, win, xs, ys)
         per_scale += list(maps.codes)
@@ -981,21 +984,20 @@ def test_site_views_match_sliding_window_view():
     assert sites(Rect(0, 0, 52, 40), BlockGeometry(1, 1)).shape == (1, 1, 38, 50)
 
 
-def test_chunk_layout_cache_keyed_on_geometry(monkeypatch):
+def test_plan_cache_kept_per_model():
     rng = np.random.default_rng(103)
     positives = _block_crops(rng, 30, 18, 18)
     negatives = _noise_crops(rng, 30, 18, 18, lo=0, hi=90)
     model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
     # the same stages and rank table on a layout that reads other chunks
     swapped = replace(model, geometries=(2, 1))
-    frame = Frame(rng.integers(0, 90, (64, 80)).astype(np.uint8))
-    frame.pixels[12:30, 20:38] = positives[5]
+    frame = rng.integers(0, 90, (64, 80)).astype(np.uint8)
+    frame[12:30, 20:38] = positives[5]
     near = np.arange(29) * 18 // 29
-    frame.pixels[30:59, 44:73] = positives[7][near][:, near]
+    frame[30:59, 44:73] = positives[7][near][:, near]
     calls = [(m, scales) for scales in ((1.0,), (1.6,)) for m in (model, swapped)]
 
     def run(order):
-        monkeypatch.setattr(boostcascade, "_LAYOUTS", {})
         return {k: _exact(detect(calls[k][0], frame, calls[k][1], stride=2)) for k in order}
 
     forward = run(range(len(calls)))
@@ -1057,10 +1059,10 @@ def _oracle_detect(model, frame, scales, stride, mcc):
     for scale in scales:
         win_w = round_half_up(model.window_w * scale)
         win_h = round_half_up(model.window_h * scale)
-        if win_w > frame.width or win_h > frame.height:
+        if win_w > frame.shape[1] or win_h > frame.shape[0]:
             continue
-        xs = np.arange(0, frame.width - win_w + 1, stride)
-        ys = np.arange(0, frame.height - win_h + 1, stride)
+        xs = np.arange(0, frame.shape[1] - win_w + 1, stride)
+        ys = np.arange(0, frame.shape[0] - win_h + 1, stride)
         alive, scores = _oracle_grid(model, gather, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
             hits.append((Rect(int(xs[i]), int(ys[j]), win_w, win_h), float(scores[j, i])))
@@ -1077,7 +1079,7 @@ def test_detect_matches_integral_gather_oracle(small_cascade, ten_vehicle_scene)
     paths = sequence_paths(f"{ten_vehicle_scene}/frames")
     scene = [load_pgm(paths[k]) for k in (100, 160, 230)]
     rng = np.random.default_rng(113)
-    noise = [Frame(rng.integers(0, 256, (100, 120)).astype(np.uint8)) for _ in range(2)]
+    noise = [rng.integers(0, 256, (100, 120)).astype(np.uint8) for _ in range(2)]
     first = model.stages[0]
     closed = replace(first, stage_threshold=sum(alpha for _, alpha in first.stumps) + 1.0)
     rejecting = replace(model, stages=(closed,) + model.stages[1:])
@@ -1099,15 +1101,15 @@ def test_detect_matches_integral_gather_oracle(small_cascade, ten_vehicle_scene)
     # every window's decision and score, rejected ones included, at the
     # 484-site scale and at the canonical size; on a flat patch one bin holds
     # every site of a cell, more than a uint8 count holds
-    frame = Frame(scene[1].pixels.copy())
-    frame.pixels[:70, :100] = 128
+    frame = scene[1].copy()
+    frame[:70, :100] = 128
     flat_bin = int(model.rank_table.bins[255])
     flat = replace(model, stages=(
         StrongClassifier(((Stump(flat_bin, 0.75, 1), 1.0), (Stump(flat_bin + 64, 0.5, -1), 0.5))),
     ) + model.stages[1:])
     for win, stride in ((90, 1), (90, 4), (30, 1), (30, 7)):
-        xs = range(0, frame.width - win + 1, stride)
-        ys = range(0, frame.height - win + 1, stride)
+        xs = range(0, frame.shape[1] - win + 1, stride)
+        ys = range(0, frame.shape[0] - win + 1, stride)
         for m in (model, rejecting, flat):
             alive, scores = _classify_grid(m, _frame_maps(m, frame), win, win, xs, ys)
             want_alive, want_scores = _oracle_grid(
@@ -1142,7 +1144,7 @@ def test_detect_decides_scale_fit_before_rounding(small_cascade, monkeypatch):
     pixels = np.random.default_rng(167).integers(0, 256, (38, 38)).astype(np.uint8)
     for size, want in ((37, [(30, 30)]), (38, [(30, 30), (38, 38)])):
         grids.clear()
-        frame = Frame(pixels[:size, :size].copy())
+        frame = pixels[:size, :size].copy()
         found = detect(model, frame, scales=(1.0, 1.25), stride=1, mcc=1)
         assert grids == want
         if size == 37:  # the scale that does not fit is skipped
@@ -1171,9 +1173,9 @@ def test_detect_finds_planted_pattern():
     positives = _block_crops(rng, 30, 18, 18)
     negatives = _noise_crops(rng, 30, 18, 18, lo=0, hi=90)
     model = train_cascade(positives, negatives, stages=2, mhr=1.0, geometries=(1, 2))
-    frame = Frame(rng.integers(0, 90, (48, 64)).astype(np.uint8))
+    frame = rng.integers(0, 90, (48, 64)).astype(np.uint8)
     planted = Rect(20, 12, 18, 18)
-    frame.pixels[12:30, 20:38] = positives[5]
+    frame[12:30, 20:38] = positives[5]
     detections = detect(model, frame, scales=(1.0,), stride=2, mcc=2)
 
     def iou(a: Rect, b: Rect) -> float:
@@ -1208,7 +1210,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.grid == model.grid and loaded.geometries == model.geometries
     assert loaded.rank_table == model.rank_table
     assert loaded.stages == model.stages
-    frame = Frame(rng.integers(0, 256, (30, 30)).astype(np.uint8))
+    frame = rng.integers(0, 256, (30, 30)).astype(np.uint8)
     ii = integral(frame)
     for _ in range(20):
         x, y = int(rng.integers(0, 12)), int(rng.integers(0, 12))

@@ -683,10 +683,9 @@ def test_exit_codes(ten_vehicle_scene, tmp_path, capsys):
 )
 def test_directory_path_is_a_data_error(ten_vehicle_scene, tmp_path, monkeypatch, capsys, args):
     sampled = []
-    generate_training_set = synthgen.generate_training_set
+    sample_crops = synthgen.sample_crops
     monkeypatch.setattr(
-        synthgen, "generate_training_set",
-        lambda *a: sampled.append(a) or generate_training_set(*a),
+        synthgen, "sample_crops", lambda *a: sampled.append(a) or sample_crops(*a)
     )
     rc = cli.main([arg.format(dir=tmp_path) for arg in args] + ["--scene", ten_vehicle_scene])
     assert rc == 2
@@ -757,12 +756,12 @@ def test_count_rejects_bad_config_value(
 @pytest.mark.parametrize("detector", ["bgsub", "feature"])
 def test_count_rejects_odd_sized_frame(tmp_path, small_cascade, capsys, detector):
     from roadcount import synthgen
-    from roadcount.imaging import Frame, load_pgm, save_pgm, sequence_paths
+    from roadcount.imaging import load_pgm, save_pgm, sequence_paths
 
     scene = str(tmp_path / "scene")
     synthgen.save_scene(scene, synthgen.config_from_text(_small_scenario_text()))
     odd = sequence_paths(f"{scene}/frames")[5]
-    save_pgm(Frame(load_pgm(odd).pixels[:, :-2]), odd)
+    save_pgm(load_pgm(odd)[:, :-2], odd)
     model = ["--model", small_cascade] if detector == "feature" else []
     rc = cli.main(["count", "--scene", scene, "--detector", detector] + model)
     assert rc == 2
@@ -776,9 +775,10 @@ def test_count_rejects_odd_sized_frame(tmp_path, small_cascade, capsys, detector
 def test_hard_negatives_texture_filter(ten_vehicle_scenario, capsys, monkeypatch):
     # oracle: the same jittered pool, filtered crop by crop
     shifted = replace(ten_vehicle_scenario, jitter_amplitude=30 - cli._HARD_JITTER_MARGIN)
-    _, pool = synthgen.generate_training_set(
+    _, blocks = synthgen.sample_crops(
         shifted, synthgen.generate_scene(shifted), 1, 100 * cli._HARD_POOL_FACTOR, 30, 30
     )
+    pool = np.concatenate(list(blocks))
 
     def textured(min_std):
         return np.stack([crop for crop in pool if crop.std() > min_std])
@@ -1073,6 +1073,53 @@ def test_malformed_scenario_list_entry(tmp_path, capsys, command, key, value, de
         what = "cannot load scenario" if command == "train" else "cannot derive auto markers"
         rc_want, prefix = 2, f"roadcount: data error: {what} from {scene}: "
     _one_line_failure(capsys, rc, rc_want, f"{prefix}{key} entry {detail}")
+
+
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("spawns", "0,0,nan,12,12", "speed must be positive and finite, got nan"),
+        ("spawns", "0,0,inf,12,12", "speed must be positive and finite, got inf"),
+        ("noise_sigma", "nan", "noise sigma must be finite and >= 0, got nan"),
+        ("noise_sigma", "inf", "noise sigma must be finite and >= 0, got inf"),
+    ],
+    ids=["speed-nan", "speed-inf", "noise-sigma-nan", "noise-sigma-inf"],
+)
+def test_non_finite_scenario_value_is_refused(tmp_path, capsys, key, value, detail):
+    scene = _small_scene(tmp_path)
+    cfg = os.path.join(scene, "scenario.cfg")
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_scenario_text(), flags=re.M)
+    with open(cfg, "w", encoding="ascii") as fh:
+        fh.write(text)
+    out, model = tmp_path / "out", tmp_path / "m.txt"
+    rc = cli.main(["synth", "--config", cfg, "--out", str(out)])
+    _one_line_failure(capsys, rc, 1, f"roadcount: error: bad scenario: {detail}")
+    assert not out.exists()
+    rc = cli.main(["train", "--scene", scene, "--model", str(model)])
+    _one_line_failure(
+        capsys, rc, 2, f"roadcount: data error: cannot load scenario from {scene}: {detail}"
+    )
+    assert not model.exists()
+    rc = cli.main(["count", "--scene", scene, "--markers", "auto"])
+    _one_line_failure(
+        capsys, rc, 2, f"roadcount: data error: cannot derive auto markers from {scene}: {detail}"
+    )
+
+
+def test_pgm_comment_after_maxval_is_a_data_error(tmp_path, capsys):
+    # a one-frame scene whose frame header runs a comment straight into maxval
+    scene = tmp_path / "one"
+    synthgen.save_scene(str(scene), replace(
+        synthgen.config_from_text(_small_scenario_text()), frames=1, spawns=()
+    ))
+    frame = scene / "frames" / "frame_000000.pgm"
+    frame.write_bytes(b"P5\n64 48\n255#ab\n" + bytes(64 * 48))
+    rc = cli.main(["count", "--scene", str(scene)])
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: comment right after maxval in {frame}: "
+        "expected one whitespace byte",
+    )
 
 
 def test_malformed_markers_key_is_a_usage_error(tmp_path, capsys):

@@ -20,7 +20,7 @@ from roadcount.features import (
     mb_lbp_code_map,
     mb_lbp_histogram,
 )
-from roadcount.imaging import Frame, Rect
+from roadcount.imaging import Rect
 
 from oracles import integral, mb_lbp_code
 
@@ -36,15 +36,15 @@ def _sorted_uniform_codes() -> list[int]:
 
 def test_lbp_code_worked_example():
     # clockwise neighbors TL,T,TR,R,BR,B,BL,L = 120,150,80,110,60,70,100,200
-    frame = Frame(np.array([[120, 150, 80], [200, 100, 110], [100, 70, 60]]))
+    frame = np.array([[120, 150, 80], [200, 100, 110], [100, 70, 60]], dtype=np.uint8)
     assert lbp_code(frame, 1, 1) == 0b11010011 == 211
 
 
 def test_lbp_code_degenerate_cases():
-    assert lbp_code(Frame(np.full((3, 3), 77)), 1, 1) == 255  # >= includes equality
-    peak = np.full((3, 3), 10)
+    assert lbp_code(np.full((3, 3), 77, dtype=np.uint8), 1, 1) == 255  # >= includes equality
+    peak = np.full((3, 3), 10, dtype=np.uint8)
     peak[1, 1] = 11
-    assert lbp_code(Frame(peak), 1, 1) == 0
+    assert lbp_code(peak, 1, 1) == 0
 
 
 def test_lbp_code_bit_layout():
@@ -54,11 +54,11 @@ def test_lbp_code_bit_layout():
         px = np.zeros((3, 3), dtype=np.uint8)
         px[1, 1] = 100
         px[dy, dx] = 200
-        assert lbp_code(Frame(px), 1, 1) == 1 << (7 - i)
+        assert lbp_code(px, 1, 1) == 1 << (7 - i)
 
 
 def test_lbp_code_border_errors():
-    frame = Frame(np.zeros((4, 5), dtype=np.uint8))
+    frame = np.zeros((4, 5), dtype=np.uint8)
     for x, y in [(0, 1), (1, 0), (4, 1), (1, 3)]:
         with pytest.raises(ValueError):
             lbp_code(frame, x, y)
@@ -86,17 +86,17 @@ def test_uniform_bins_ascending_code_order():
 
 def test_mb_lbp_unit_blocks_reduce_to_lbp():
     rng = np.random.default_rng(23)
-    frame = Frame(rng.integers(0, 256, (20, 30)).astype(np.uint8))
+    frame = rng.integers(0, 256, (20, 30)).astype(np.uint8)
     ii = integral(frame)
     g = BlockGeometry(1, 1)
     for _ in range(500):
-        x = int(rng.integers(0, frame.width - 2))
-        y = int(rng.integers(0, frame.height - 2))
+        x = int(rng.integers(0, 30 - 2))
+        y = int(rng.integers(0, 20 - 2))
         assert mb_lbp_code(ii, x, y, g) == lbp_code(frame, x + 1, y + 1)
-    code_map = mb_lbp_code_map(frame.pixels, g)
-    assert code_map.shape == (frame.height - 2, frame.width - 2)
-    for j in range(frame.height - 2):
-        for i in range(frame.width - 2):
+    code_map = mb_lbp_code_map(frame, g)
+    assert code_map.shape == (20 - 2, 30 - 2)
+    for j in range(20 - 2):
+        for i in range(30 - 2):
             assert code_map[j, i] == lbp_code(frame, i + 1, j + 1)
 
 
@@ -117,7 +117,7 @@ def test_mb_lbp_matches_naive_cell_means():
     rng = np.random.default_rng(29)
     for _ in range(50):
         px = rng.integers(0, 256, (10, 10)).astype(np.uint8)
-        ii = integral(Frame(px))
+        ii = integral(px)
         for g in (BlockGeometry(2, 2), BlockGeometry(3, 2), BlockGeometry(2, 3)):
             for x in range(10 - g.footprint_w + 1):
                 for y in range(10 - g.footprint_h + 1):
@@ -125,7 +125,7 @@ def test_mb_lbp_matches_naive_cell_means():
 
 
 def test_mb_lbp_constant_frame_and_bounds():
-    ii = integral(Frame(np.full((12, 12), 50)))
+    ii = integral(np.full((12, 12), 50, dtype=np.uint8))
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(4, 4)):
         assert mb_lbp_code(ii, 0, 0, g) == 255
     with pytest.raises(ValueError):
@@ -138,25 +138,25 @@ def test_mb_lbp_constant_frame_and_bounds():
 
 def test_mb_lbp_code_map_matches_pointwise():
     rng = np.random.default_rng(31)
-    frame = Frame(rng.integers(0, 256, (15, 19)).astype(np.uint8))
+    frame = rng.integers(0, 256, (15, 19)).astype(np.uint8)
     ii = integral(frame)
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 3)):
-        grid = mb_lbp_code_map(frame.pixels, g)
+        grid = mb_lbp_code_map(frame, g)
         assert grid.shape == (15 - g.footprint_h + 1, 19 - g.footprint_w + 1)
         for y in range(grid.shape[0]):
             for x in range(grid.shape[1]):
                 assert grid[y, x] == mb_lbp_code(ii, x, y, g)
     # stacked images: one code map per image along the leading axis
-    stack = np.stack([frame.pixels, frame.pixels[::-1], 255 - frame.pixels])
+    stack = np.stack([frame, frame[::-1], 255 - frame])
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2)):
         maps = mb_lbp_code_map(stack, g)
         for k in range(3):
             assert np.array_equal(maps[k], mb_lbp_code_map(stack[k], g))
     # the footprint must fit, and pixels are 8-bit
     with pytest.raises(ValueError, match="^footprint 21x6 exceeds 19x15 image$"):
-        mb_lbp_code_map(frame.pixels, BlockGeometry(7, 2))
+        mb_lbp_code_map(frame, BlockGeometry(7, 2))
     with pytest.raises(ValueError, match="^code maps take uint8 pixels, got int64$"):
-        mb_lbp_code_map(frame.pixels.astype(np.int64), BlockGeometry(1, 1))
+        mb_lbp_code_map(frame.astype(np.int64), BlockGeometry(1, 1))
 
 
 def test_mb_lbp_code_map_bit_order():
@@ -188,7 +188,7 @@ def test_mb_lbp_code_map_bit_order():
 
 
 def test_lbp_histogram_constant_region():
-    frame = Frame(np.full((10, 10), 128))
+    frame = np.full((10, 10), 128, dtype=np.uint8)
     hist = lbp_histogram(frame, Rect(0, 0, 10, 10))
     assert hist.sum() == 8 * 8
     assert hist[UNIFORM_BINS[255]] == 64
@@ -196,7 +196,7 @@ def test_lbp_histogram_constant_region():
 
 def test_lbp_histogram_naive_recount():
     rng = np.random.default_rng(37)
-    frame = Frame(rng.integers(0, 256, (24, 24)).astype(np.uint8))
+    frame = rng.integers(0, 256, (24, 24)).astype(np.uint8)
     uniform_codes = _sorted_uniform_codes()
     for _ in range(40):
         w = int(rng.integers(3, 12))
@@ -208,7 +208,7 @@ def test_lbp_histogram_naive_recount():
         assert hist.shape == (LBP_HISTOGRAM_BINS,)
         assert hist.sum() == (w - 2) * (h - 2)
         naive = np.zeros(LBP_HISTOGRAM_BINS, dtype=np.int64)
-        crop = Frame(frame.pixels[y : y + h, x : x + w].copy())
+        crop = frame[y : y + h, x : x + w].copy()
         for cy in range(1, h - 1):
             for cx in range(1, w - 1):
                 code = lbp_code(crop, cx, cy)
@@ -220,7 +220,7 @@ def test_lbp_histogram_naive_recount():
 
 
 def test_lbp_histogram_region_errors():
-    frame = Frame(np.zeros((10, 10), dtype=np.uint8))
+    frame = np.zeros((10, 10), dtype=np.uint8)
     with pytest.raises(ValueError):
         lbp_histogram(frame, Rect(0, 0, 2, 5))
     with pytest.raises(ValueError):
@@ -282,7 +282,7 @@ def _rank_map(pixels, g, rt):
 
 
 def test_mb_lbp_histogram_constant_region():
-    pixels = Frame(np.full((20, 20), 99)).pixels
+    pixels = np.full((20, 20), 99, dtype=np.uint8)
     rt = build_rank_table([np.array([255] * 10 + [0] * 5)])
     g = BlockGeometry(2, 2)
     hist = mb_lbp_histogram(_rank_map(pixels, g, rt), Rect(0, 0, 20, 20), g)
@@ -293,11 +293,11 @@ def test_mb_lbp_histogram_constant_region():
 
 def test_mb_lbp_histogram_naive_recount():
     rng = np.random.default_rng(47)
-    frame = Frame(rng.integers(0, 256, (26, 26)).astype(np.uint8))
+    frame = rng.integers(0, 256, (26, 26)).astype(np.uint8)
     ii = integral(frame)
     rt = build_rank_table([rng.integers(0, 256, 3000)])
     for g in (BlockGeometry(1, 1), BlockGeometry(2, 2), BlockGeometry(3, 3)):
-        rank_map = _rank_map(frame.pixels, g, rt)
+        rank_map = _rank_map(frame, g, rt)
         for _ in range(15):
             w = int(rng.integers(g.footprint_w, 16))
             h = int(rng.integers(g.footprint_h, 16))

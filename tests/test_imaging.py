@@ -1,10 +1,9 @@
-"""Frame, Rect, downscaling and PGM round-trip checks."""
+"""Rect, downscaling and PGM round-trip checks."""
 
 import numpy as np
 import pytest
 
 from roadcount.imaging import (
-    Frame,
     PgmError,
     Rect,
     downscale,
@@ -69,45 +68,42 @@ def test_rect_overlap_edge_touching_is_not_overlap():
     assert not Rect(0, 0, 4, 4).overlaps(Rect(0, 4, 4, 4))
 
 
-def test_frame_validation_and_equality():
-    with pytest.raises(ValueError):
-        Frame(np.zeros((3, 3, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Frame(np.array([[300, 0]]))
-    with pytest.raises(ValueError):
-        Frame(np.array([[-1, 0]]))
-    with pytest.raises(ValueError):
-        Frame(np.zeros((0, 4), dtype=np.uint8))
-    a = Frame(np.array([[1, 2], [3, 4]]))
-    b = Frame(np.array([[1, 2], [3, 4]], dtype=np.uint8))
-    c = Frame(np.array([[1, 2], [3, 5]]))
-    assert a == b
-    assert a != c
-    assert a.width == 2 and a.height == 2
-    assert a.contains(Rect(0, 0, 2, 2))
-    assert not a.contains(Rect(1, 0, 2, 2))
+def test_save_pgm_refuses_non_frame_pixels(tmp_path):
+    path = tmp_path / "x.pgm"
+    for pixels in (
+        np.zeros((3, 3, 3), dtype=np.uint8),  # 3-D
+        np.array([[1, 2], [3, 4]]),  # int64, even with every value in [0, 255]
+        np.array([[1.0, 2.0]]),
+        np.zeros((0, 4), dtype=np.uint8),  # empty
+        np.zeros((4, 0), dtype=np.uint8),
+    ):
+        with pytest.raises(ValueError, match="^PGM pixels must be non-empty 2-D uint8, got "):
+            save_pgm(pixels, path)
+        assert not path.exists()
 
 
 def test_downscale_block_mean():
-    frame = Frame(np.array([[1, 2], [3, 4]]))
-    assert downscale(frame, 2) == Frame(np.array([[3]]))  # mean 2.5 rounds up
+    out = downscale(np.array([[1, 2], [3, 4]], dtype=np.uint8), 2)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, [[3]])  # mean 2.5 rounds up
 
     rng = np.random.default_rng(17)
-    src = Frame(rng.integers(0, 256, (12, 18)).astype(np.uint8))
+    src = rng.integers(0, 256, (12, 18)).astype(np.uint8)
     for factor in (2, 3, 6):
         out = downscale(src, factor)
-        assert out.width == 18 // factor and out.height == 12 // factor
-        px = src.pixels.astype(np.int64)
-        for y in range(out.height):
-            for x in range(out.width):
+        assert out.dtype == np.uint8 and out.shape == (12 // factor, 18 // factor)
+        px = src.astype(np.int64)
+        for y in range(out.shape[0]):
+            for x in range(out.shape[1]):
                 block = px[y * factor : (y + 1) * factor, x * factor : (x + 1) * factor]
-                assert out.pixels[y, x] == round_half_up(block.mean())
+                assert out[y, x] == round_half_up(block.mean())
 
 
 def test_downscale_validation():
-    frame = Frame(np.zeros((6, 6), dtype=np.uint8))
+    frame = np.zeros((6, 6), dtype=np.uint8)
     same = downscale(frame, 1)
-    assert same == frame and same.pixels is not frame.pixels
+    assert same.dtype == np.uint8 and np.array_equal(same, frame)
+    assert not np.shares_memory(same, frame)
     with pytest.raises(ValueError):
         downscale(frame, 0)
     with pytest.raises(ValueError):
@@ -116,12 +112,13 @@ def test_downscale_validation():
 
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(19)
-    frame = Frame(rng.integers(0, 256, (7, 11)).astype(np.uint8))
+    frame = rng.integers(0, 256, (7, 11)).astype(np.uint8)
     path = tmp_path / "a.pgm"
     save_pgm(frame, path)
-    assert load_pgm(path) == frame
+    loaded = load_pgm(path)
+    assert loaded.dtype == np.uint8 and np.array_equal(loaded, frame)
     save_pgm(frame, path)
-    assert load_pgm(path) == frame  # overwrite is stable
+    assert np.array_equal(load_pgm(path), frame)  # overwrite is stable
 
 
 def test_pgm_header_comments(tmp_path):
@@ -129,8 +126,8 @@ def test_pgm_header_comments(tmp_path):
     payload = bytes(range(6))
     path.write_bytes(b"P5\n# a comment\n3 # inline\n2\n255\n" + payload)
     frame = load_pgm(path)
-    assert frame.width == 3 and frame.height == 2
-    assert frame.pixels.ravel().tolist() == list(payload)
+    assert frame.shape == (2, 3)
+    assert frame.ravel().tolist() == list(payload)
 
 
 def test_pgm_errors(tmp_path):
@@ -150,10 +147,14 @@ def test_pgm_errors(tmp_path):
     path.write_bytes(b"P5\n2")
     with pytest.raises(PgmError):
         load_pgm(path)
+    # a comment right after maxval would leave its bytes to be read as pixels
+    path.write_bytes(b"P5\n4 2\n255#ab\n" + bytes([0, 1, 2, 3, 4, 5, 6, 7]))
+    with pytest.raises(PgmError, match="maxval"):
+        load_pgm(path)
 
 
 def test_sequence_paths(tmp_path):
-    frame = Frame(np.zeros((2, 2), dtype=np.uint8))
+    frame = np.zeros((2, 2), dtype=np.uint8)
     for idx in (2, 0, 10):
         save_pgm(frame, tmp_path / frame_filename(idx))
     (tmp_path / "junk.txt").write_text("x")

@@ -17,12 +17,12 @@ from roadcount.synthgen import (
     config_to_text,
     default_markers,
     generate_scene,
-    generate_training_set,
     ground_truth,
     load_gt_events,
     load_scene_config,
     parse_flat_config,
     parse_rects,
+    sample_crops,
     save_scene,
     spawn_schedule,
     spawn_rect,
@@ -32,6 +32,12 @@ from roadcount.synthgen import (
 
 import oracles
 from oracles import reference_training_set
+
+
+def _training_set(config, scene, n_pos, n_neg, window_w, window_h, perturbation=0.1):
+    """sample_crops' positives, and all of its negatives as one stack."""
+    positives, blocks = sample_crops(config, scene, n_pos, n_neg, window_w, window_h, perturbation)
+    return positives, np.concatenate(list(blocks))
 
 
 def _scenario(**overrides) -> ScenarioConfig:
@@ -216,14 +222,14 @@ def test_empty_scene_is_static_background():
     assert gt.boxes == () and gt.events == ()
     assert np.all(frames == frames[0])
     with pytest.raises(ValueError, match="no fully visible vehicle"):
-        generate_training_set(config, (frames, gt), 1, 1, 12, 12)
+        _training_set(config, (frames, gt), 1, 1, 12, 12)
 
 
 def test_training_set_shapes_and_determinism():
     config = _scenario()
     scene = generate_scene(config)
-    pos_a, neg_a = generate_training_set(config, scene, 20, 30, 12, 14)
-    pos_b, neg_b = generate_training_set(config, generate_scene(config), 20, 30, 12, 14)
+    pos_a, neg_a = _training_set(config, scene, 20, 30, 12, 14)
+    pos_b, neg_b = _training_set(config, generate_scene(config), 20, 30, 12, 14)
     assert pos_a.dtype == neg_a.dtype == np.uint8
     assert pos_a.shape == (20, 14, 12) and neg_a.shape == (30, 14, 12)
     assert np.array_equal(pos_a, pos_b) and np.array_equal(neg_a, neg_b)
@@ -235,7 +241,7 @@ def test_training_positives_zero_perturbation_recover_textures():
         np.floor(vehicle_texture(config, vid) + 0.5).astype(np.uint8)
         for vid in range(len(config.spawns))
     ]
-    positives, _ = generate_training_set(
+    positives, _ = _training_set(
         config, generate_scene(config), 50, 1, 12, 12, perturbation=0.0
     )
     for crop in positives:
@@ -247,7 +253,7 @@ def test_training_negatives_never_contain_vehicle_pixels():
     # background-only crop is exactly characterized by its intensity range
     config = _scenario()
     lo, hi = BACKGROUND_RANGE
-    _, negatives = generate_training_set(config, generate_scene(config), 1, 200, 12, 12)
+    _, negatives = _training_set(config, generate_scene(config), 1, 200, 12, 12)
     for crop in negatives:
         assert crop.min() >= lo
         assert crop.max() <= hi
@@ -257,13 +263,13 @@ def test_training_set_validation():
     config = _scenario()
     scene = generate_scene(config)
     with pytest.raises(ValueError):
-        generate_training_set(config, scene, 0, 1, 12, 12)
+        _training_set(config, scene, 0, 1, 12, 12)
     with pytest.raises(ValueError):
-        generate_training_set(config, scene, 1, 0, 12, 12)
+        _training_set(config, scene, 1, 0, 12, 12)
     with pytest.raises(ValueError):
-        generate_training_set(config, scene, 1, 1, 12, 12, perturbation=0.5)
+        _training_set(config, scene, 1, 1, 12, 12, perturbation=0.5)
     with pytest.raises(ValueError):
-        generate_training_set(config, scene, 1, 1, 12, 12, perturbation=-0.1)
+        _training_set(config, scene, 1, 1, 12, 12, perturbation=-0.1)
 
 
 def _dense_scenario() -> ScenarioConfig:
@@ -310,7 +316,7 @@ def test_training_set_matches_reference_sampler(ten_vehicle_scenario, scene, n_n
         "dense": _dense_scenario(),
     }[scene]
     rendered = generate_scene(config)
-    positives, negatives = generate_training_set(config, rendered, 60, n_neg, *window)
+    positives, negatives = _training_set(config, rendered, 60, n_neg, *window)
     want_pos, want_neg = reference_training_set(config, rendered, 60, n_neg, *window)
     assert np.array_equal(positives, want_pos)
     assert np.array_equal(negatives, want_neg)
@@ -337,11 +343,11 @@ def test_negative_exhaustion_is_exact(monkeypatch):
             want = reference_training_set(config, scene, 1, 1, 12, 12)[1]
         except ValueError:
             with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
-                generate_training_set(config, scene, 1, 1, 12, 12)
+                _training_set(config, scene, 1, 1, 12, 12)
             assert made[0].bit_generator.state == made_oracle[0].bit_generator.state
             outcomes.append("raised")
         else:
-            assert np.array_equal(generate_training_set(config, scene, 1, 1, 12, 12)[1], want)
+            assert np.array_equal(_training_set(config, scene, 1, 1, 12, 12)[1], want)
             outcomes.append("sampled")
         monkeypatch.undo()
     assert set(outcomes) == {"raised", "sampled"}
@@ -351,7 +357,7 @@ def test_fully_covered_scene_raises():
     config = _blocked_scenario(6, 0.1)
     scene = generate_scene(config)
     with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
-        generate_training_set(config, scene, 5, 3, 12, 12)
+        _training_set(config, scene, 5, 3, 12, 12)
     with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
         reference_training_set(config, scene, 5, 3, 12, 12)
 
@@ -363,9 +369,9 @@ def test_training_set_refuses_window_outside_scene(monkeypatch, window):
     made = _recorded_rngs(monkeypatch)
     message = f"^window {window[0]}x{window[1]} does not fit the 64x48 scene$"
     with pytest.raises(ValueError, match=message):
-        generate_training_set(config, scene, 5, 5, *window)
+        _training_set(config, scene, 5, 5, *window)
     assert made == []  # refused before any draw
-    positives, negatives = generate_training_set(config, scene, 2, 1, 64, 48)
+    positives, negatives = _training_set(config, scene, 2, 1, 64, 48)
     assert positives.shape == (2, 48, 64) and negatives.shape == (1, 48, 64)
 
 
@@ -407,7 +413,7 @@ def test_save_scene_round_trip(tmp_path):
     assert boxes == [(f, vid, r.x, r.y, r.w, r.h) for f, vid, r in gt.boxes]
     frames, _ = generate_scene(config)
     on_disk = load_pgm(tmp_path / "scene" / "frames" / "frame_000000.pgm")
-    assert np.array_equal(on_disk.pixels, frames[0])
+    assert np.array_equal(on_disk, frames[0])
 
 
 def test_load_gt_events_names_malformed_line(tmp_path):
@@ -433,7 +439,7 @@ def test_save_scene_streams_the_rendered_frames(tmp_path):
     assert peak < frames.nbytes / 4  # one frame at a time, not the 1.2 MB scene
     for idx in range(0, 400, 57):
         on_disk = load_pgm(tmp_path / "scene" / "frames" / f"frame_{idx:06d}.pgm")
-        assert np.array_equal(on_disk.pixels, frames[idx])
+        assert np.array_equal(on_disk, frames[idx])
 
 
 def test_save_scene_byte_determinism(tmp_path):
