@@ -102,7 +102,8 @@ class StrongClassifier:
 
 @dataclass(frozen=True)
 class Detection:
-    """Cluster of accepted windows merged into one axis-aligned box."""
+    """One group of accepted windows (_merge_windows): the mean box, the best score and
+    the group size."""
 
     rect: Rect
     score: float
@@ -714,57 +715,37 @@ def _classify_grid(
     return accepted.reshape(len(ys), len(xs)), scores.reshape(len(ys), len(xs))
 
 
-def _iou_float(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
-    ix = max(a[0], b[0])
-    iy = max(a[1], b[1])
-    iw = min(a[0] + a[2], b[0] + b[2]) - ix
-    ih = min(a[1] + a[3], b[1] + b[3]) - iy
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a[2] * a[3] + b[2] * b[3] - inter)
+def _merge_windows(boxes: np.ndarray, scores: np.ndarray, mcc: int) -> list[Detection]:
+    """Merge accepted windows, (k, 4) integer x0, y0, x1, y1 rows with k scores, into
+    detections, in integers.
 
-
-class _Cluster:
-    """Running float64 sums of the member rects' x, y, w, h, and the max score."""
-
-    def __init__(self, rect: Rect, score: float):
-        self.x, self.y, self.w, self.h = float(rect.x), float(rect.y), float(rect.w), float(rect.h)
-        self.count = 1
-        self.score = score
-
-    def mean(self) -> tuple[float, float, float, float]:
-        n = self.count
-        return self.x / n, self.y / n, self.w / n, self.h / n
-
-    def add(self, rect: Rect, score: float) -> None:
-        self.x += rect.x
-        self.y += rect.y
-        self.w += rect.w
-        self.h += rect.h
-        self.count += 1
-        self.score = max(self.score, score)
-
-
-def _cluster_hits(hits: Sequence[tuple[Rect, float]], mcc: int) -> list[Detection]:
-    """Greedy clustering: a hit joins the first cluster whose running mean
-    rect overlaps it with IoU >= 0.5, else starts a new cluster."""
-    clusters: list[_Cluster] = []
-    for rect, score in hits:
-        box = (float(rect.x), float(rect.y), float(rect.w), float(rect.h))
-        for cluster in clusters:
-            if _iou_float(box, cluster.mean()) >= 0.5:
-                cluster.add(rect, score)
-                break
-        else:
-            clusters.append(_Cluster(rect, score))
+    The windows are taken in descending score order, ties in row order. The first window
+    left takes every window left whose IoU with it exceeds 1/5 (6 * overlap > sum of the
+    two areas), itself included. A group of at least mcc windows becomes one Detection:
+    the group's mean corners, each rounded half up, the taker's score and the group size.
+    A smaller group is dropped, and its windows stay taken.
+    """
+    rows, values = boxes.tolist(), scores.tolist()
+    left = sorted(range(len(rows)), key=values.__getitem__, reverse=True)
     detections = []
-    for cluster in clusters:
-        if cluster.count < mcc:
-            continue
-        mx, my, mw, mh = cluster.mean()
-        rect = Rect(round_half_up(mx), round_half_up(my), round_half_up(mw), round_half_up(mh))
-        detections.append(Detection(rect=rect, score=cluster.score, cluster_count=cluster.count))
+    while left:
+        taker = left[0]
+        x0, y0, x1, y1 = rows[taker]
+        area = (x1 - x0) * (y1 - y0)
+        group, rest = [], []
+        for k in left:
+            a0, b0, a1, b1 = rows[k]
+            w, h = min(x1, a1) - max(x0, a0), min(y1, b1) - max(y0, b0)
+            if w > 0 and h > 0 and 6 * w * h > area + (a1 - a0) * (b1 - b0):
+                group.append(rows[k])
+            else:
+                rest.append(k)
+        left = rest
+        n = len(group)
+        if n >= mcc:
+            mx0, my0, mx1, my1 = ((2 * sum(c) + n) // (2 * n) for c in zip(*group))
+            rect = Rect(mx0, my0, mx1 - mx0, my1 - my0)
+            detections.append(Detection(rect=rect, score=values[taker], cluster_count=n))
     return detections
 
 
@@ -790,12 +771,12 @@ def detect(
     stride: int = 4,
     mcc: int = 1,
 ) -> list[Detection]:
-    """Multi-scale sliding-window detection over a frame's (h, w) uint8 pixels,
-    with MCC cluster filtering.
+    """Multi-scale sliding-window detection over a frame's (h, w) uint8 pixels.
 
-    Raw hits are enumerated scale-ascending then row-major and greedily
-    clustered; clusters with fewer than MCC members are discarded. Each
-    Detection carries the rounded member-mean rect and the max member score.
+    Accepted windows are enumerated scale-ascending then row-major and merged
+    (_merge_windows): the best-scoring window left takes every window left with
+    IoU > 1/5, and a group of fewer than MCC windows is dropped. Each Detection
+    carries the group's mean rect, rounded half up, and the taker's score.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -807,7 +788,7 @@ def detect(
         raise ValueError(f"MCC must be >= 1, got {mcc}")
     height, width = pixels.shape
     maps = _FrameMaps(pixels, model.rank_table)
-    hits: list[tuple[Rect, float]] = []
+    boxes, scores = [], []
     for scale in scales:
         window = scaled_window(model, scale, width, height)
         if window is None:
@@ -815,10 +796,13 @@ def detect(
         win_w, win_h = window
         xs = range(0, width - win_w + 1, stride)
         ys = range(0, height - win_h + 1, stride)
-        alive, scores = _classify_grid(model, maps, win_w, win_h, xs, ys)
-        for j, i in np.argwhere(alive):
-            hits.append((Rect(xs[i], ys[j], win_w, win_h), float(scores[j, i])))
-    return _cluster_hits(hits, mcc)
+        alive, grid_scores = _classify_grid(model, maps, win_w, win_h, xs, ys)
+        j, i = np.nonzero(alive)  # window (i, j) starts at (xs[i], ys[j]) = stride * (i, j)
+        boxes.append(stride * np.column_stack((i, j, i, j)) + (0, 0, win_w, win_h))
+        scores.append(grid_scores[j, i])
+    if not boxes:
+        return []
+    return _merge_windows(np.concatenate(boxes), np.concatenate(scores), mcc)
 
 
 def save_model(model: CascadeModel, path: str | os.PathLike) -> None:

@@ -110,8 +110,6 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and data[pos : pos + 1] not in _WS and data[pos : pos + 1] != b"#":
         pos += 1
-    if start == pos:
-        raise PgmError("truncated PGM header")
     return data[start:pos], pos
 
 
@@ -125,21 +123,24 @@ def load_pgm(path: str | os.PathLike) -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = _read_header_token(data, pos)
+        if not tok:
+            raise PgmError(f"truncated PGM header in {path!s}")
         if not re.fullmatch(rb"\d+", tok):
-            raise PgmError(f"non-numeric PGM header token {tok!r}")
+            raise PgmError(f"non-numeric PGM header token {tok!r} in {path!s}")
         fields.append(int(tok))
     width, height, maxval = fields
     if maxval != 255:
-        raise PgmError(f"unsupported maxval {maxval} (only 8-bit PGM supported)")
+        raise PgmError(f"unsupported maxval {maxval} in {path!s}: only 8-bit PGM supported")
     if width < 1 or height < 1:
-        raise PgmError(f"bad PGM dimensions {width}x{height}")
+        raise PgmError(f"bad PGM dimensions {width}x{height} in {path!s}")
     if data[pos : pos + 1] == b"#":
         raise PgmError(f"comment right after maxval in {path!s}: expected one whitespace byte")
     pos += 1  # exactly one whitespace byte separates header and payload
     payload = data[pos : pos + width * height]
     if len(payload) < width * height:
         raise PgmError(
-            f"truncated PGM payload: expected {width * height} bytes, got {len(payload)}"
+            f"truncated PGM payload in {path!s}: "
+            f"expected {width * height} bytes, got {len(payload)}"
         )
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 

@@ -24,9 +24,9 @@ from roadcount.boostcascade import (
     _cell_rects,
     _chunk_layout,
     _classify_grid,
-    _cluster_hits,
     _crop_features,
     _histograms,
+    _merge_windows,
     _presort,
     _scaled_geometries,
     _shortlist,
@@ -937,18 +937,19 @@ def test_multiscale_detect_matches_per_scale_evaluation(monkeypatch):
     )
     got = detect(model, frame, scales=scales, stride=2, mcc=1)
     monkeypatch.undo()
-    hits, per_scale = [], []
+    boxes, scores, per_scale = [], [], []
     for scale in scales:
         win = round_half_up(18 * scale)
         xs = range(0, frame.shape[1] - win + 1, 2)
         ys = range(0, frame.shape[0] - win + 1, 2)
         maps = _frame_maps(model, frame)
-        alive, scores = _classify_grid(model, maps, win, win, xs, ys)
+        alive, grid_scores = _classify_grid(model, maps, win, win, xs, ys)
         per_scale += list(maps.codes)
-        hits += [(Rect(xs[i], ys[j], win, win), float(scores[j, i]))
-                 for j, i in np.argwhere(alive)]
-    assert len({rect.w for rect, _ in hits}) >= 2
-    assert got == _cluster_hits(hits, 1)
+        for j, i in np.argwhere(alive):
+            boxes.append((xs[i], ys[j], xs[i] + win, ys[j] + win))
+            scores.append(grid_scores[j, i])
+    assert len({x1 - x0 for x0, _, x1, _ in boxes}) >= 2
+    assert got == _merge_windows(np.array(boxes), np.array(scores), 1)
     # scales 1.0 and 1.25 scale to the same geometries: detect builds each
     # code map once per frame, where per-scale evaluation builds it twice
     assert len(built) == len(set(built)) < len(per_scale) and set(built) == set(per_scale)
@@ -1055,7 +1056,7 @@ def _oracle_grid(model, gather, win_w, win_h, xs, ys):
 def _oracle_detect(model, frame, scales, stride, mcc):
     """The earlier detect, kept as an exactness oracle for detect."""
     gather = _oracle_gatherer(model, frame)
-    hits = []
+    boxes, scores = [], []
     for scale in scales:
         win_w = round_half_up(model.window_w * scale)
         win_h = round_half_up(model.window_h * scale)
@@ -1063,10 +1064,11 @@ def _oracle_detect(model, frame, scales, stride, mcc):
             continue
         xs = np.arange(0, frame.shape[1] - win_w + 1, stride)
         ys = np.arange(0, frame.shape[0] - win_h + 1, stride)
-        alive, scores = _oracle_grid(model, gather, win_w, win_h, xs, ys)
+        alive, grid_scores = _oracle_grid(model, gather, win_w, win_h, xs, ys)
         for j, i in np.argwhere(alive):
-            hits.append((Rect(int(xs[i]), int(ys[j]), win_w, win_h), float(scores[j, i])))
-    return _cluster_hits(hits, mcc)
+            boxes.append((xs[i], ys[j], xs[i] + win_w, ys[j] + win_h))
+            scores.append(grid_scores[j, i])
+    return _merge_windows(np.array(boxes, dtype=np.intp).reshape(-1, 4), np.array(scores), mcc)
 
 
 def _exact(detections):
@@ -1149,23 +1151,77 @@ def test_detect_decides_scale_fit_before_rounding(small_cascade, monkeypatch):
         assert grids == want
         if size == 37:  # the scale that does not fit is skipped
             assert _exact(found) == _exact(detect(model, frame, scales=(1.0,), stride=1, mcc=1))
+    # no scale fits a frame smaller than the window: no detection
+    assert detect(model, pixels[:29, :29].copy(), scales=(1.0, 1.25), stride=1) == []
 
 
-def test_cluster_hits_running_mean_and_mcc():
-    r1, rmid, r2 = Rect(0, 0, 10, 10), Rect(2, 0, 10, 10), Rect(4, 0, 10, 10)
-    # r2 joins only after rmid pulls the cluster mean toward it
-    merged = _cluster_hits([(r1, 1.0), (rmid, 3.0), (r2, 2.0)], mcc=1)
-    assert len(merged) == 1
-    assert merged[0].cluster_count == 3
-    assert merged[0].rect == Rect(2, 0, 10, 10)
-    assert merged[0].score == 3.0
-    # visiting r2 before rmid leaves it too far from the running mean
-    split = _cluster_hits([(r1, 1.0), (r2, 2.0), (rmid, 3.0)], mcc=1)
-    assert sorted(d.cluster_count for d in split) == [1, 2]
-    assert len(_cluster_hits([(r1, 1.0), (r2, 2.0), (rmid, 3.0)], mcc=2)) == 1
-    assert _cluster_hits([], mcc=1) == []
+def _windows(*rows):
+    """(k, 4) x0, y0, x1, y1 boxes and k scores from (x, y, w, h, score) rows."""
+    boxes = np.array([(x, y, x + w, y + h) for x, y, w, h, _ in rows], dtype=np.intp)
+    return boxes.reshape(-1, 4), np.array([row[4] for row in rows], dtype=float)
+
+
+def test_merge_windows_takes_by_score_and_mcc():
+    r1, rmid, r2 = (0, 0, 10, 10, 1.0), (2, 0, 10, 10, 3.0), (4, 0, 10, 10, 2.0)
+    # the best window takes both others, in either visiting order
+    for rows in ((r1, rmid, r2), (r1, r2, rmid)):
+        assert _merge_windows(*_windows(*rows), mcc=1) == [Detection(Rect(2, 0, 10, 10), 3.0, 3)]
+    # one vehicle's halo at 30 x 30 (IoU 0.43) is one detection; y's mean 47.5 rounds up
+    halo = _windows((168, 46, 30, 30, 1.0), (158, 49, 30, 30, 2.0))
+    assert _merge_windows(*halo, mcc=2) == [Detection(Rect(163, 48, 30, 30), 2.0, 2)]
+    # IoU exactly 1/5 (a 5 x 4 window inside a 10 x 10 one) is not taken; 25/124 is
+    inside = _windows((0, 0, 10, 10, 1.0), (2, 3, 5, 4, 0.5))
+    assert [d.cluster_count for d in _merge_windows(*inside, mcc=1)] == [1, 1]
+    corner = _windows((0, 0, 10, 10, 1.0), (5, 5, 7, 7, 0.5))
+    assert _merge_windows(*corner, mcc=1) == [Detection(Rect(3, 3, 8, 8), 1.0, 2)]
+    # tied scores go to the earlier window: a takes b, and c is left to itself
+    a, b, c = (0, 0, 10, 10, 1.0), (6, 0, 10, 10, 1.0), (12, 0, 10, 10, 1.0)
+    assert _merge_windows(*_windows(a, b, c), mcc=1) == [
+        Detection(Rect(3, 0, 10, 10), 1.0, 2), Detection(Rect(12, 0, 10, 10), 1.0, 1)
+    ]
+    assert _merge_windows(*_windows(b, a, c), mcc=1) == [Detection(Rect(6, 0, 10, 10), 1.0, 3)]
+    # mcc counts the taker plus the windows it takes
+    assert _merge_windows(*_windows(a, b, c), mcc=2) == [Detection(Rect(3, 0, 10, 10), 1.0, 2)]
+    assert _merge_windows(*_windows(a, b, c), mcc=3) == []
+    assert _merge_windows(*_windows(b, a, c), mcc=3) == [Detection(Rect(6, 0, 10, 10), 1.0, 3)]
+    # a dropped group's windows stay taken: q would complete r's group of 3
+    p, q = (0, 0, 10, 10, 3.0), (6, 0, 10, 10, 1.5)
+    r, t = (12, 0, 10, 10, 2.0), (14, 0, 10, 10, 1.0)
+    assert _merge_windows(*_windows(q, r, t), mcc=3) == [Detection(Rect(11, 0, 10, 10), 2.0, 3)]
+    assert _merge_windows(*_windows(p, q, r, t), mcc=3) == []
+    assert _merge_windows(*_windows(), mcc=1) == []
+    # with distinct scores the input order does not matter
+    rng = np.random.default_rng(173)
+    corners = rng.integers(0, 40, (24, 2))
+    boxes = np.hstack([corners, corners + rng.choice([10, 13], (24, 1))])
+    scores = rng.permutation(24) / 8.0
+    want = _merge_windows(boxes, scores, 2)
+    assert len(want) >= 2 and any(d.cluster_count >= 3 for d in want)
+    for _ in range(10):
+        order = rng.permutation(24)
+        assert _merge_windows(boxes[order], scores[order], 2) == want
     with pytest.raises(ValueError):
-        Detection(rect=r1, score=0.0, cluster_count=0)
+        Detection(rect=Rect(0, 0, 10, 10), score=0.0, cluster_count=0)
+
+
+def test_detect_gives_each_vehicle_one_detection(small_cascade, ten_vehicle_scene):
+    """At the pipeline's stride 7 and mcc 2, no ground-truth box overlaps two detections
+    and every detection overlaps a box: a vehicle's halo of windows is one detection."""
+    model = load_model(small_cascade)
+    truth = {}
+    with open(f"{ten_vehicle_scene}/gt_boxes.txt", encoding="ascii") as fh:
+        for line in fh:
+            frame, _, x, y, w, h = map(int, line.split())
+            truth.setdefault(frame, []).append(Rect(x, y, w, h))
+    found = split = background = 0
+    for index, path in enumerate(sequence_paths(f"{ten_vehicle_scene}/frames")):
+        rects = [d.rect for d in detect(model, load_pgm(path), stride=7, mcc=2)]
+        boxes = truth.get(index, [])
+        found += len(rects)
+        split += sum(sum(box.overlaps(rect) for rect in rects) > 1 for box in boxes)
+        background += sum(not any(rect.overlaps(box) for box in boxes) for rect in rects)
+    assert found > 0
+    assert (split, background) == (0, 0)
 
 
 def test_detect_finds_planted_pattern():

@@ -1122,6 +1122,20 @@ def test_pgm_comment_after_maxval_is_a_data_error(tmp_path, capsys):
     )
 
 
+def test_truncated_frame_is_a_data_error_naming_the_file(tmp_path, capsys):
+    scene = tmp_path / "twelve"
+    synthgen.save_scene(
+        str(scene), replace(synthgen.config_from_text(_small_scenario_text()), frames=12)
+    )
+    frame = scene / "frames" / "frame_000007.pgm"
+    frame.write_bytes(frame.read_bytes()[:40])
+    rc = cli.main(["count", "--scene", str(scene)])
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: truncated PGM payload in {frame}: expected 3072 bytes, got 27",
+    )
+
+
 def test_malformed_markers_key_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["count", "--scene", _small_scene(tmp_path), "--markers", "4,26,24;36,26,24,22"])
     _one_line_failure(

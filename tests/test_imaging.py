@@ -132,25 +132,22 @@ def test_pgm_header_comments(tmp_path):
 
 def test_pgm_errors(tmp_path):
     path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-    with pytest.raises(PgmError):
-        load_pgm(path)
-    path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-    with pytest.raises(PgmError):
-        load_pgm(path)
-    path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
-    with pytest.raises(PgmError):
-        load_pgm(path)
-    path.write_bytes(b"P5\n2 x\n255\n" + bytes(4))
-    with pytest.raises(PgmError):
-        load_pgm(path)
-    path.write_bytes(b"P5\n2")
-    with pytest.raises(PgmError):
-        load_pgm(path)
-    # a comment right after maxval would leave its bytes to be read as pixels
-    path.write_bytes(b"P5\n4 2\n255#ab\n" + bytes([0, 1, 2, 3, 4, 5, 6, 7]))
-    with pytest.raises(PgmError, match="maxval"):
-        load_pgm(path)
+    cases = [
+        (b"P6\n2 2\n255\n" + bytes(12), "wrong magic"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "unsupported maxval 65535"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated PGM payload"),
+        (b"P5\n2 x\n255\n" + bytes(4), "non-numeric PGM header token b'x'"),
+        (b"P5\n2", "truncated PGM header"),
+        (b"P5\n0 2\n255\n", "bad PGM dimensions 0x2"),
+        # a comment right after maxval would leave its bytes to be read as pixels
+        (b"P5\n4 2\n255#ab\n" + bytes(range(8)), "comment right after maxval"),
+    ]
+    for data, what in cases:
+        path.write_bytes(data)
+        with pytest.raises(PgmError, match=what) as err:
+            load_pgm(path)
+        # each message names the file, on one line
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
 
 
 def test_sequence_paths(tmp_path):
