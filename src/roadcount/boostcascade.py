@@ -28,19 +28,18 @@ Training stores the features once, binned. Every feature is count / sites,
 so the whole crop set holds few distinct values (89 for the default
 layout): _crop_features writes each crop's site counts as an (n, d) matrix
 of codes into a sorted float64 value table, uint8 when the table has at
-most 256 entries (uint16 beyond, e.g. for 324-site chunks). A stage trains
-on the rows of the positives and of the negatives every earlier stage
-accepted, and float values are gathered only for the columns a step reads.
+most 256 entries (uint16 beyond, e.g. for 324-site chunks). A stage reads
+the rows of the positives and of the negatives every earlier stage accepted
+by index, and gathers float values only for the columns a step reads.
 
-Stump search is histogram-shortlisted. Each boosting round bins the code
-matrix itself into the weight of every (column, class, code) of the value
-table, in blocks of _BLOCK columns, so its temporaries stay a few MB; each
-key sums its samples in sample order, as one bincount over the whole
-matrix would. Their cumulative sums give each column's best error, and the
-columns within a proved rounding bound of the minimum are shortlisted. The
-exact search (_presort/_best_stump, sorted cumulative sums over the float
-values) then decides among the shortlisted columns only, so the chosen
-stump and its error are those of the exact search over every column.
+Stump search is histogram-shortlisted, over nonzero codes: a chunk of s
+sites fills at most min(s, 64) of its 64 bins, so most codes are 0. One
+row-major scan per training lists each nonzero code's key (column, class,
+code) and counts them per row (_entries); a stage keeps its rows' keys, and
+each round bincounts them. Suffix sums give each column's best error, and the columns
+within a proved rounding bound of the minimum are shortlisted. The exact
+search (_presort/_best_stump) decides among them only, so the chosen stump
+and its error are those of the exact search over every column.
 train_strong/train_stump bin a float matrix and run the same search.
 """
 
@@ -72,9 +71,6 @@ DEFAULT_GEOMETRIES = (1, 2, 3)
 
 # weighted error clamp keeps alpha finite on perfectly separated rounds
 _EPS_CLAMP = 1e-10
-# columns per histogram block: each round's key and weight temporaries stay
-# at a few MB whatever the feature count
-_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -209,85 +205,75 @@ def _best_stump(
     return stump, float(col_err[col])
 
 
-def _column_blocks(d: int) -> list[slice]:
-    """Column slices of at most _BLOCK columns covering range(d) in order."""
-    return [slice(c, min(c + _BLOCK, d)) for c in range(0, d, _BLOCK)]
-
-
-def _bin(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, values) of a float matrix: xs == values[codes], values sorted and distinct."""
+def _bin(xs: np.ndarray, labels: np.ndarray) -> tuple:
+    """(codes, rows, values, entries) of a float matrix: xs == values[codes[rows]], rows
+    all rows, values sorted and distinct, entries the _entries."""
     values, inverse = np.unique(xs, return_inverse=True)
-    return inverse.reshape(xs.shape).astype(np.min_scalar_type(len(values) - 1)), values
+    codes = inverse.reshape(xs.shape).astype(np.min_scalar_type(len(values) - 1))
+    return codes, np.arange(len(xs)), values, _entries(codes, labels, len(values))
 
 
-def _histograms(
-    codes: np.ndarray, labels: np.ndarray, nvalues: int, weights: np.ndarray
-) -> np.ndarray:
-    """(d, 2, nvalues) weight of each column's negatives and positives at each code.
-
-    One weighted bincount per block of columns of the (n, d) code matrix,
-    over the flat keys (column * 2 + is_positive) * nvalues + code. Each key
-    accumulates its samples in sample order, as one bincount over the whole
-    matrix would, so the sums are the same bit for bit; codes no sample of a
-    column holds stay exact zeros.
-    """
-    n, d = codes.shape
-    offsets = (2 * np.arange(min(d, _BLOCK))[:, None] + (labels > 0)) * nvalues
-    tiled = np.tile(weights, len(offsets))
-    hist = np.empty((d, 2, nvalues))
-    for cols in _column_blocks(d):
-        k = cols.stop - cols.start
-        keys = np.add(codes[:, cols].T, offsets[:k], dtype=np.intp, order="C")
-        block = np.bincount(keys.ravel(), tiled[: k * n], minlength=2 * k * nvalues)
-        hist[cols] = block.reshape(k, 2, nvalues)
-    return hist
+def _entries(codes: np.ndarray, labels: np.ndarray, nvalues: int) -> tuple:
+    """(keys, counts): the keys of an (n, d) code matrix's nonzero codes in row-major order,
+    so each key meets its samples in sample order, and each row's count of them. Code c at
+    (row, column) has the intp key (2 * column + is_positive) * nvalues + c (np.bincount
+    copies any other dtype to intp)."""
+    counts = np.count_nonzero(codes, axis=1)
+    keys = np.flatnonzero(codes != 0)  # flat positions, made keys in place
+    found = np.take(codes, keys)
+    keys %= codes.shape[1]
+    keys *= 2 * nvalues
+    keys += found
+    keys += np.repeat(nvalues * (labels > 0), counts)
+    return keys, counts
 
 
-def _shortlist(hist: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _nonzero_bins(entries, weights: np.ndarray, d: int, nvalues: int) -> np.ndarray:
+    """(d, 2, nvalues) weight of each column's negatives and positives at each code, one
+    bincount of the _entries: each nonzero code's bin equals a bincount over the whole
+    matrix bit for bit. Code 0 is never summed; its bins stay 0."""
+    hist = np.bincount(entries[0], np.repeat(weights, entries[1]), minlength=2 * d * nvalues)
+    return hist.reshape(d, 2, nvalues)
+
+
+def _shortlist(hist: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Columns whose histogram-best error may be the dense search's minimum.
 
-    The per-class weights of each column at each code (_histograms) and their
-    cumsums give the error of a split after every code, in the form
-    _best_stump uses. An empty bin adds an exact zero, so a split after it
-    repeats its neighbour's error: in exact arithmetic each column has the
-    same error set as in the dense search.
+    With T_c the class-c weight and S_c[k] a column's class-c weight at codes >= k (a
+    suffix sum of hist for k >= 1; S_c[0] = T_c), the split before code k errs
+    (T_pos - S_pos[k]) + S_neg[k] with polarity +1, S_pos[k] + (T_neg - S_neg[k]) with -1;
+    k = 0 and k = nb err T_neg or T_pos in every column. An empty bin repeats its
+    neighbour's error, so in exact arithmetic each column has the dense error set.
 
-    The two searches round differently. With u = eps / 2, W = sum(weights),
-    nb the histogram's bin count and m = n + nb, every prefix sum either forms
-    (n sorted samples, or bin sums then nb bins) is off by at most
-    m * u (1 + O(m u)) times its exact value. One split error reads five such
-    sums whose exact values total at most 3 * W, plus four roundings of at
-    most u * W each, so it is off by at most (3m + 4) u W. The dense winner's
-    histogram error thus exceeds the histogram minimum by at most twice both
-    searches' bounds, (12n + 6nb + 16) u W, which the tolerance
-    8 (n + nb + 1) eps W covers.
+    Rounding, with u = eps / 2, W = sum(weights) and nb bins, to first order: a dense
+    prefix sum of n samples is off by n u times its value at most; a dense split error
+    reads five, totalling at most 3 W, plus four roundings of u W, so is off by at most
+    (3n + 4) u W. Here T_c is off by n u T_c, and S_c[k] (bin sums of n weights at most,
+    summed over nb bins at most) by (n + nb) u S_c[k]. A split error reads a T_c <= W and
+    S_pos[k] + S_neg[k] <= W plus two roundings: off by (2n + nb + 2) u W. The dense
+    winner's error here exceeds the minimum here by at most twice both bounds,
+    (10n + 2nb + 12) u W, which the tolerance 8 (n + nb + 1) eps W covers.
     """
-    n = len(weights)
-    d, _, nb = hist.shape
-    cum = np.zeros((d, 2, nb + 1))
-    np.cumsum(hist, axis=2, out=cum[:, :, 1:])
-    cum_neg, cum_pos = cum[:, 0], cum[:, 1]
-    err_plus = cum_pos + (cum_neg[:, -1:] - cum_neg)
-    err_minus = (cum_pos[:, -1:] + cum_neg[:, -1:]) - err_plus
-    col_err = np.minimum(err_plus.min(axis=1), err_minus.min(axis=1))
-    tol = 8 * (n + nb + 1) * np.finfo(np.float64).eps * weights.sum()
+    nb = hist.shape[2]
+    t_neg, t_pos = np.bincount(labels > 0, weights, minlength=2)
+    suffix = np.cumsum(hist[:, :, :0:-1], axis=2)
+    s_neg, s_pos = suffix[:, 0], suffix[:, 1]
+    err = np.minimum((t_pos - s_pos) + s_neg, s_pos + (t_neg - s_neg))
+    col_err = err.min(axis=1, initial=min(t_neg, t_pos))
+    tol = 8 * (len(weights) + nb + 1) * np.finfo(np.float64).eps * weights.sum()
     return np.flatnonzero(col_err <= col_err.min() + tol)
 
 
-def _search(
-    codes: np.ndarray,
-    values: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[Stump, float]:
-    """_best_stump over all columns of values[codes], run densely on the shortlisted ones only.
+def _search(codes, rows, values, entries, labels, weights) -> tuple[Stump, float]:
+    """_best_stump over all columns of values[codes[rows]] (entries: the rows' _entries),
+    run densely on the shortlisted ones.
 
-    Each column's dense errors do not depend on the other columns, so the
-    stump, its error and the tie-break match the search over every column
-    bit for bit.
+    Each column's dense errors do not depend on the other columns, so the stump, its
+    error and the tie-break match the search over every column bit for bit.
     """
-    cols = _shortlist(_histograms(codes, labels, len(values), weights), weights)
-    stump, err = _best_stump(*_presort(values[codes[:, cols]]), labels, weights)
+    hist = _nonzero_bins(entries, weights, codes.shape[1], len(values))
+    cols = _shortlist(hist, labels, weights)
+    stump, err = _best_stump(*_presort(values[codes[np.ix_(rows, cols)]]), labels, weights)
     return replace(stump, feature_index=int(cols[stump.feature_index])), err
 
 
@@ -312,38 +298,32 @@ def train_stump(xs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> Stum
         return Stump(0, float(xs[:, 0].min()) - 1.0, 1)
     if np.all(labels < 0):
         return Stump(0, float(xs[:, 0].max()) + 1.0, 1)
-    codes, values = _bin(xs)
-    stump, _ = _search(codes, values, labels, weights)
+    stump, _ = _search(*_bin(xs, labels), labels, weights)
     return stump
 
 
-def _boost(
-    codes: np.ndarray, values: np.ndarray, labels: np.ndarray, rounds: int
-) -> tuple[StrongClassifier, np.ndarray]:
-    """AdaBoost over decision stumps on the features values[codes]: the strong
-    classifier, its stage_threshold at 0, and the stage score of every row.
+def _boost(codes, rows, values, entries, labels, rounds: int) -> tuple:
+    """AdaBoost over decision stumps on the features values[codes[rows]] (entries: the
+    rows' _entries): the strong classifier, its stage_threshold at 0, and each row's score.
 
-    Each round a weighted histogram shortlists the columns whose best error
-    is within a rounding bound of the minimum, and the dense search decides
-    among them (see _shortlist). Stumps and alphas equal those of a dense
-    search over every column of the float matrix. Scores accumulate
-    alpha * output round by round, so each equals the scalar sum over one
-    row's stumps in stage order bit for bit.
+    Each round runs _search, so stumps and alphas equal those of a dense search over
+    every column of the float matrix. Scores accumulate alpha * output round by round,
+    so each equals the scalar sum over one row's stumps in stage order bit for bit.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if np.all(labels > 0) or np.all(labels < 0):
         raise ValueError("training set must contain both classes")
-    n = len(codes)
+    n = len(rows)
     weights = np.full(n, 1.0 / n)
     scores = np.zeros(n)
     stumps = []
     for _ in range(rounds):
-        stump, err = _search(codes, values, labels, weights)
+        stump, err = _search(codes, rows, values, entries, labels, weights)
         err = min(max(err, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
-        predictions = _stump_predict(stump, values[codes[:, stump.feature_index]])
+        predictions = _stump_predict(stump, values[codes[rows, stump.feature_index]])
         scores += alpha * predictions
         weights = weights * np.exp(-alpha * labels * predictions)
         weights /= weights.sum()
@@ -354,13 +334,13 @@ def train_strong(xs: np.ndarray, labels: np.ndarray, rounds: int) -> StrongClass
     """AdaBoost over decision stumps on a float feature matrix; stage_threshold starts at 0.
 
     The features are binned to their distinct values once, then boosted as
-    train_cascade boosts its stages (_boost). Each round's histogram holds
-    d x 2 x (distinct values) floats, so this suits small or quantized
-    matrices: a float matrix of distinct values holds n * d of them.
+    train_cascade boosts its stages (_boost). Each round sums only the nonzero
+    codes, into d x 2 x (distinct values) bins, so this suits small or
+    quantized matrices: a float matrix of distinct values holds n * d of them.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    return _boost(*_bin(xs), labels, rounds)[0]
+    return _boost(*_bin(xs, labels), labels, rounds)[0]
 
 
 def calibrate_stage(
@@ -466,8 +446,8 @@ def train_cascade(
     the negatives rejected by the stage are dropped, and training stops
     early once no negatives survive. The rank table is built from the codes
     of the whole crop set, pooled across geometries. Every stage trains on
-    the rows of one code matrix (_crop_features): the positives and the
-    negatives all earlier stages accepted.
+    rows of one code matrix (_crop_features), by index: the positives and
+    the negatives all earlier stages accepted, with their _entries.
     """
     if not len(positives) or not len(negatives):
         raise ValueError("need at least one positive and one negative crop")
@@ -478,7 +458,7 @@ def train_cascade(
         neg_h, neg_w = negatives.shape[1:]
         raise ValueError(f"all crops must share one size, got {neg_w}x{neg_h} vs {w}x{h}")
     if rounds is None:
-        rounds = [2 * s for s in range(1, stages + 1)]
+        rounds = range(2, 2 * stages + 1, 2)
     elif len(rounds) < stages:
         raise ValueError(f"rounds schedule has {len(rounds)} entries for {stages} stages")
 
@@ -488,18 +468,20 @@ def train_cascade(
     )
     model, codes, values = _crop_features(probe, np.concatenate([positives, negatives]))
     n_pos = len(positives)
-    negs = np.arange(n_pos, len(codes))
+    labels = np.repeat(np.array([1, -1]), [n_pos, len(negatives)])
+    rows = np.arange(len(codes))
+    keys, counts = _entries(codes, labels, len(values))
 
     trained = []
     for s in range(stages):
-        if len(negs) == 0:
+        if len(rows) == n_pos:
             break
-        stage_codes = codes[np.concatenate([np.arange(n_pos), negs])]
-        labels = np.repeat(np.array([1, -1]), [n_pos, len(negs)])
-        stage, scores = _boost(stage_codes, values, labels, rounds[s])
+        stage, scores = _boost(codes, rows, values, (keys, counts), labels[rows], rounds[s])
         stage = calibrate_stage(stage, scores[:n_pos], mhr)
         trained.append(stage)
-        negs = negs[scores[n_pos:] >= stage.stage_threshold]
+        keep = scores >= stage.stage_threshold
+        keep[:n_pos] = True
+        keys, counts, rows = keys[np.repeat(keep, counts)], counts[keep], rows[keep]
     return replace(model, stages=tuple(trained))
 
 

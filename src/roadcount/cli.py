@@ -597,31 +597,34 @@ _HARD_POOL_FACTOR = 10
 _HARD_TEXTURE_STD = 12.0
 
 
-def _hard_negatives(scenario, count: int, window_w: int, window_h: int) -> np.ndarray:
-    """The first `count` textured crops of a _HARD_POOL_FACTOR * count crop pool,
-    drawn and filtered block by block until `count` have passed. Texture is
-    judged on exact integer moments over a crop's n pixels: it passes when
-    n*sum(x^2) - sum(x)^2 > (_HARD_TEXTURE_STD*n)^2, so an exact tie fails.
+def _hard_negatives(scenario, out: np.ndarray) -> np.ndarray:
+    """Fill out, a (count, h, w) uint8 array, with the first `count` textured crops of a
+    _HARD_POOL_FACTOR * count crop pool, drawn and filtered block by block until `count`
+    have passed, and return its filled part. Texture is judged on exact integer moments
+    over a crop's n pixels: it passes when n*sum(x^2) - sum(x)^2 > (_HARD_TEXTURE_STD*n)^2,
+    so an exact tie fails.
     """
+    count, window_h, window_w = out.shape
     shifted = replace(scenario, jitter_amplitude=max(window_w, window_h) - _HARD_JITTER_MARGIN)
     _, blocks = synthgen.sample_crops(
         shifted, synthgen.generate_scene(shifted), 1, count * _HARD_POOL_FACTOR, window_w, window_h
     )
     n = window_w * window_h
-    kept, found = [], 0
+    found = 0
     for block in blocks:
         flat = block.reshape(len(block), n)
         sums = flat.sum(axis=1, dtype=np.int64)
         squares = np.square(flat, dtype=np.uint16).sum(axis=1, dtype=np.int64)
         textured = n * squares - sums * sums > (_HARD_TEXTURE_STD * n) ** 2
-        kept.append(block[textured][: count - found])
-        found += len(kept[-1])
+        kept = block[textured][: count - found]
+        out[found : found + len(kept)] = kept
+        found += len(kept)
         if found == count:
             break
     if found < count:
         note = f"only {found} of {count} hard negatives passed the texture filter"
         print(f"roadcount: warning: {note} (pixel std > {_HARD_TEXTURE_STD:g})", file=sys.stderr)
-    return np.concatenate(kept)
+    return out[:found]
 
 
 def _check_out_path(key: str, path: str) -> None:
@@ -640,7 +643,9 @@ def train(config: PipelineConfig) -> CascadeModel:
     a jittered clone of the scenario (partial vehicle views that still have
     zero ground-truth overlap); the later cascade stages train almost
     exclusively on those, which keeps the detector from firing on windows
-    that only graze a vehicle. Stage s gets 2*s + 4 boosting rounds.
+    that only graze a vehicle. Stage s gets 2*s + 4 boosting rounds. The crop
+    arrays are allocated before the first draw: a count that cannot be held in
+    memory is a usage error naming its key.
     """
     if not config.scene:
         raise UsageError("training requires a scene directory (key: scene)")
@@ -656,21 +661,33 @@ def train(config: PipelineConfig) -> CascadeModel:
             f"window {config.window_w}x{config.window_h} does not fit the "
             f"{scenario.width}x{scenario.height} scene"
         )
+    window = (config.window_w, config.window_h)
+    count = config.train_neg + config.train_hard
+    crops = f"crops of {config.window_w}x{config.window_h} do not fit in memory"
+    try:
+        negatives = np.empty((count, config.window_h, config.window_w), np.uint8)
+    except MemoryError:
+        raise UsageError(f"train_neg + train_hard = {count} {crops}") from None
     scene = synthgen.generate_scene(scenario)
     try:
         # each call restarts the crop stream every model depends on: the negatives'
         # call keeps its one dummy positive, the positives' blocks are never drawn
-        window = (config.window_w, config.window_h)
-        positives, _ = synthgen.sample_crops(scenario, scene, config.train_pos, 1, *window)
+        try:
+            positives, _ = synthgen.sample_crops(scenario, scene, config.train_pos, 1, *window)
+        except MemoryError:
+            raise UsageError(f"train_pos = {config.train_pos} {crops}") from None
         _, blocks = synthgen.sample_crops(scenario, scene, 1, config.train_neg, *window)
-        negatives = np.concatenate(list(blocks))
+        filled = 0
+        for block in blocks:
+            negatives[filled : filled + len(block)] = block
+            filled += len(block)
         del scene  # freed before the jittered clone is rendered and training starts
         if config.train_hard:
-            hard = _hard_negatives(scenario, config.train_hard, *window)
-            negatives = np.concatenate([negatives, hard])
+            hard = _hard_negatives(scenario, negatives[filled:])
+            negatives = negatives[: filled + len(hard)]
     except ValueError as exc:
         raise DataError(f"cannot sample training crops from {config.scene}: {exc}") from exc
-    rounds = tuple(2 * s + 4 for s in range(1, config.stages + 1))
+    rounds = range(6, 2 * config.stages + 5, 2)
     model = train_cascade(positives, negatives, config.stages, config.mhr, rounds=rounds)
     save_model(model, config.model)
     return model
@@ -747,8 +764,12 @@ def _cmd_synth(args, overrides: dict[str, str]) -> int:
 def _cmd_train(args, overrides: dict[str, str]) -> int:
     config = _load_config(args, overrides)
     model = train(config)
+    trained = len(model.stages)
     stumps = sum(len(s.stumps) for s in model.stages)
-    print(f"trained {len(model.stages)} stages ({stumps} stumps) -> {config.model}")
+    print(f"trained {trained} stages ({stumps} stumps) -> {config.model}")
+    if trained < config.stages:
+        print(f"roadcount: note: trained {trained} of {config.stages} stages: "
+              f"stage {trained} rejected every negative", file=sys.stderr)
     return 0
 
 

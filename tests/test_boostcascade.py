@@ -12,7 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from roadcount import boostcascade
 from roadcount.boostcascade import (
-    _BLOCK,
     CascadeModel,
     Detection,
     StrongClassifier,
@@ -25,10 +24,12 @@ from roadcount.boostcascade import (
     _chunk_layout,
     _classify_grid,
     _crop_features,
-    _histograms,
+    _entries,
     _merge_windows,
+    _nonzero_bins,
     _presort,
     _scaled_geometries,
+    _search,
     _shortlist,
     _stump_predict,
     calibrate_stage,
@@ -197,7 +198,7 @@ def test_strong_classify_weighted_vote_and_tie():
     rng = np.random.default_rng(157)
     xs = rng.integers(0, 6, size=(40, 5)) / 5.0
     labels = np.where(rng.uniform(size=40) < 0.4, 1, -1)
-    boosted, scores = _boost(*_bin(xs), labels, 4)
+    boosted, scores = _boost(*_bin(xs, labels), labels, 4)
     assert len(boosted.stumps) == 4
     assert scores.tolist() == stage_scores(boosted, xs).tolist()
 
@@ -280,43 +281,41 @@ def test_train_strong_more_rounds_not_worse():
     )
 
 
-def _single_bincount_histograms(xs, labels, weights):
-    """Reference histograms: one weighted bincount over the whole float matrix.
+def _single_bincount_histograms(codes, labels, weights, nb):
+    """Reference histograms: one weighted bincount over the whole code matrix,
+    code 0 included.
 
-    The key of (sample, column) is (column * 2 + is_positive) * nb + bin,
-    with bin b the b-th smallest distinct value of the matrix.
+    The key of (sample, column) is (column * 2 + is_positive) * nb + code.
     """
-    n, d = xs.shape
-    values = np.unique(xs)
-    nb = len(values)
-    keys = np.searchsorted(values, xs) + 2 * nb * np.arange(d) + (nb * (labels > 0))[:, None]
+    n, d = codes.shape
+    keys = codes + 2 * nb * np.arange(d) + (nb * (labels > 0))[:, None]
     hist = np.bincount(keys.ravel(), np.repeat(weights, d), minlength=2 * d * nb)
     return hist.reshape(d, 2, nb)
 
 
-def _keyed(xs, labels):
-    """The (codes, labels, nvalues) arguments _histograms takes for a float matrix."""
-    codes, values = _bin(xs)
-    return codes, labels, len(values)
+def _dense_boost(codes, values, labels, rounds):
+    """AdaBoost on values[codes] whose every round runs _best_stump over all columns.
 
-
-def _dense_boost(xs, labels, rounds):
-    """AdaBoost whose every round runs _best_stump over all columns.
-
-    Returns the (stump, alpha) pairs and each round's shortlist; train_stump
-    must pick the dense stump under every round's weights as well, and the
-    blockwise histograms must equal one bincount over the matrix bit for bit.
+    Returns the (stump, alpha) pairs and each round's shortlist. Every round,
+    _search and train_stump must pick the dense stump, the nonzero-code bins
+    must equal one bincount over the whole matrix bit for bit, and the
+    shortlist must hold the dense winner.
     """
-    n = len(xs)
+    xs = values[codes]
+    n, d = codes.shape
+    rows, entries = np.arange(n), _entries(codes, labels, len(values))
     weights = np.full(n, 1.0 / n)
-    keyed = _keyed(xs, labels)
     stumps, shortlists = [], []
     for _ in range(rounds):
         stump, err = _best_stump(*_presort(xs), labels, weights)
+        assert _search(codes, rows, values, entries, labels, weights) == (stump, err)
         assert train_stump(xs, labels, weights) == stump
-        hist = _histograms(*keyed, weights)
-        assert np.array_equal(hist, _single_bincount_histograms(xs, labels, weights))
-        shortlists.append(_shortlist(hist, weights).tolist())
+        hist = _nonzero_bins(entries, weights, d, len(values))
+        reference = _single_bincount_histograms(codes, labels, weights, len(values))
+        assert np.array_equal(hist[:, :, 1:], reference[:, :, 1:])
+        assert not hist[:, :, 0].any()
+        shortlists.append(_shortlist(hist, labels, weights).tolist())
+        assert stump.feature_index in shortlists[-1]
         err = min(max(err, 1e-10), 1.0 - 1e-10)
         alpha = 0.5 * math.log((1.0 - err) / err)
         stumps.append((stump, alpha))
@@ -324,6 +323,12 @@ def _dense_boost(xs, labels, rounds):
         weights = weights * np.exp(-alpha * labels * predictions)
         weights /= weights.sum()
     return tuple(stumps), shortlists
+
+
+def _binned(xs):
+    """(codes, values) of a float matrix, as _bin makes them."""
+    codes, _, values, _ = _bin(xs, np.ones(len(xs)))
+    return codes, values
 
 
 def test_train_strong_shortlist_matches_full_search():
@@ -347,7 +352,7 @@ def test_train_strong_shortlist_matches_full_search():
     noise = [rng.integers(0, s + 1, n) / s for s in (64, 25, 4, 64, 25, 4)]
     # column 6 duplicates column 1
     xs = np.column_stack([noise[0], a, noise[1], strong, noise[2], b, a, noise[3]])
-    want, shortlists = _dense_boost(xs, labels, 8)
+    want, shortlists = _dense_boost(*_binned(xs), labels, 8)
     assert train_strong(xs, labels, 8).stumps == want
     # in round 2 b wins on rounding while a ties with it in exact
     # arithmetic; the histogram sums rank a lower by one ulp
@@ -355,18 +360,32 @@ def test_train_strong_shortlist_matches_full_search():
 
     # only the trivial split is left: every column ties and is searched
     xs = np.tile([0.25, 0.5, 0.0], (n, 1))
-    want, shortlists = _dense_boost(xs, labels, 3)
+    want, shortlists = _dense_boost(*_binned(xs), labels, 3)
     assert train_strong(xs, labels, 3).stumps == want
     assert shortlists == [[0, 1, 2]] * 3
 
-    # one column more than a histogram block, and fewer than a block: the
-    # signal sits in the last column, alone in its block in the first case
-    for d in (_BLOCK + 1, _BLOCK - 3):
-        xs = np.column_stack([rng.integers(0, s + 1, n) / s for s in rng.choice([4, 25, 64], d)])
-        xs[:, -1] = strong
-        want, shortlists = _dense_boost(xs, labels, 6)
-        assert train_strong(xs, labels, 6).stumps == want
-        assert want[0][0].feature_index == d - 1 and d - 1 in shortlists[0]
+    # many columns, the signal in the last one
+    d = 33
+    xs = np.column_stack([rng.integers(0, s + 1, n) / s for s in rng.choice([4, 25, 64], d)])
+    xs[:, -1] = strong
+    want, _ = _dense_boost(*_binned(xs), labels, 6)
+    assert train_strong(xs, labels, 6).stumps == want
+    assert want[0][0].feature_index == d - 1
+
+    # a column that is all code 0, beside columns that hold it nowhere
+    xs = np.column_stack([np.zeros(n), strong + 0.5, rng.integers(1, 5, n) / 4])
+    codes, values = _binned(xs)
+    assert not codes[:, 0].any() and codes[:, 1:].all()
+    want, _ = _dense_boost(codes, values, labels, 6)
+    assert train_strong(xs, labels, 6).stumps == want
+
+    # a crop code matrix as train_cascade boosts it: mostly code 0
+    crops = _noise_crops(rng, 90, 18, 18)
+    crops[:30, 5:13, 5:13] //= 2
+    probe = CascadeModel((), 18, 18, RankTable(np.zeros(256)))
+    _, codes, values = _crop_features(probe, crops)
+    assert np.count_nonzero(codes) < codes.size / 2
+    _dense_boost(codes, values, np.repeat([1, -1], [30, 60]), 4)
 
     # more than 256 distinct values: uint16 codes, and the histogram still runs
     wide = 400
@@ -375,17 +394,28 @@ def test_train_strong_shortlist_matches_full_search():
         [rng.integers(0, 301, wide) / 300 for _ in range(4)]
         + [(rng.integers(0, 151, wide) + 150 * (wide_labels > 0)) / 300]
     )
-    codes, _, nvalues = _keyed(xs, wide_labels)
-    assert codes.dtype == np.uint16 and nvalues > 256
-    want, shortlists = _dense_boost(xs, wide_labels, 6)
+    codes, values = _binned(xs)
+    assert codes.dtype == np.uint16 and len(values) > 256
+    want, shortlists = _dense_boost(codes, values, wide_labels, 6)
     assert train_strong(xs, wide_labels, 6).stumps == want
     assert want[0][0].feature_index == 4 and len(shortlists) == 6
 
-    # more distinct values than samples: most bins of every column are empty
+    # more distinct values than samples: most bins of every column are empty,
+    # and code 0 is one sample's value, the matrix minimum
     xs = rng.normal(size=(40, 3))
     labels = np.where(xs[:, 0] + 0.3 * rng.normal(size=40) > 0, 1, -1)
-    assert _keyed(xs, labels)[2] == 120
-    want, _ = _dense_boost(xs, labels, 6)
+    codes, values = _binned(xs)
+    assert len(values) == 120 and np.count_nonzero(codes == 0) == 1
+    want, _ = _dense_boost(codes, values, labels, 6)
+    assert train_strong(xs, labels, 6).stumps == want
+
+    # no code 0 at all: every entry is binned, and S_c[1] is each class's total
+    shifted = codes + 1
+    values = np.concatenate([[values[0] - 1.0], values])
+    assert shifted.all() and np.array_equal(values[shifted], xs)
+    want, _ = _dense_boost(shifted, values, labels, 6)
+    entries = _entries(shifted, labels, len(values))
+    assert _boost(shifted, np.arange(40), values, entries, labels, 6)[0].stumps == want
     assert train_strong(xs, labels, 6).stumps == want
 
 

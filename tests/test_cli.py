@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -785,7 +786,8 @@ def test_hard_negatives_texture_filter(ten_vehicle_scenario, capsys, monkeypatch
 
     # fewer crops pass than asked for: all of them are kept, and one line says so
     assert 10 < len(textured(cli._HARD_TEXTURE_STD)) < 100
-    assert np.array_equal(cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30), textured(12.0))
+    out = np.empty((100, 30, 30), dtype=np.uint8)
+    assert np.array_equal(cli._hard_negatives(ten_vehicle_scenario, out), textured(12.0))
     assert capsys.readouterr().err == (
         f"roadcount: warning: only {len(textured(12.0))} of 100 hard negatives passed "
         "the texture filter (pixel std > 12)\n"
@@ -793,7 +795,7 @@ def test_hard_negatives_texture_filter(ten_vehicle_scenario, capsys, monkeypatch
     monkeypatch.setattr(cli, "_HARD_TEXTURE_STD", 6.0)
     assert 100 < len(textured(6.0)) < len(pool)
     assert np.array_equal(
-        cli._hard_negatives(ten_vehicle_scenario, 100, 30, 30), textured(6.0)[:100]
+        cli._hard_negatives(ten_vehicle_scenario, out), textured(6.0)[:100]
     )
     assert capsys.readouterr().err == ""
 
@@ -833,6 +835,67 @@ def test_train_renders_each_scene_once(ten_vehicle_scene, tmp_path, monkeypatch,
     # the scene itself, then its jittered clone for the hard negatives
     assert rendered == [scenario, replace(scenario, jitter_amplitude=30 - cli._HARD_JITTER_MARGIN)]
     capsys.readouterr()
+
+
+def test_train_notes_stages_it_could_not_train(ten_vehicle_scene, small_cascade, tmp_path, capsys):
+    # the session fixture's budget trains 2 of its 3 stages
+    model = tmp_path / "m.txt"
+    rc = cli.main([
+        "train", "--scene", ten_vehicle_scene, "--model", str(model), "--stages", "3",
+        "--train_pos", "400", "--train_neg", "1500", "--train_hard", "2000",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"trained 2 stages (14 stumps) -> {model}\n"
+    assert captured.err.splitlines()[-1] == (
+        "roadcount: note: trained 2 of 3 stages: stage 2 rejected every negative"
+    )
+    with open(small_cascade, "rb") as fh:
+        assert model.read_bytes() == fh.read()
+
+
+def test_huge_stage_count_allocates_no_schedule(ten_vehicle_scene, tmp_path, capsys):
+    # a schedule of one entry per requested stage would take about 36 MB here;
+    # rendering the scene takes about 10 MiB of the peak
+    model = tmp_path / "m.txt"
+    tracemalloc.start()
+    try:
+        rc = cli.main([
+            "train", "--scene", ten_vehicle_scene, "--model", str(model), "--stages", "1000000",
+            "--train_pos", "40", "--train_neg", "100", "--train_hard", "0",
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 16 * 2**20
+    captured = capsys.readouterr()
+    assert captured.out == f"trained 1 stages (6 stumps) -> {model}\n"
+    assert captured.err == (
+        "roadcount: note: trained 1 of 1000000 stages: stage 1 rejected every negative\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("train_pos", "train_pos = 1000000000000"),
+        ("train_neg", "train_neg + train_hard = 1000000006000"),
+        ("train_hard", "train_neg + train_hard = 1000000005000"),
+    ],
+    ids=["train_pos", "train_neg", "train_hard"],
+)
+def test_crop_count_beyond_memory_is_a_usage_error(
+    ten_vehicle_scene, tmp_path, capsys, key, message
+):
+    model = tmp_path / "m.txt"
+    rc = cli.main([
+        "train", "--scene", ten_vehicle_scene, "--model", str(model), f"--{key}", "1000000000000"
+    ])
+    _one_line_failure(
+        capsys, rc, 1, f"roadcount: error: {message} crops of 30x30 do not fit in memory"
+    )
+    assert not model.exists()
 
 
 def _one_line_failure(capsys, rc, expected_rc, message):
