@@ -411,14 +411,17 @@ def _crop_features(
     cell * geometries + geometry's footprint sites holding rank bin b, over
     the chunk's site count. The value table holds every such ratio of the
     layout's site counts, sorted; the codes take the smallest unsigned dtype
-    that indexes it. Each geometry's code map of the whole stack feeds both
-    the rank table and the rank map whose chunk sites mb_lbp_histogram counts.
+    that indexes it. Each geometry's code map of the whole stack feeds the
+    rank table, pooled over the layout's geometries (a repeated one counts
+    twice), and is then replaced by its rank map, whose chunk sites
+    mb_lbp_histogram counts: one map per distinct geometry.
     """
     geoms = _scaled_geometries(probe, probe.window_w, probe.window_h)
-    code_maps = {g: mb_lbp_code_map(crops, g) for g in geoms}
-    model = replace(probe, rank_table=build_rank_table([code_maps[g] for g in geoms]))
-    # fancy indexing: np.take would copy the whole stack's codes to intp
-    rank_maps = {g: model.rank_table.bins[code_maps[g]] for g in geoms}
+    maps = {g: mb_lbp_code_map(crops, g) for g in geoms}
+    model = replace(probe, rank_table=build_rank_table([maps[g] for g in geoms]))
+    for g in maps:
+        # fancy indexing: np.take would copy the whole stack's codes to intp
+        maps[g] = model.rank_table.bins[maps[g]]
     layout = _chunk_layout(model, probe.window_w, probe.window_h)
     sites = [(cell.h - g.footprint_h + 1) * (cell.w - g.footprint_w + 1) for cell, g in layout]
     values = np.unique(np.concatenate([np.arange(s + 1) / s for s in set(sites)]))
@@ -427,48 +430,41 @@ def _crop_features(
     codes = np.empty((len(crops), model.feature_count), dtype=dtype)
     for c, (cell, g) in enumerate(layout):
         chunk = slice(c * RANK_HISTOGRAM_BINS, (c + 1) * RANK_HISTOGRAM_BINS)
-        codes[:, chunk] = code_of[sites[c]][mb_lbp_histogram(rank_maps[g], cell, g)]
+        codes[:, chunk] = code_of[sites[c]][mb_lbp_histogram(maps[g], cell, g)]
     return model, codes, values
 
 
 def train_cascade(
-    positives: np.ndarray,
-    negatives: np.ndarray,
+    crops: np.ndarray,
+    n_pos: int,
     stages: int,
     mhr: float,
     rounds: Sequence[int] | None = None,
     grid: int = DEFAULT_GRID,
     geometries: tuple[int, ...] = DEFAULT_GEOMETRIES,
 ) -> CascadeModel:
-    """Train an S-stage cascade on (N, h, w) stacks of canonical-size crops.
+    """Train an S-stage cascade on an (N, h, w) stack of canonical-size crops,
+    read in place: the first n_pos are positives, the rest negatives.
 
     Stage s uses rounds[s-1] stumps (default 2*s); after calibration to MHR
     the negatives rejected by the stage are dropped, and training stops
-    early once no negatives survive. The rank table is built from the codes
-    of the whole crop set, pooled across geometries. Every stage trains on
-    rows of one code matrix (_crop_features), by index: the positives and
+    early once no negatives survive. Every stage trains on rows of one code
+    matrix of the whole stack (_crop_features), by index: the positives and
     the negatives all earlier stages accepted, with their _entries.
     """
-    if not len(positives) or not len(negatives):
+    if not 0 < n_pos < len(crops):
         raise ValueError("need at least one positive and one negative crop")
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
-    h, w = positives.shape[1:]
-    if negatives.shape[1:] != (h, w):
-        neg_h, neg_w = negatives.shape[1:]
-        raise ValueError(f"all crops must share one size, got {neg_w}x{neg_h} vs {w}x{h}")
     if rounds is None:
         rounds = range(2, 2 * stages + 1, 2)
     elif len(rounds) < stages:
         raise ValueError(f"rounds schedule has {len(rounds)} entries for {stages} stages")
 
-    probe = CascadeModel(
-        stages=(), window_w=w, window_h=h, rank_table=RankTable(np.zeros(256)),
-        grid=grid, geometries=geometries,
-    )
-    model, codes, values = _crop_features(probe, np.concatenate([positives, negatives]))
-    n_pos = len(positives)
-    labels = np.repeat(np.array([1, -1]), [n_pos, len(negatives)])
+    h, w = crops.shape[1:]
+    probe = CascadeModel((), w, h, RankTable(np.zeros(256)), grid, geometries)
+    model, codes, values = _crop_features(probe, crops)
+    labels = np.repeat(np.array([1, -1]), [n_pos, len(crops) - n_pos])
     rows = np.arange(len(codes))
     keys, counts = _entries(codes, labels, len(values))
 

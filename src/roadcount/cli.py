@@ -643,9 +643,10 @@ def train(config: PipelineConfig) -> CascadeModel:
     a jittered clone of the scenario (partial vehicle views that still have
     zero ground-truth overlap); the later cascade stages train almost
     exclusively on those, which keeps the detector from firing on windows
-    that only graze a vehicle. Stage s gets 2*s + 4 boosting rounds. The crop
-    arrays are allocated before the first draw: a count that cannot be held in
-    memory is a usage error naming its key.
+    that only graze a vehicle. Stage s gets 2*s + 4 boosting rounds. The crops
+    are one stack, positives first, allocated before the scene is rendered and
+    handed to train_cascade as filled: a total that cannot be held in memory is
+    a usage error, a scene that cannot be a data error.
     """
     if not config.scene:
         raise UsageError("training requires a scene directory (key: scene)")
@@ -656,39 +657,36 @@ def train(config: PipelineConfig) -> CascadeModel:
         scenario = synthgen.load_scene_config(config.scene)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load scenario from {config.scene}: {exc}") from exc
-    if config.window_w > scenario.width or config.window_h > scenario.height:
-        raise UsageError(
-            f"window {config.window_w}x{config.window_h} does not fit the "
-            f"{scenario.width}x{scenario.height} scene"
-        )
-    window = (config.window_w, config.window_h)
-    count = config.train_neg + config.train_hard
-    crops = f"crops of {config.window_w}x{config.window_h} do not fit in memory"
+    w, h, n_pos = config.window_w, config.window_h, config.train_pos
+    if w > scenario.width or h > scenario.height:
+        size = f"{scenario.width}x{scenario.height}"
+        raise UsageError(f"window {w}x{h} does not fit the {size} scene")
+    count = n_pos + config.train_neg + config.train_hard
     try:
-        negatives = np.empty((count, config.window_h, config.window_w), np.uint8)
+        crops = np.empty((count, h, w), np.uint8)
     except MemoryError:
-        raise UsageError(f"train_neg + train_hard = {count} {crops}") from None
-    scene = synthgen.generate_scene(scenario)
+        raise UsageError(
+            f"train_pos + train_neg + train_hard = {count} crops of {w}x{h} do not fit in memory"
+        ) from None
     try:
-        # each call restarts the crop stream every model depends on: the negatives'
-        # call keeps its one dummy positive, the positives' blocks are never drawn
-        try:
-            positives, _ = synthgen.sample_crops(scenario, scene, config.train_pos, 1, *window)
-        except MemoryError:
-            raise UsageError(f"train_pos = {config.train_pos} {crops}") from None
-        _, blocks = synthgen.sample_crops(scenario, scene, 1, config.train_neg, *window)
-        filled = 0
+        scene = synthgen.generate_scene(scenario)
+        crops[:n_pos], blocks = synthgen.sample_crops(
+            scenario, scene, n_pos, config.train_neg, w, h
+        )
+        filled = n_pos
         for block in blocks:
-            negatives[filled : filled + len(block)] = block
+            crops[filled : filled + len(block)] = block
             filled += len(block)
         del scene  # freed before the jittered clone is rendered and training starts
         if config.train_hard:
-            hard = _hard_negatives(scenario, negatives[filled:])
-            negatives = negatives[: filled + len(hard)]
+            filled += len(_hard_negatives(scenario, crops[filled:]))
     except ValueError as exc:
         raise DataError(f"cannot sample training crops from {config.scene}: {exc}") from exc
+    except MemoryError:
+        size = f"{scenario.frames} frames of {scenario.width}x{scenario.height}"
+        raise DataError(f"scenario of {config.scene} does not fit in memory: {size}") from None
     rounds = range(6, 2 * config.stages + 5, 2)
-    model = train_cascade(positives, negatives, config.stages, config.mhr, rounds=rounds)
+    model = train_cascade(crops[:filled], n_pos, config.stages, config.mhr, rounds=rounds)
     save_model(model, config.model)
     return model
 
@@ -755,7 +753,11 @@ def _cmd_synth(args, overrides: dict[str, str]) -> int:
         scenario = synthgen.config_from_values(values)
     except ValueError as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
-    gt = synthgen.save_scene(args.out, scenario)
+    try:
+        gt = synthgen.save_scene(args.out, scenario)
+    except MemoryError:
+        size = f"{scenario.width}x{scenario.height}"
+        raise UsageError(f"bad scenario: frames of {size} do not fit in memory") from None
     print(f"wrote {scenario.frames} frames, {len(gt.boxes)} boxes, "
           f"{len(gt.events)} events to {args.out}")
     return 0

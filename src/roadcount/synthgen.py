@@ -236,12 +236,12 @@ def render_frames(config: ScenarioConfig, gt: GroundTruth):
     """
     background = background_texture(config)
     textures = [vehicle_texture(config, vid) for vid in range(len(config.spawns))]
-    visible: list[list[tuple[int, Rect]]] = [[] for _ in range(config.frames)]
-    for frame_idx, vid, rect in gt.boxes:
-        visible[frame_idx].append((vid, rect))
+    cursor = 0
     for frame_idx in range(config.frames):
         canvas = background.copy()
-        for vid, rect in visible[frame_idx]:
+        while cursor < len(gt.boxes) and gt.boxes[cursor][0] == frame_idx:
+            _, vid, rect = gt.boxes[cursor]
+            cursor += 1
             # only the bottom clips: ScenarioConfig rejects spawns that overflow sideways
             canvas[rect.y : rect.bottom, rect.x : rect.right] = textures[vid][: rect.h, : rect.w]
         if config.jitter_amplitude > 0:
@@ -293,18 +293,19 @@ def sample_crops(
     """(n_pos, h, w) vehicle-centered uint8 crops, and a generator of vehicle-free
     ones as (k, h, w) blocks in candidate order that yields n_neg in all.
 
-    `scene` is generate_scene(config). All draws come from one generator
-    keyed by (seed, PURPOSE_CROPS), positives first. Positives sample fully
-    visible ground-truth boxes, cover them with a window-shaped region
-    perturbed by +-perturbation in scale and position, and resample to the
-    window size. Each negative attempt then draws frame, x and y, in that
-    order, whether or not it is kept: the candidates are fixed before any
-    overlap test. The negatives are the first n_neg candidate windows that
-    overlap no box of their frame (positive area; touching edges do not
-    count); the generator raises ValueError if fewer than n_neg of the first
-    1000 * n_neg are free. A caller may stop it early, and draws it is never
-    asked for are never made. A window smaller than 1 px or larger than the
-    scene is refused before any draw.
+    `scene` is generate_scene(config). All draws come from the stream keyed
+    by (seed, PURPOSE_CROPS), and the negatives take it up where the first
+    positive left it, whatever n_pos is: the later positives draw from a
+    copy. Positives sample fully visible ground-truth boxes, cover them with
+    a window-shaped region perturbed by +-perturbation in scale and position,
+    and resample to the window size. Each negative attempt draws frame, x
+    and y, in that order, whether or not it is kept: the candidates are
+    fixed before any overlap test. The negatives are the first n_neg
+    candidate windows that overlap no box of their frame (positive area;
+    touching edges do not count); the generator raises ValueError if fewer
+    than n_neg of the first 1000 * n_neg are free. A caller may stop it
+    early, and draws it is never asked for are never made. A window smaller
+    than 1 px or larger than the scene is refused before any draw.
     """
     if n_pos < 1 or n_neg < 1:
         raise ValueError("need at least one positive and one negative crop")
@@ -322,9 +323,12 @@ def sample_crops(
     ]
     if not full_boxes:
         raise ValueError("scenario produced no fully visible vehicle boxes")
-    rng = _rng(config.seed, PURPOSE_CROPS)
+    negatives_rng = rng = _rng(config.seed, PURPOSE_CROPS)
     positives = np.empty((n_pos, window_h, window_w), dtype=np.uint8)
     for i in range(n_pos):
+        if i == 1:
+            rng = _rng(config.seed, PURPOSE_CROPS)
+            rng.bit_generator.state = negatives_rng.bit_generator.state
         frame_idx, box = full_boxes[int(rng.integers(len(full_boxes)))]
         cover = max(box.w / window_w, box.h / window_h)
         scale = cover * (1.0 + rng.uniform(-perturbation, perturbation))
@@ -342,7 +346,7 @@ def sample_crops(
             config.height,
         )
         positives[i] = _resample_nearest(frames[frame_idx], crop, window_w, window_h)
-    return positives, _negative_blocks(frames, gt, rng, n_neg, window_w, window_h)
+    return positives, _negative_blocks(frames, gt, negatives_rng, n_neg, window_w, window_h)
 
 
 def _negative_blocks(frames: np.ndarray, gt: GroundTruth, rng, n_neg, window_w, window_h):

@@ -213,9 +213,6 @@ class Tracker:
         kind: str = "ekf",
         gate: float = 60.0,
         max_misses: int = DEFAULT_MAX_MISSES,
-        q: np.ndarray = DEFAULT_Q,
-        r: np.ndarray = DEFAULT_R,
-        p0: np.ndarray = DEFAULT_P0,
     ):
         if kind not in ("ekf", "none"):
             raise ValueError(f"tracker kind must be 'ekf' or 'none', got {kind!r}")
@@ -224,9 +221,6 @@ class Tracker:
         self.kind = kind
         self.gate = gate
         self.max_misses = max_misses
-        self.q = q
-        self.r = r
-        self.p0 = p0
         self.tracks: list[Track] = []
         self.frame_idx = -1
         self._next_id = 0
@@ -236,7 +230,7 @@ class Tracker:
         track = Track(
             id=self._next_id,
             state=StateVector(cx, cy, 0.0, 0.0, 0.0, 0.0),
-            covariance=self.p0.copy(),
+            covariance=DEFAULT_P0.copy(),
             last_rect=rect,
             frames_seen=1,
             last_seen_frame=self.frame_idx,
@@ -259,7 +253,7 @@ class Tracker:
         ekf = self.kind == "ekf"
         if ekf:
             for track in self.tracks:
-                track.state, track.covariance = _predict(track.state, track.covariance, t, self.q)
+                track.state, track.covariance = _predict(track.state, track.covariance, t, DEFAULT_Q)
         pairs, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, self.gate)
         by_id = {track.id: track for track in self.tracks}
         for track_id, det_idx in pairs:
@@ -270,7 +264,7 @@ class Tracker:
             if ekf:
                 if track.frames_seen == 1:
                     state = _bootstrap(state, zx, zy, (track.misses + 1) * t)
-                track.state, track.covariance = _update(state, track.covariance, zx, zy, self.r)
+                track.state, track.covariance = _update(state, track.covariance, zx, zy, DEFAULT_R)
             else:
                 track.state = StateVector(zx, zy, state.v, state.a, state.phi, state.omega)
             _observed(track, rect)

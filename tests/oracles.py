@@ -151,8 +151,9 @@ def site_views(rank_map: Callable[[BlockGeometry], np.ndarray]):
 
 def reference_training_set(config, scene, n_pos, n_neg, window_w, window_h, perturbation=0.1):
     """synthgen.sample_crops one crop at a time, with its negatives stacked:
-    per negative attempt, three scalar `integers` draws (frame, x, y) and a
-    Rect.overlaps test against every box of the frame."""
+    the negatives draw from the generator's state after the first positive,
+    and per negative attempt make three scalar `integers` draws (frame, x, y)
+    and a Rect.overlaps test against every box of the frame."""
     frames, gt = scene
     boxes_by_frame: dict[int, list[Rect]] = {}
     for frame_idx, _, rect in gt.boxes:
@@ -182,6 +183,9 @@ def reference_training_set(config, scene, n_pos, n_neg, window_w, window_h, pert
             config.height,
         )
         positives[i] = _resample_nearest(frames[frame_idx], crop, window_w, window_h)
+        if i == 0:
+            fork = rng.bit_generator.state
+    rng.bit_generator.state = fork
     negatives = []
     attempts = 0
     while len(negatives) < n_neg:

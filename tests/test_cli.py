@@ -879,9 +879,9 @@ def test_huge_stage_count_allocates_no_schedule(ten_vehicle_scene, tmp_path, cap
 @pytest.mark.parametrize(
     "key, message",
     [
-        ("train_pos", "train_pos = 1000000000000"),
-        ("train_neg", "train_neg + train_hard = 1000000006000"),
-        ("train_hard", "train_neg + train_hard = 1000000005000"),
+        ("train_pos", "train_pos + train_neg + train_hard = 1000000011000"),
+        ("train_neg", "train_pos + train_neg + train_hard = 1000000007000"),
+        ("train_hard", "train_pos + train_neg + train_hard = 1000000006000"),
     ],
     ids=["train_pos", "train_neg", "train_hard"],
 )
@@ -896,6 +896,54 @@ def test_crop_count_beyond_memory_is_a_usage_error(
         capsys, rc, 1, f"roadcount: error: {message} crops of 30x30 do not fit in memory"
     )
     assert not model.exists()
+
+
+def test_scene_beyond_memory_is_a_one_line_error(ten_vehicle_scenario, tmp_path, capsys):
+    # numpy refuses both renders at once: train's 28.8 PiB frame stack, and the
+    # 27.8 PiB background lattice of synth's first frame
+    scene = tmp_path / "long"
+    scene.mkdir()
+    huge = replace(ten_vehicle_scenario, frames=10**12)
+    (scene / "scenario.cfg").write_text(synthgen.config_to_text(huge), encoding="ascii")
+    model = tmp_path / "m.txt"
+    rc = cli.main(["train", "--scene", str(scene), "--model", str(model)])
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: scenario of {scene} does not fit in memory: "
+        "1000000000000 frames of 240x135",
+    )
+    assert not model.exists()
+
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(_small_scenario_text(), encoding="ascii")
+    rc = cli.main([
+        "synth", "--config", str(cfg), "--out", str(tmp_path / "wide"),
+        "--width", "1000000000", "--height", "1000000000",
+    ])
+    _one_line_failure(
+        capsys, rc, 1,
+        "roadcount: error: bad scenario: frames of 1000000000x1000000000 do not fit in memory",
+    )
+
+
+def test_negative_rows_do_not_depend_on_train_pos(ten_vehicle_scene, tmp_path, monkeypatch):
+    stacks = []
+    train_cascade = cli.train_cascade
+
+    def capture(crops, *args, **kwargs):
+        stacks.append(crops.copy())
+        return train_cascade(crops, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_cascade", capture)
+    for train_pos in (40, 41):
+        cli.train(PipelineConfig(
+            scene=ten_vehicle_scene, model=str(tmp_path / "m.txt"),
+            stages=1, train_pos=train_pos, train_neg=60, train_hard=20,
+        ))
+    a, b = stacks  # positives first, then 60 plain and up to 20 hard negatives
+    assert len(a) - 40 == len(b) - 41 >= 60
+    assert np.array_equal(a[40:], b[41:])
+    assert np.array_equal(a[:40], b[:40])
 
 
 def _one_line_failure(capsys, rc, expected_rc, message):

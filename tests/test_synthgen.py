@@ -22,6 +22,7 @@ from roadcount.synthgen import (
     load_scene_config,
     parse_flat_config,
     parse_rects,
+    render_frames,
     sample_crops,
     save_scene,
     spawn_schedule,
@@ -235,6 +236,15 @@ def test_training_set_shapes_and_determinism():
     assert np.array_equal(pos_a, pos_b) and np.array_equal(neg_a, neg_b)
 
 
+def test_negative_blocks_do_not_depend_on_positive_count():
+    config = _scenario()
+    scene = generate_scene(config)
+    one, seven = (list(sample_crops(config, scene, k, 2000, 12, 14)[1]) for k in (1, 7))
+    assert len(one) == len(seven) > 1
+    for a, b in zip(one, seven):
+        assert np.array_equal(a, b)
+
+
 def test_training_positives_zero_perturbation_recover_textures():
     config = _scenario()
     textures = [
@@ -339,15 +349,16 @@ def test_negative_exhaustion_is_exact(monkeypatch):
         scene = generate_scene(config)
         made = _recorded_rngs(monkeypatch)
         made_oracle = _recorded_rngs(monkeypatch, oracles)
+        # the first generator of each is the negatives' stream, forked after positive 0
         try:
-            want = reference_training_set(config, scene, 1, 1, 12, 12)[1]
+            want = reference_training_set(config, scene, 3, 1, 12, 12)[1]
         except ValueError:
             with pytest.raises(ValueError, match="^could not sample vehicle-free negative crops$"):
-                _training_set(config, scene, 1, 1, 12, 12)
+                _training_set(config, scene, 3, 1, 12, 12)
             assert made[0].bit_generator.state == made_oracle[0].bit_generator.state
             outcomes.append("raised")
         else:
-            assert np.array_equal(_training_set(config, scene, 1, 1, 12, 12)[1], want)
+            assert np.array_equal(_training_set(config, scene, 3, 1, 12, 12)[1], want)
             outcomes.append("sampled")
         monkeypatch.undo()
     assert set(outcomes) == {"raised", "sampled"}
@@ -440,6 +451,21 @@ def test_save_scene_streams_the_rendered_frames(tmp_path):
     for idx in range(0, 400, 57):
         on_disk = load_pgm(tmp_path / "scene" / "frames" / f"frame_{idx:06d}.pgm")
         assert np.array_equal(on_disk, frames[idx])
+
+
+def test_first_frame_of_a_long_scenario_renders_in_little_memory():
+    # one list per frame before the first would take about 64 MiB here
+    config = _scenario(frames=10**6)
+    gt = ground_truth(config)
+    frames = render_frames(config, gt)
+    tracemalloc.start()
+    try:
+        first = next(frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.array_equal(first, generate_scene(replace(config, frames=1))[0][0])
 
 
 def test_save_scene_byte_determinism(tmp_path):
