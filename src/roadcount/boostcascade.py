@@ -775,8 +775,9 @@ def detect(
         xs = range(0, width - win_w + 1, stride)
         ys = range(0, height - win_h + 1, stride)
         alive, grid_scores = _classify_grid(model, maps, win_w, win_h, xs, ys)
-        j, i = np.nonzero(alive)  # window (i, j) starts at (xs[i], ys[j]) = stride * (i, j)
-        boxes.append(stride * np.column_stack((i, j, i, j)) + (0, 0, win_w, win_h))
+        j, i = np.nonzero(alive)  # window (i, j) starts at (xs[i], ys[j])
+        x, y = np.asarray(xs)[i], np.asarray(ys)[j]
+        boxes.append(np.column_stack((x, y, x + win_w, y + win_h)))
         scores.append(grid_scores[j, i])
     if not boxes:
         return []

@@ -5,9 +5,10 @@ reads one flat `key = value` config file plus `--key value` overrides, each
 key at most once. detect, track, count, sweep and bench are loops over one
 decode -> detect -> track pass per scene, which yields a record per frame;
 the pass reads `_PASS_KEYS` plus its detector's `_DETECTOR_KEYS`, and
-counting its finished tracks reads `_COUNT_KEYS`. count and sweep count and
-score through one routine, `_reports`, which reads markers and ground truth
-before a pass runs; bench alone times frames.
+counting its finished tracks reads `_COUNT_KEYS` plus that detector's
+counting rule keys, `_RULE_KEYS`. count and sweep count and score through
+one routine, `_reports`, which reads markers and ground truth before a pass
+runs; bench alone times frames.
 Exit codes: 0 success, 1 usage error (bad flags, bad config keys/values),
 2 input/data error (missing or malformed scene, model, or image files).
 """
@@ -63,19 +64,19 @@ class UsageError(Exception):
 
 # Which part of the program reads each config field. A pass reads
 # _PASS_KEYS and its own detector's keys; counting and scoring a pass's
-# finished tracks read _COUNT_KEYS. Training and `count`'s events file read
-# the rest.
-_PASS_KEYS = (
-    "scene", "detector", "tracker", "resolution_factor", "frame_dt", "gate_fraction", "max_misses",
-)
+# finished tracks read _COUNT_KEYS and the detector's counting rule keys
+# (_RULE_KEYS, the thresholds counting.should_count reads in its mode).
+# Training and `count`'s events file read the rest.
+_PASS_KEYS = ("scene", "detector", "resolution_factor", "frame_dt", "gate_fraction", "max_misses")
 _DETECTOR_KEYS = {
     "bgsub": ("th", "learning_rate", "open_radius", "min_area"),
     "feature": ("model", "scales", "stride", "mcc"),
 }
-_COUNT_KEYS = frozenset({
-    "tfc", "phi_min", "phi_max", "distance_fraction", "require_marker_overlap",
-    "markers", "match_tol",
-})
+_RULE_KEYS = {
+    "bgsub": ("phi_min", "phi_max"),
+    "feature": ("distance_fraction", "require_marker_overlap"),
+}
+_COUNT_KEYS = frozenset({"tfc", "markers", "match_tol"})
 # The keys each pass-based subcommand reads beside its passes' keys: bench
 # counts but does not score, detect and track neither count nor score.
 _COMMAND_KEYS = {
@@ -95,7 +96,6 @@ class PipelineConfig:
     model: str = ""
     events_out: str = ""
     detector: str = "bgsub"
-    tracker: str = "ekf"
     resolution_factor: int = 1
     th: float = 10.0
     tfc: int = 8
@@ -127,8 +127,6 @@ class PipelineConfig:
         if self.detector not in _DETECTOR_KEYS:
             names = " or ".join(map(repr, _DETECTOR_KEYS))
             raise ValueError(f"detector must be {names}, got {self.detector!r}")
-        if self.tracker not in ("ekf", "none"):
-            raise ValueError(f"tracker must be 'ekf' or 'none', got {self.tracker!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             parts = value if isinstance(value, tuple) else (value,)
@@ -321,6 +319,8 @@ def _load_cascade(config: PipelineConfig) -> CascadeModel:
 def _unread(keys: Iterable[str], command: str, detectors: list[str]) -> list[str]:
     """The config keys among `keys` that no pass of `command` with one of `detectors` reads."""
     read = _COMMAND_KEYS[command].union(_PASS_KEYS, *(_DETECTOR_KEYS[d] for d in detectors))
+    if _COMMAND_KEYS[command]:  # a command that counts reads its detectors' counting rules
+        read = read.union(*(_RULE_KEYS[d] for d in detectors))
     return [key for key in keys if key in _FIELD_DEFAULTS and key not in read]
 
 
@@ -411,7 +411,6 @@ class _Pass:
         self.width, self.height = _working_size(config, first)
         self.detect = _detector(config, self.width, self.height)
         self.tracker = Tracker(
-            kind=config.tracker,
             gate=config.gate_fraction * max(self.width, self.height),
             max_misses=config.max_misses,
         )

@@ -1,11 +1,11 @@
 """Virtual-marker vehicle counting policies and accuracy evaluation.
 
 A finished track is counted when it satisfies the active rule set: the
-background-subtraction rules (seen long enough, final rect on a marker,
-and, when filter headings exist, moving inside the downward direction
-interval) or the feature-detector rules (seen long enough and travelled far
-enough). Accuracy is (1 - (FP+FN)/GT) * 100 with the integer form rounded
-half away from zero.
+background-subtraction rules (seen long enough, final rect on a marker, and
+a filtered heading inside the downward direction interval) or the
+feature-detector rules (seen long enough and travelled far enough).
+Accuracy is (1 - (FP+FN)/GT) * 100 with the integer form rounded half away
+from zero.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class CountingPolicy:
     """Rule set selector plus its thresholds.
 
     mode "bgsub": count iff frames_seen > tfc, the last rect overlaps a
-    marker, and (when the track has a valid heading) the heading lies in
-    [phi_min, phi_max]. mode "feature": count iff frames_seen > tfc and
-    total_distance > distance_fraction * max(frame dims); marker overlap is
-    only required when require_marker_overlap is set.
+    marker, and the heading lies in [phi_min, phi_max]. mode "feature":
+    count iff frames_seen > tfc and total_distance > distance_fraction *
+    max(frame dims); marker overlap is only required when
+    require_marker_overlap is set.
     """
 
     mode: str
@@ -115,9 +115,7 @@ def should_count(
         marker = _overlapped_marker(track.last_rect, markers)
         if marker is None:
             return False, None
-        if track.heading_valid and not direction_in_interval(
-            track.state.phi, policy.phi_min, policy.phi_max
-        ):
+        if not direction_in_interval(track.state.phi, policy.phi_min, policy.phi_max):
             return False, None
         return True, marker
     if track.total_distance <= policy.distance_fraction * max(frame_w, frame_h):

@@ -481,10 +481,13 @@ def save_scene(directory: str | os.PathLike, config: ScenarioConfig) -> GroundTr
     Frames are written as they are rendered, so only one is held at a time.
     """
     gt = ground_truth(config)
+    frames = render_frames(config, gt)
+    pixels = next(frames)  # frames that do not fit in memory fail here, before any file is made
     frame_dir = os.path.join(directory, "frames")
     os.makedirs(frame_dir, exist_ok=True)
-    for idx, pixels in enumerate(render_frames(config, gt)):
+    for idx in range(config.frames):
         save_pgm(pixels, os.path.join(frame_dir, frame_filename(idx)))
+        pixels = next(frames, None)
     with open(os.path.join(directory, "gt_boxes.txt"), "w", encoding="ascii") as fh:
         for frame_idx, vid, rect in gt.boxes:
             fh.write(f"{frame_idx} {vid} {rect.x} {rect.y} {rect.w} {rect.h}\n")

@@ -5,8 +5,8 @@ speed px/s, acceleration px/s^2, heading rad in [0, 2pi), turn rate rad/s.
 Rows grow downward, so headings negate the row axis: the bootstrap takes
 atan2(-dy, dx), the transition and its Jacobian move y by -v t sin(phi), and
 straight-down motion has phi = 3pi/2, inside counting's direction interval.
-Only positions are observed; speed and heading are inferred by the filter
-(or bootstrapped from the first two observations).
+Only positions are observed; speed and heading are bootstrapped from a
+track's first two observations and then inferred by the filter.
 
 Tracker.step runs the filter in place through the kernels _predict,
 _bootstrap, _update and _observed.
@@ -55,8 +55,7 @@ class Track:
 
     anchor is the filtered position at the latest observation; per-step
     displacement between consecutive anchors accumulates into
-    total_distance. heading_valid is False for tracks maintained without
-    the filter, whose phi never gets estimated.
+    total_distance.
     """
 
     id: int
@@ -67,7 +66,6 @@ class Track:
     misses: int = 0
     total_distance: float = 0.0
     last_seen_frame: int = 0
-    heading_valid: bool = True
     anchor: tuple[float, float] = field(default=(0.0, 0.0))
 
 
@@ -201,24 +199,11 @@ def associate(
 
 
 class Tracker:
-    """Sequential multi-object tracker over a frame stream.
+    """Sequential multi-object EKF tracker over a frame stream."""
 
-    kind "ekf" runs the full predict/update filter; kind "none" keeps the
-    same lifecycle and association but pins each track to its latest
-    detection without estimating kinematics.
-    """
-
-    def __init__(
-        self,
-        kind: str = "ekf",
-        gate: float = 60.0,
-        max_misses: int = DEFAULT_MAX_MISSES,
-    ):
-        if kind not in ("ekf", "none"):
-            raise ValueError(f"tracker kind must be 'ekf' or 'none', got {kind!r}")
+    def __init__(self, gate: float = 60.0, max_misses: int = DEFAULT_MAX_MISSES):
         if max_misses < 0:
             raise ValueError(f"max_misses must be >= 0, got {max_misses}")
-        self.kind = kind
         self.gate = gate
         self.max_misses = max_misses
         self.tracks: list[Track] = []
@@ -234,7 +219,6 @@ class Tracker:
             last_rect=rect,
             frames_seen=1,
             last_seen_frame=self.frame_idx,
-            heading_valid=self.kind == "ekf",
             anchor=(cx, cy),
         )
         self._next_id += 1
@@ -250,10 +234,8 @@ class Tracker:
         if t <= 0.0:
             raise ValueError(f"time step must be positive, got {t}")
         self.frame_idx += 1
-        ekf = self.kind == "ekf"
-        if ekf:
-            for track in self.tracks:
-                track.state, track.covariance = _predict(track.state, track.covariance, t, DEFAULT_Q)
+        for track in self.tracks:
+            track.state, track.covariance = _predict(track.state, track.covariance, t, DEFAULT_Q)
         pairs, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, self.gate)
         by_id = {track.id: track for track in self.tracks}
         for track_id, det_idx in pairs:
@@ -261,12 +243,9 @@ class Tracker:
             rect = detections[det_idx]
             zx, zy = rect.center()
             state = track.state
-            if ekf:
-                if track.frames_seen == 1:
-                    state = _bootstrap(state, zx, zy, (track.misses + 1) * t)
-                track.state, track.covariance = _update(state, track.covariance, zx, zy, DEFAULT_R)
-            else:
-                track.state = StateVector(zx, zy, state.v, state.a, state.phi, state.omega)
+            if track.frames_seen == 1:
+                state = _bootstrap(state, zx, zy, (track.misses + 1) * t)
+            track.state, track.covariance = _update(state, track.covariance, zx, zy, DEFAULT_R)
             _observed(track, rect)
             track.last_seen_frame = self.frame_idx
         for track_id in unmatched_tracks:

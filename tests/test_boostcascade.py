@@ -1278,6 +1278,12 @@ def test_detect_finds_planted_pattern():
         return inter / (a.area + b.area - inter)
 
     assert any(iou(d.rect, planted) > 0.4 for d in detections)
+    # a stride past the frame, even past 64 bits, leaves each scale its window at the origin
+    corner = frame.copy()
+    corner[:18, :18] = positives[5]
+    at_origin = detect(model, corner, scales=(1.0,), stride=64, mcc=1)
+    assert [d.rect for d in at_origin] == [Rect(0, 0, 18, 18)]
+    assert detect(model, corner, scales=(1.0,), stride=2**64, mcc=1) == at_origin
     with pytest.raises(ValueError):
         detect(model, frame, stride=0)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 
 from roadcount import cli, synthgen
 from roadcount.cli import PipelineConfig, UsageError
-from roadcount.counting import CountingReport, result_line
+from roadcount.counting import CountingReport, count_tracks, result_line
 
 
 PERFECT = "RESULT fp=0 fn=0 gt=10 acc_real=100.00 acc_int=100 counted=10"
@@ -156,13 +156,6 @@ def test_feature_pipeline_close_to_bgsub(ten_vehicle_scene, small_cascade):
     assert abs(feature_report.accuracy_int - bgsub_report.accuracy_int) <= 10
 
 
-def test_tracker_none_still_counts(ten_vehicle_scene):
-    report = cli.run_pipeline(
-        PipelineConfig(scene=ten_vehicle_scene, tracker="none")
-    )
-    assert result_line(report) == PERFECT
-
-
 def test_resolution_factor_smoke(ten_vehicle_scene):
     report = cli.run_pipeline(
         PipelineConfig(scene=ten_vehicle_scene, resolution_factor=3)
@@ -285,6 +278,11 @@ def test_sweep_rejects_last_point_before_decoding(
         (["--detector", "feature", "--model", small_cascade, "--grid", "th=8,10"],
          "sweep key th does not affect counting"),
         (["--grid", "stride=4,7"], "sweep key stride does not affect counting"),
+        # a counting rule key that no point's detector reads
+        (["--grid", "distance_fraction=0.1,0.9"],
+         "sweep key distance_fraction does not affect counting"),
+        (["--detector", "feature", "--model", small_cascade, "--grid", "phi_min=3,4"],
+         "sweep key phi_min does not affect counting"),
         (["--grid", "th=8", "--grid", " th =9"],
          "sweep key th is given in more than one --grid entry"),
     ):
@@ -313,6 +311,9 @@ def test_override_the_command_never_reads_is_refused(
         (["detect", "--tfc", "4"], "detect --detector bgsub does not read --tfc"),
         (["bench", "--match_tol", "20"], "bench --detector bgsub does not read --match_tol"),
         (["count", "--stages", "3"], "count --detector bgsub does not read --stages"),
+        (["count", "--distance_fraction", "0.9"],
+         "count --detector bgsub does not read --distance_fraction"),
+        (["count"] + feature + ["--phi_max", "5"], "count --detector feature does not read --phi_max"),
         (["sweep", "--model", small_cascade, "--grid", "th=8,10"],
          "sweep --detector bgsub does not read --model"),
         (["sweep", "--events_out", "e.txt", "--grid", "detector=bgsub,feature"] + feature[2:],
@@ -323,7 +324,10 @@ def test_override_the_command_never_reads_is_refused(
         assert decoded == []
     assert not (tmp_path / "d.txt").exists()
     # keys the other point's detector reads, and keys in a config file, are accepted
-    cli._check_overrides("sweep", {"model": small_cascade, "th": "8"}, ["bgsub", "feature"])
+    cli._check_overrides(
+        "sweep", {"model": small_cascade, "th": "8", "phi_min": "3", "distance_fraction": "0.5"},
+        ["bgsub", "feature"],
+    )
     path = tmp_path / "count.cfg"
     path.write_text(f"scene = {ten_vehicle_scene}\nmodel = m.txt\nstages = 3\n", encoding="ascii")
     assert cli.main(["count", "--config", str(path), "--tfc", "8"]) == 0
@@ -402,7 +406,7 @@ def test_sweep_shares_passes_per_detector(ten_vehicle_scene, small_cascade, monk
 # A valid value other than the default for every field but scene and detector.
 # Each one changes a pass's frame records when the pass reads its field.
 _OTHER_VALUES = {
-    "model": "elsewhere.txt", "events_out": "events.txt", "tracker": "none",
+    "model": "elsewhere.txt", "events_out": "events.txt",
     "resolution_factor": 3, "th": 14.0, "tfc": 30, "mhr": 0.9, "stages": 2, "mcc": 3,
     "scales": (1.0, 1.25), "stride": 4, "markers": "not parsed by a pass", "frame_dt": 0.5,
     "learning_rate": 0.2, "open_radius": 2, "min_area": 1000, "gate_fraction": 0.01,
@@ -436,6 +440,34 @@ def test_pass_reads_only_its_keys(ten_vehicle_scene, small_cascade, detector):
         # another model would need a second trained cascade
         if key in _OTHER_VALUES and key != "model":
             assert _frame_records(replace(base, **{key: _OTHER_VALUES[key]}), limit) != want, key
+
+
+# A valid value of each counting rule key that changes some count on the
+# ten-vehicle scene when only the left lane has a marker.
+_RULE_VALUES = {
+    "phi_min": 4.8, "phi_max": 4.6, "distance_fraction": 1.0, "require_marker_overlap": True,
+}
+
+
+@pytest.mark.parametrize("detector", ["bgsub", "feature"])
+def test_counting_reads_only_its_detectors_rule_keys(ten_vehicle_scene, small_cascade, detector):
+    assert set(_RULE_VALUES) == {k for keys in cli._RULE_KEYS.values() for k in keys}
+    base = PipelineConfig(
+        scene=ten_vehicle_scene, detector=detector, model=small_cascade, markers="4,113,112,22"
+    )
+    run = cli._Pass(base)
+    finished = [track for record in run.frames() for track in record.finished]
+    finished += run.tracker.flush()
+    markers = cli._resolve_markers(base, run.width, run.height)
+
+    def counted(key):
+        policy = cli._policy(replace(base, **{key: _RULE_VALUES[key]}))
+        return count_tracks(finished, policy, markers, run.width, run.height)
+
+    want = count_tracks(finished, cli._policy(base), markers, run.width, run.height)
+    assert want
+    for key in _RULE_VALUES:
+        assert (counted(key) != want) == (key in cli._RULE_KEYS[detector]), key
 
 
 def test_bench_records(ten_vehicle_scene):
@@ -924,6 +956,7 @@ def test_scene_beyond_memory_is_a_one_line_error(ten_vehicle_scenario, tmp_path,
         capsys, rc, 1,
         "roadcount: error: bad scenario: frames of 1000000000x1000000000 do not fit in memory",
     )
+    assert not (tmp_path / "wide").exists()  # refused before any directory is made
 
 
 def test_negative_rows_do_not_depend_on_train_pos(ten_vehicle_scene, tmp_path, monkeypatch):

@@ -49,7 +49,6 @@ def _mk_track(
     frames_seen=20,
     last_rect=Rect(10, 110, 30, 20),
     phi=1.5 * math.pi,
-    heading_valid=True,
     total_distance=100.0,
 ):
     return Track(
@@ -59,7 +58,6 @@ def _mk_track(
         last_rect=last_rect,
         frames_seen=frames_seen,
         total_distance=total_distance,
-        heading_valid=heading_valid,
     )
 
 
@@ -129,12 +127,9 @@ def test_should_count_bgsub_rules():
     # the last rect must overlap some marker
     off = _mk_track(last_rect=Rect(10, 10, 30, 20))
     assert should_count(off, policy, MARKERS, 240, 135) == (False, None)
-    # heading gate applies only to tracks with a filter heading
+    # the heading must lie in the direction interval
     sideways = _mk_track(phi=0.0)
     assert should_count(sideways, policy, MARKERS, 240, 135) == (False, None)
-    unknown = _mk_track(phi=0.0, heading_valid=False)
-    ok, marker = should_count(unknown, policy, MARKERS, 240, 135)
-    assert ok and marker == 0
 
 
 def test_should_count_bgsub_marker_choice():

@@ -224,7 +224,7 @@ def test_greedy_pairs_take_candidates_in_cost_a_b_order():
 
 
 def test_tracker_straight_line_convergence():
-    tracker = Tracker(kind="ekf", gate=40.0)
+    tracker = Tracker(gate=40.0)
     live = []
     for i in range(30):
         live, finished = tracker.step([Rect(50, 4 * i, 10, 10)], 1.0)
@@ -232,7 +232,6 @@ def test_tracker_straight_line_convergence():
     assert len(live) == 1
     track = live[0]
     assert track.frames_seen == 30
-    assert track.heading_valid
     assert track.state.phi == pytest.approx(1.5 * math.pi, abs=1e-2)
     assert track.state.v == pytest.approx(4.0, abs=0.01)
     assert track.state.y == pytest.approx(121.0, abs=0.01)
@@ -241,7 +240,7 @@ def test_tracker_straight_line_convergence():
 
 
 def test_tracker_miss_lifecycle():
-    tracker = Tracker(kind="ekf", gate=40.0, max_misses=2)
+    tracker = Tracker(gate=40.0, max_misses=2)
     tracker.step([Rect(50, 0, 10, 10)], 1.0)
     tracker.step([Rect(50, 4, 10, 10)], 1.0)
     live, finished = tracker.step([], 1.0)
@@ -255,7 +254,7 @@ def test_tracker_miss_lifecycle():
 
 
 def test_tracker_spawns_and_flushes():
-    tracker = Tracker(kind="ekf", gate=20.0)
+    tracker = Tracker(gate=20.0)
     live, _ = tracker.step([Rect(0, 0, 10, 10), Rect(100, 0, 10, 10)], 1.0)
     assert sorted(t.id for t in live) == [0, 1]
     live, _ = tracker.step([Rect(0, 4, 10, 10), Rect(100, 4, 10, 10), Rect(200, 0, 10, 10)], 1.0)
@@ -267,22 +266,7 @@ def test_tracker_spawns_and_flushes():
     assert live[0].id == 3  # ids never recycle
 
 
-def test_tracker_none_kind_pins_detections():
-    tracker = Tracker(kind="none", gate=40.0)
-    live = []
-    for i in range(10):
-        live, _ = tracker.step([Rect(50, 4 * i, 10, 10)], 1.0)
-    track = live[0]
-    assert not track.heading_valid
-    assert track.state.v == 0.0
-    assert (track.state.x, track.state.y) == (55.0, 41.0)  # exactly the last detection center
-    assert track.total_distance == pytest.approx(36.0)
-    assert track.frames_seen == 10
-
-
 def test_tracker_validation():
-    with pytest.raises(ValueError):
-        Tracker(kind="kalman")
     with pytest.raises(ValueError):
         Tracker(max_misses=-1)
     tracker = Tracker()
@@ -345,7 +329,6 @@ def test_update_singular_innovation_covariance_raises():
 
 @dataclass
 class _OracleTracker:
-    kind: str
     gate: float
     max_misses: int
     tracks: list = field(default_factory=list)
@@ -357,29 +340,15 @@ def _oracle_step(oracle: _OracleTracker, detections, t: float):
     """The functional tracker step: every track rebuilt each frame with
     dataclasses.replace, by _predicted, _bootstrapped and _updated."""
     oracle.frame_idx += 1
-    if oracle.kind == "ekf":
-        oracle.tracks = [_predicted(track, t) for track in oracle.tracks]
+    oracle.tracks = [_predicted(track, t) for track in oracle.tracks]
     pairs, unmatched_tracks, unmatched_dets = associate(oracle.tracks, detections, oracle.gate)
     by_id = {track.id: track for track in oracle.tracks}
     for track_id, det_idx in pairs:
         track = by_id[track_id]
         rect = detections[det_idx]
-        if oracle.kind == "ekf":
-            if track.frames_seen == 1:
-                track = _bootstrapped(track, rect, (track.misses + 1) * t)
-            track = _updated(track, rect)
-        else:
-            zx, zy = rect.center()
-            step = math.hypot(zx - track.anchor[0], zy - track.anchor[1])
-            track = replace(
-                track,
-                state=replace(track.state, x=zx, y=zy),
-                frames_seen=track.frames_seen + 1,
-                misses=0,
-                total_distance=track.total_distance + step,
-                anchor=(zx, zy),
-                last_rect=rect,
-            )
+        if track.frames_seen == 1:
+            track = _bootstrapped(track, rect, (track.misses + 1) * t)
+        track = _updated(track, rect)
         by_id[track_id] = replace(track, last_seen_frame=oracle.frame_idx)
     for track_id in unmatched_tracks:
         by_id[track_id] = replace(by_id[track_id], misses=by_id[track_id].misses + 1)
@@ -396,7 +365,6 @@ def _oracle_step(oracle: _OracleTracker, detections, t: float):
             covariance=DEFAULT_P0.copy(),
             last_rect=rect,
             last_seen_frame=oracle.frame_idx,
-            heading_valid=oracle.kind == "ekf",
             anchor=(cx, cy),
         ))
         oracle.next_id += 1
@@ -410,9 +378,9 @@ def _fields(track: Track) -> dict:
     return out
 
 
-def _assert_matches_oracle(frames, kind: str, gate: float, max_misses: int, t: float) -> None:
-    tracker = Tracker(kind=kind, gate=gate, max_misses=max_misses)
-    oracle = _OracleTracker(kind, gate, max_misses)
+def _assert_matches_oracle(frames, gate: float, max_misses: int, t: float) -> None:
+    tracker = Tracker(gate=gate, max_misses=max_misses)
+    oracle = _OracleTracker(gate, max_misses)
     n_finished = 0
     for index, detections in enumerate(frames):
         live, finished = tracker.step(detections, t)
@@ -460,23 +428,21 @@ def _crafted_stream() -> list[list[Rect]]:
     return frames
 
 
-@pytest.mark.parametrize("kind", ["ekf", "none"])
 @pytest.mark.parametrize("t", [1.0, 0.5])
-def test_tracker_step_matches_functional_oracle_on_crafted_stream(kind, t):
-    _assert_matches_oracle(_crafted_stream(), kind, gate=20.0, max_misses=2, t=t)
+def test_tracker_step_matches_functional_oracle_on_crafted_stream(t):
+    _assert_matches_oracle(_crafted_stream(), gate=20.0, max_misses=2, t=t)
 
 
-@pytest.mark.parametrize("kind", ["ekf", "none"])
-def test_tracker_step_matches_functional_oracle_on_scene(ten_vehicle_scene, kind):
+def test_tracker_step_matches_functional_oracle_on_scene(ten_vehicle_scene):
     run = cli._Pass(cli.PipelineConfig(scene=ten_vehicle_scene, detector="bgsub"))
     frames = [[rect for rect, _ in record.detections] for record in run.frames()]
     assert sum(map(len, frames)) > 100
-    _assert_matches_oracle(frames, kind, gate=run.tracker.gate,
+    _assert_matches_oracle(frames, gate=run.tracker.gate,
                            max_misses=run.tracker.max_misses, t=1.0)
 
 
 def test_finished_tracks_are_not_changed_by_later_steps():
-    tracker = Tracker(kind="ekf", gate=40.0, max_misses=1)
+    tracker = Tracker(gate=40.0, max_misses=1)
     tracker.step([Rect(50, 0, 10, 10), Rect(150, 0, 10, 10)], 1.0)
     live, _ = tracker.step([Rect(50, 4, 10, 10), Rect(150, 4, 10, 10)], 1.0)
     first = live[0]
