@@ -50,7 +50,7 @@ from .counting import (
     report_text,
     result_line,
 )
-from .imaging import PgmError, Rect, downscale, load_pgm, sequence_paths
+from .imaging import PgmError, Rect, downscale, frame_filename, load_pgm, sequence_paths
 from .tracking import DEFAULT_GATE_FRACTION, DEFAULT_MAX_MISSES, Track, Tracker, track_log_line
 
 
@@ -285,12 +285,16 @@ def _resolve_markers(config: PipelineConfig, width: int, height: int) -> MarkerS
 
 
 def _scene_frame_paths(scene_dir: str) -> list[str]:
+    """The scene's frame paths, which must be numbered from 0 with no gap."""
     try:
         paths = sequence_paths(f"{scene_dir}/frames")
     except OSError as exc:
         raise DataError(f"cannot list scene frames in {scene_dir}: {exc}") from exc
     if not paths:
         raise DataError(f"no frames found under {scene_dir}/frames")
+    if not paths[-1].endswith(frame_filename(len(paths) - 1)):
+        gap = next(i for i, path in enumerate(paths) if not path.endswith(frame_filename(i)))
+        raise DataError(f"no {frame_filename(gap)} under {scene_dir}/frames, but a later frame")
     return paths
 
 
@@ -396,9 +400,9 @@ class _Pass:
     Construction lists the frames, decodes the first one for the frame size,
     checks that resolution_factor divides it, and builds the detector
     (loading the cascade) and the tracker, so set-up errors surface before
-    the rest of the scene is decoded. `frames` yields one
-    record per frame; `tracker.flush()` then returns the tracks still
-    live after the last one.
+    the rest of the scene is decoded. `frames` yields one record per frame,
+    the first from that same array; `tracker.flush()` then returns the
+    tracks still live after the last one.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -406,9 +410,8 @@ class _Pass:
             raise UsageError("a scene directory is required (key: scene)")
         self.config = config
         self.paths = _scene_frame_paths(config.scene)
-        first = load_pgm(self.paths[0])
-        self.native = first.shape
-        self.width, self.height = _working_size(config, first)
+        self.first = load_pgm(self.paths[0])
+        self.width, self.height = _working_size(config, self.first)
         self.detect = _detector(config, self.width, self.height)
         self.tracker = Tracker(
             gate=config.gate_fraction * max(self.width, self.height),
@@ -419,11 +422,11 @@ class _Pass:
         """Decode, detect and track the first `limit` frames (all by default)."""
         factor = self.config.resolution_factor
         for index, path in enumerate(self.paths[:limit]):
-            pixels = load_pgm(path)
-            if pixels.shape != self.native:
+            pixels = self.first if index == 0 else load_pgm(path)
+            if pixels.shape != self.first.shape:
                 raise DataError(
                     f"frame {path} is {pixels.shape[1]}x{pixels.shape[0]}, "
-                    f"the scene's first frame is {self.native[1]}x{self.native[0]}"
+                    f"the scene's first frame is {self.first.shape[1]}x{self.first.shape[0]}"
                 )
             if factor > 1:
                 pixels = downscale(pixels, factor)
@@ -446,13 +449,11 @@ def _policy(config: PipelineConfig) -> CountingPolicy:
     )
 
 
-def _check_events(
-    events: list[tuple[int, int]], n_markers: int, what: str, n_frames: int | None = None
-) -> None:
-    """Refuse a (frame, marker) event naming a marker the scene does not have or,
-    given n_frames, a frame outside [0, n_frames)."""
+def _check_events(events: list[tuple[int, int]], n_markers: int, what: str, n_frames: int) -> None:
+    """Refuse a (frame, marker) event naming a frame outside [0, n_frames) or a
+    marker the scene does not have."""
     for frame_idx, marker in events:
-        if n_frames is not None and not 0 <= frame_idx < n_frames:
+        if not 0 <= frame_idx < n_frames:
             raise DataError(f"{what} names frame {frame_idx}, but the scene has {n_frames} frames")
         if not 0 <= marker < n_markers:
             raise DataError(
@@ -463,7 +464,7 @@ def _check_events(
 
 def _gt_pairs(scene: str, required: bool = False) -> list[tuple[int, int]]:
     """The scene's ground-truth (frame, marker) events; none without a file unless required.
-    Callers check the markers against the scene's (_check_events)."""
+    Callers check the frames and markers against the scene's (_check_events)."""
     try:
         gt_events = synthgen.load_gt_events(scene)
     except FileNotFoundError as exc:
@@ -512,8 +513,9 @@ def _reports(points: list[PipelineConfig]) -> list[CountingReport]:
         markers = _resolve_markers(point, run.width, run.height)
         if point.scene not in gt_by_scene:
             gt_by_scene[point.scene] = _gt_pairs(point.scene)
-        _check_events(gt_by_scene[point.scene], len(markers.markers), "ground-truth event")
-        truths.append((markers, gt_by_scene[point.scene]))
+        gt_pairs = gt_by_scene[point.scene]
+        _check_events(gt_pairs, len(markers.markers), "ground-truth event", len(run.paths))
+        truths.append((markers, gt_pairs))
     reports: list[CountingReport | None] = [None] * len(points)
     for run, members in passes.values():
         finished = [track for record in run.frames() for track in record.finished]
@@ -857,7 +859,7 @@ def _cmd_eval(args, overrides: dict[str, str]) -> int:
     n_markers = len(_resolve_markers(config, width, height).markers)
     _check_events(counted, n_markers, f"counted event in {args.events}", len(frame_paths))
     gt_pairs = _gt_pairs(config.scene, required=True)
-    _check_events(gt_pairs, n_markers, "ground-truth event")
+    _check_events(gt_pairs, n_markers, "ground-truth event", len(frame_paths))
     report = make_report(counted, gt_pairs, config.match_tol, n_markers)
     print(result_line(report))
     return 0

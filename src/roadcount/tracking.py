@@ -9,7 +9,9 @@ Only positions are observed; speed and heading are bootstrapped from a
 track's first two observations and then inferred by the filter.
 
 Tracker.step runs the filter in place through the kernels _predict,
-_bootstrap, _update and _observed.
+_bootstrap, _update and _observed, and matches by greedy_pairs over
+(distance, track position, detection index); tracks stay in ascending id
+order, so ties go to the older track.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Track:
 
     anchor is the filtered position at the latest observation; per-step
     displacement between consecutive anchors accumulates into
-    total_distance.
+    total_distance. last_seen_frame is the frame of that observation (or spawn).
     """
 
     id: int
@@ -63,7 +65,6 @@ class Track:
     covariance: np.ndarray
     last_rect: Rect
     frames_seen: int = 1
-    misses: int = 0
     total_distance: float = 0.0
     last_seen_frame: int = 0
     anchor: tuple[float, float] = field(default=(0.0, 0.0))
@@ -155,7 +156,6 @@ def _observed(track: Track, rect: Rect) -> None:
     track.total_distance += math.hypot(x - track.anchor[0], y - track.anchor[1])
     track.anchor = (x, y)
     track.frames_seen += 1
-    track.misses = 0
     track.last_rect = rect
 
 
@@ -173,35 +173,12 @@ def greedy_pairs(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[int
     return pairs
 
 
-def associate(
-    tracks: Sequence[Track], detections: Sequence[Rect], gate: float
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Greedy nearest-first matching (greedy_pairs) of track positions to detection centers.
-
-    Returns (matched (track_id, detection_index) pairs, unmatched track ids,
-    unmatched detection indices). Pairs beyond the gate distance are never
-    considered; ties break by (track id, detection index).
-    """
-    if gate <= 0.0:
-        raise ValueError(f"gate must be positive, got {gate}")
-    centers = [rect.center() for rect in detections]
-    pairs = greedy_pairs(
-        (distance, track.id, det_idx)
-        for track in tracks
-        for det_idx, (cx, cy) in enumerate(centers)
-        if (distance := math.hypot(track.state.x - cx, track.state.y - cy)) <= gate
-    )
-    matched_tracks = {track_id for track_id, _ in pairs}
-    matched_dets = {det_idx for _, det_idx in pairs}
-    unmatched_tracks = [t.id for t in tracks if t.id not in matched_tracks]
-    unmatched_dets = [i for i in range(len(detections)) if i not in matched_dets]
-    return pairs, unmatched_tracks, unmatched_dets
-
-
 class Tracker:
     """Sequential multi-object EKF tracker over a frame stream."""
 
     def __init__(self, gate: float = 60.0, max_misses: int = DEFAULT_MAX_MISSES):
+        if gate <= 0.0:
+            raise ValueError(f"gate must be positive, got {gate}")
         if max_misses < 0:
             raise ValueError(f"max_misses must be >= 0, got {max_misses}")
         self.gate = gate
@@ -227,32 +204,38 @@ class Tracker:
     def step(self, detections: Sequence[Rect], t: float = 1.0) -> tuple[list[Track], list[Track]]:
         """Advance one frame; returns (live tracks, tracks finished this frame).
 
-        The tracks are the tracker's own objects, updated in place: a live
-        track returned here changes with later steps, while a finished
-        track (here or from flush) is never touched again.
+        Tracks match detection centers within the gate, nearest first; one
+        unseen for more than max_misses frames finishes. The tracks are the
+        tracker's own objects, updated in place: a live track returned here
+        changes with later steps, while a finished track (here or from
+        flush) is never touched again.
         """
         if t <= 0.0:
             raise ValueError(f"time step must be positive, got {t}")
         self.frame_idx += 1
         for track in self.tracks:
             track.state, track.covariance = _predict(track.state, track.covariance, t, DEFAULT_Q)
-        pairs, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, self.gate)
-        by_id = {track.id: track for track in self.tracks}
-        for track_id, det_idx in pairs:
-            track = by_id[track_id]
-            rect = detections[det_idx]
-            zx, zy = rect.center()
+        centers = [rect.center() for rect in detections]
+        pairs = greedy_pairs(
+            (distance, i, j)
+            for i, track in enumerate(self.tracks)
+            for j, (cx, cy) in enumerate(centers)
+            if (distance := math.hypot(track.state.x - cx, track.state.y - cy)) <= self.gate
+        )
+        for i, j in pairs:
+            track = self.tracks[i]
+            zx, zy = centers[j]
             state = track.state
             if track.frames_seen == 1:
-                state = _bootstrap(state, zx, zy, (track.misses + 1) * t)
+                state = _bootstrap(state, zx, zy, (self.frame_idx - track.last_seen_frame) * t)
             track.state, track.covariance = _update(state, track.covariance, zx, zy, DEFAULT_R)
-            _observed(track, rect)
+            _observed(track, detections[j])
             track.last_seen_frame = self.frame_idx
-        for track_id in unmatched_tracks:
-            by_id[track_id].misses += 1
-        live = [track for track in self.tracks if track.misses <= self.max_misses]
-        finished = [track for track in self.tracks if track.misses > self.max_misses]
-        live += [self._spawn(detections[det_idx]) for det_idx in unmatched_dets]
+        oldest = self.frame_idx - self.max_misses
+        live = [track for track in self.tracks if track.last_seen_frame >= oldest]
+        finished = [track for track in self.tracks if track.last_seen_frame < oldest]
+        matched = {j for _, j in pairs}
+        live += [self._spawn(rect) for j, rect in enumerate(detections) if j not in matched]
         self.tracks = live
         return live, finished
 

@@ -1101,6 +1101,8 @@ def test_ground_truth_errors_end_before_a_pass_runs(tmp_path, monkeypatch, capsy
         ("5 0 0\n7 1\n",
          f"malformed ground truth: {gt_path} line 2: expected 'frame vehicle marker' "
          "as three integers >= 0, got '7 1'"),
+        ("5 0 1\n99999 3 0\n",
+         "ground-truth event names frame 99999, but the scene has 16 frames"),
     ):
         with open(gt_path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -1156,6 +1158,25 @@ def test_eval_gt_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys):
         "roadcount: data error: ground-truth event at frame 5 names marker 7, "
         "but the scene has 2 markers",
     )
+
+
+@pytest.mark.parametrize("frame", [15, 16, 99999])
+def test_eval_refuses_ground_truth_frame_outside_scene(tmp_path, capsys, frame):
+    scene = _small_scene(tmp_path)  # 16 frames
+    with open(os.path.join(scene, "gt_events.txt"), "w", encoding="ascii") as fh:
+        fh.write(f"5 0 0\n{frame} 1 1\n")
+    events = tmp_path / "events.txt"
+    events.write_text("5 0\n", encoding="ascii")
+    rc = cli.main(["eval", "--scene", scene, "--events", str(events)])
+    if frame == 15:  # the scene's last frame
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("RESULT fp=0 fn=1 gt=2 ")
+    else:
+        _one_line_failure(
+            capsys, rc, 2,
+            f"roadcount: data error: ground-truth event names frame {frame}, "
+            "but the scene has 16 frames",
+        )
 
 
 def test_eval_counted_marker_outside_scene_markers_is_a_data_error(tmp_path, capsys):
@@ -1278,6 +1299,28 @@ def test_truncated_frame_is_a_data_error_naming_the_file(tmp_path, capsys):
         capsys, rc, 2,
         f"roadcount: data error: truncated PGM payload in {frame}: expected 3072 bytes, got 27",
     )
+
+
+@pytest.mark.parametrize("missing", [0, 5])
+@pytest.mark.parametrize("command", ["count", "sweep", "bench", "detect", "track", "eval"])
+def test_frame_number_gap_is_a_data_error(tmp_path, capsys, command, missing):
+    scene = tmp_path / "twelve"
+    synthgen.save_scene(
+        str(scene), replace(synthgen.config_from_text(_small_scenario_text()), frames=12)
+    )
+    (scene / "frames" / f"frame_{missing:06d}.pgm").unlink()
+    events = tmp_path / "events.txt"
+    events.write_text("5 0\n", encoding="ascii")
+    extra = {"sweep": ["--grid", "tfc=4,8"], "eval": ["--events", str(events)]}
+    rc = cli.main([command, "--scene", str(scene)] + extra.get(command, []))
+    _one_line_failure(
+        capsys, rc, 2,
+        f"roadcount: data error: no frame_{missing:06d}.pgm under {scene}/frames, "
+        "but a later frame",
+    )
+    # the last frame missing is a shorter scene, not a gap
+    (scene / "frames" / "frame_000011.pgm").rename(scene / "frames" / f"frame_{missing:06d}.pgm")
+    assert cli._scene_frame_paths(str(scene))[-1].endswith("frame_000010.pgm")
 
 
 def test_malformed_markers_key_is_a_usage_error(tmp_path, capsys):

@@ -22,7 +22,6 @@ from roadcount.tracking import (
     _predict,
     _transition,
     _update,
-    associate,
     greedy_pairs,
     normalize_angle,
     track_log_line,
@@ -143,7 +142,7 @@ def test_update_zero_innovation_keeps_mean():
     out = _updated(track, rect)
     assert out.state == track.state  # innovation is exactly zero
     assert out.frames_seen == track.frames_seen + 1
-    assert out.misses == 0
+    assert out.last_seen_frame == track.last_seen_frame  # the tracker sets the frame
     assert out.total_distance == 0.0
     assert out.anchor == (55.0, 25.0)
     assert out.last_rect == rect
@@ -194,25 +193,31 @@ def test_derive_kinematics_directions():
     assert out.v == pytest.approx(4.0)  # displacement spread over t=2
 
 
-def test_associate_greedy_nearest_first():
-    tracks = [_mk_track(0, 10.0, 10.0), _mk_track(1, 30.0, 10.0)]
+def _matched_rects(tracker: Tracker, detections: list[Rect]) -> dict[int, Rect]:
+    """Step tracker over detections; each live track's id and its latest rect."""
+    live, _ = tracker.step(detections, 1.0)
+    return {track.id: track.last_rect for track in live}
+
+
+def test_step_matches_greedy_nearest_first():
+    tracker = Tracker(gate=50.0)
+    tracker.step([Rect(5, 5, 10, 10), Rect(25, 5, 10, 10)], 1.0)  # tracks at (10,10), (30,10)
     detections = [Rect(25, 5, 10, 10), Rect(7, 5, 10, 10)]  # centers (30,10), (12,10)
-    pairs, unmatched_tracks, unmatched_dets = associate(tracks, detections, gate=50.0)
-    assert pairs == [(1, 0), (0, 1)]
-    assert unmatched_tracks == [] and unmatched_dets == []
+    # track 1 takes its 0 px detection first; track 0 then takes the 2 px one
+    assert _matched_rects(tracker, detections) == {0: detections[1], 1: detections[0]}
 
 
-def test_associate_gate_and_ties():
-    tracks = [_mk_track(0, 10.0, 10.0)]
-    pairs, unmatched_tracks, unmatched_dets = associate(tracks, [Rect(95, 5, 10, 10)], gate=20.0)
-    assert pairs == [] and unmatched_tracks == [0] and unmatched_dets == [0]
-    # two detections equidistant from two tracks: ties break by ids
-    tracks = [_mk_track(0, 20.0, 10.0), _mk_track(1, 20.0, 10.0)]
+def test_step_gate_and_ties():
+    tracker = Tracker(gate=20.0)
+    tracker.step([Rect(5, 5, 10, 10)], 1.0)  # track 0 at (10, 10)
+    far = Rect(95, 5, 10, 10)  # 90 px away: beyond the gate, so it spawns track 1
+    assert _matched_rects(tracker, [far]) == {0: Rect(5, 5, 10, 10), 1: far}
+    assert tracker.tracks[0].last_seen_frame == 0
+    # two detections equidistant from two tracks: ties go to the lower id
+    tracker = Tracker(gate=50.0)
+    tracker.step([Rect(15, 5, 10, 10), Rect(15, 5, 10, 10)], 1.0)  # tracks 0 and 1 at (20, 10)
     detections = [Rect(5, 5, 10, 10), Rect(25, 5, 10, 10)]  # both 10 px away
-    pairs, _, _ = associate(tracks, detections, gate=50.0)
-    assert pairs == [(0, 0), (1, 1)]
-    with pytest.raises(ValueError):
-        associate(tracks, detections, gate=0.0)
+    assert _matched_rects(tracker, detections) == {0: detections[0], 1: detections[1]}
 
 
 def test_greedy_pairs_take_candidates_in_cost_a_b_order():
@@ -244,12 +249,13 @@ def test_tracker_miss_lifecycle():
     tracker.step([Rect(50, 0, 10, 10)], 1.0)
     tracker.step([Rect(50, 4, 10, 10)], 1.0)
     live, finished = tracker.step([], 1.0)
-    assert len(live) == 1 and live[0].misses == 1 and finished == []
+    assert len(live) == 1 and tracker.frame_idx - live[0].last_seen_frame == 1
+    assert finished == []
     live, finished = tracker.step([], 1.0)
-    assert live[0].misses == 2 and finished == []
+    assert tracker.frame_idx - live[0].last_seen_frame == 2 and finished == []
     live, finished = tracker.step([], 1.0)
     assert live == [] and len(finished) == 1
-    assert finished[0].misses == 3
+    assert tracker.frame_idx - finished[0].last_seen_frame == 3
     assert finished[0].last_seen_frame == 1  # last frame with an observation
 
 
@@ -269,6 +275,8 @@ def test_tracker_spawns_and_flushes():
 def test_tracker_validation():
     with pytest.raises(ValueError):
         Tracker(max_misses=-1)
+    with pytest.raises(ValueError):
+        Tracker(gate=0.0)
     tracker = Tracker()
     with pytest.raises(ValueError):
         tracker.step([], 0.0)
@@ -334,29 +342,39 @@ class _OracleTracker:
     tracks: list = field(default_factory=list)
     frame_idx: int = -1
     next_id: int = 0
+    misses: dict = field(default_factory=dict)  # track id -> frames missed in a row
 
 
 def _oracle_step(oracle: _OracleTracker, detections, t: float):
     """The functional tracker step: every track rebuilt each frame with
-    dataclasses.replace, by _predicted, _bootstrapped and _updated."""
+    dataclasses.replace, by _predicted, _bootstrapped and _updated. Tracks
+    are matched by id and aged by a per-id miss count."""
     oracle.frame_idx += 1
     oracle.tracks = [_predicted(track, t) for track in oracle.tracks]
-    pairs, unmatched_tracks, unmatched_dets = associate(oracle.tracks, detections, oracle.gate)
+    centers = [rect.center() for rect in detections]
+    pairs = greedy_pairs(
+        (distance, track.id, det_idx)
+        for track in oracle.tracks
+        for det_idx, (cx, cy) in enumerate(centers)
+        if (distance := math.hypot(track.state.x - cx, track.state.y - cy)) <= oracle.gate
+    )
     by_id = {track.id: track for track in oracle.tracks}
     for track_id, det_idx in pairs:
         track = by_id[track_id]
         rect = detections[det_idx]
         if track.frames_seen == 1:
-            track = _bootstrapped(track, rect, (track.misses + 1) * t)
+            track = _bootstrapped(track, rect, (oracle.misses[track_id] + 1) * t)
         track = _updated(track, rect)
         by_id[track_id] = replace(track, last_seen_frame=oracle.frame_idx)
-    for track_id in unmatched_tracks:
-        by_id[track_id] = replace(by_id[track_id], misses=by_id[track_id].misses + 1)
+    matched_ids = {track_id for track_id, _ in pairs}
+    for track_id in by_id:
+        oracle.misses[track_id] = 0 if track_id in matched_ids else oracle.misses[track_id] + 1
     live, finished = [], []
     for track in oracle.tracks:
-        track = by_id[track.id]
-        (finished if track.misses > oracle.max_misses else live).append(track)
-    for det_idx in unmatched_dets:
+        misses = oracle.misses[track.id]
+        (finished if misses > oracle.max_misses else live).append(by_id[track.id])
+    matched_dets = {det_idx for _, det_idx in pairs}
+    for det_idx in [i for i in range(len(detections)) if i not in matched_dets]:
         rect = detections[det_idx]
         cx, cy = rect.center()
         live.append(Track(
@@ -367,6 +385,7 @@ def _oracle_step(oracle: _OracleTracker, detections, t: float):
             last_seen_frame=oracle.frame_idx,
             anchor=(cx, cy),
         ))
+        oracle.misses[oracle.next_id] = 0
         oracle.next_id += 1
     oracle.tracks = live
     return live, finished
@@ -406,7 +425,7 @@ def _crafted_stream() -> list[list[Rect]]:
         [Rect(100, 20, 10, 10)],  # 1 comes back after two misses
         [Rect(200, 100, 10, 10)],
         [],
-        # track 4 bootstraps after a miss, over (misses + 1) * t
+        # track 4 bootstraps after a miss, over 2 * t
         [Rect(200, 108, 10, 10)],
         [Rect(300, 200, 10, 10)],
         # fresh track 5, two detections 5 px away: the lower index wins
